@@ -8,18 +8,10 @@ writes ``BASE.json`` and ``BASE.tsv`` as well.  The JSON is deterministic
 for a fixed scenario and command, except for the ``_generated_at``
 timestamp, which always sits alone on its own line.
 
-Subcommands:
-  hilbert          dimension table of the module over gwindow
-  hom              dimension table of graded Hom(module, module2)
-  ext              dimension table of Ext^i(R/ideal^n, module)
-  gamma            torsion submodule of the module along the ideal
-  cech             local cohomology H^i by the localization route
-  lc               local cohomology H^i by either route (--route)
-  dtransform       ideal transform D^i (colimit of Ext^i(a^n, module))
-  coarsen          fiber-sum the module's dimension table along psi
-  check-commute    compare coarsened vs directly coarse local cohomology
-  check-transform  the four-term torsion/transform sequence, degreewise
-  counterexample   the rational-exponent escape family at level --k
+The subcommands, their help lines and their flags are the ``_COMMANDS``
+table below; ``coarsecoh --help`` prints it.  An explicit ``--ncap`` or
+``--raycap`` must be a positive integer and always wins over the
+scenario's ``caps`` block.
 
 Exit codes: 0 success (and every checker verdict positive), 1 scenario or
 usage error, 2 a checker returned FAILS, 3 a limit refused to stabilize
@@ -40,7 +32,6 @@ from .homres import colim_ext_table, graded_ext, hom_table
 from .localcoh import (
     cech_table,
     check_transform_sequence,
-    ideal_transform,
     local_cohomology,
     torsion_submodule,
 )
@@ -58,6 +49,7 @@ _VERDICT_EXIT = {
     "COMMUTES_ON_WINDOW": EXIT_OK,
     "FAILS": EXIT_FAILS,
     "UNSTABILIZED": EXIT_UNSTABILIZED,
+    "REFUSED": EXIT_REFUSED,
 }
 
 
@@ -76,171 +68,119 @@ def _window_str(window) -> str:
     return "{%s}" % ", ".join(str(d) for d in window)
 
 
-def _table_json(table) -> dict:
-    return {g: v for g, v in table.rows()}
-
-
-def _tsv(comments, header, rows) -> str:
-    lines = ["# " + c for c in comments]
+def _report(command, payload, comments, header, rows):
+    """(payload, tsv, exit code) of a report whose payload holds its verdict.
+    The TSV has ``# key: value`` lines, starting with the command and the
+    verdict, then the header and the rows."""
+    payload["command"] = command
+    verdict = payload["verdict"]
+    notes = ["command: " + command, "verdict: " + verdict, *comments]
+    lines = ["# " + c for c in notes]
     lines.append("\t".join(header))
     for row in rows:
         lines.append("\t".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return payload, "\n".join(lines) + "\n", _VERDICT_EXIT[verdict]
 
 
-def _table_tsv(command: str, verdict: str, table, extra_comments=()) -> str:
-    return _tsv(
-        ["command: " + command, "verdict: " + verdict, *extra_comments],
-        ["degree", "dim"],
-        table.rows(),
-    )
+def _table_report(command, table, s: Scenario, parameters=None, comments=(), **extra):
+    """The OK report of a command whose result is one degree/dim table
+    over the scenario's gwindow."""
+    payload = {
+        "verdict": "OK",
+        "window": _window_str(s.gwindow),
+        "table": dict(table.rows()),
+        **extra,
+    }
+    if parameters is not None:
+        payload["parameters"] = parameters
+    return _report(command, payload, comments, ["degree", "dim"], table.rows())
+
+
+def _stages(per_degree: dict, global_index: int) -> dict:
+    """Report fields of a certified limit: the stage at which each degree
+    stabilized, in degree order, and the largest of them."""
+    ordered = sorted(per_degree.items(), key=lambda kv: kv[0].sort_key())
+    return {
+        "stabilized_at": {str(g): n for g, n in ordered},
+        "global_index": global_index,
+    }
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: scenario, args -> (payload, tsv, exit code).
+# Subcommand handlers: scenario, args -> (payload, tsv, exit code).  The
+# scenario's caps already carry any --ncap/--raycap override.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_hilbert(s: Scenario, args):
     s.require("ring", "module", "gwindow")
-    table = s.module.hilbert(s.gwindow)
-    payload = {
-        "command": "hilbert",
-        "verdict": "OK",
-        "window": _window_str(s.gwindow),
-        "table": _table_json(table),
-    }
-    return payload, _table_tsv("hilbert", "OK", table), EXIT_OK
+    return _table_report("hilbert", s.module.hilbert(s.gwindow), s)
 
 
 def _cmd_hom(s: Scenario, args):
     s.require("ring", "module", "module2", "gwindow")
-    table = hom_table(s.module, s.module2, s.gwindow)
-    payload = {
-        "command": "hom",
-        "verdict": "OK",
-        "window": _window_str(s.gwindow),
-        "table": _table_json(table),
-    }
-    return payload, _table_tsv("hom", "OK", table), EXIT_OK
+    return _table_report("hom", hom_table(s.module, s.module2, s.gwindow), s)
 
 
 def _cmd_ext(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
     ideal = s.ideal.power(args.n) if args.n != 1 else s.ideal
     table = graded_ext(args.i, ideal, s.module, s.gwindow)
-    payload = {
-        "command": "ext",
-        "verdict": "OK",
-        "parameters": {"i": args.i, "n": args.n},
-        "window": _window_str(s.gwindow),
-        "table": _table_json(table),
-    }
-    return payload, _table_tsv("ext", "OK", table), EXIT_OK
+    return _table_report("ext", table, s, {"i": args.i, "n": args.n})
 
 
 def _cmd_gamma(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    n_cap = args.ncap or s.n_cap
-    data = torsion_submodule(s.ideal, s.module, s.gwindow, n_cap)
-    payload = {
-        "command": "gamma",
-        "verdict": "OK",
-        "parameters": {"n_cap": n_cap},
-        "window": _window_str(s.gwindow),
-        "table": _table_json(data.table),
-        "stabilized_at": {str(g): n for g, n in sorted(
-            data.stabilized_at.items(), key=lambda kv: kv[0].sort_key()
-        )},
-        "global_index": data.global_index,
-    }
-    tsv = _tsv(
-        ["command: gamma", "verdict: OK", "global_index: %d" % data.global_index],
-        ["degree", "dim", "stabilized_at"],
-        [
-            (str(g), data.table.get(g), data.stabilized_at.get(g, 1))
-            for g in s.gwindow
-        ],
-    )
-    return payload, tsv, EXIT_OK
+    data = torsion_submodule(s.ideal, s.module, s.gwindow, s.n_cap)
+    stages = _stages(data.stabilized_at, data.global_index)
+    payload, _, _ = _table_report("gamma", data.table, s, {"n_cap": s.n_cap}, **stages)
+    # the TSV shows each degree's stage in a third column
+    rows = [
+        (str(g), data.table.get(g), data.stabilized_at.get(g, 1)) for g in s.gwindow
+    ]
+    comments = ["global_index: %d" % data.global_index]
+    return _report("gamma", payload, comments, ["degree", "dim", "stabilized_at"], rows)
 
 
 def _cmd_cech(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    ray_cap = args.raycap or s.ray_cap
-    table = cech_table(s.ideal, args.i, s.module, s.gwindow, ray_cap)
-    payload = {
-        "command": "cech",
-        "verdict": "OK",
-        "parameters": {"i": args.i, "route": "cech", "ray_cap": ray_cap},
-        "window": _window_str(s.gwindow),
-        "table": _table_json(table),
-    }
+    table = cech_table(s.ideal, args.i, s.module, s.gwindow, s.ray_cap)
+    parameters = {"i": args.i, "route": "cech", "ray_cap": s.ray_cap}
     comments = ["i: %d" % args.i, "route: cech"]
-    return payload, _table_tsv("cech", "OK", table, comments), EXIT_OK
+    return _table_report("cech", table, s, parameters, comments)
 
 
 def _cmd_lc(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    n_cap = args.ncap or s.n_cap
-    ray_cap = args.raycap or s.ray_cap
-    stab = None
-    if args.route == "ext" and args.i > 0:
-        table, report = colim_ext_table(
-            args.i, s.ideal, s.module, s.gwindow, n_cap, family="quotient"
-        )
-        stab = report
-    else:
-        table = local_cohomology(
-            s.ideal, args.i, s.module, s.gwindow, args.route, n_cap, ray_cap
-        )
-    payload = {
-        "command": "lc",
-        "verdict": "OK",
-        "parameters": {
-            "i": args.i,
-            "route": args.route,
-            "n_cap": n_cap,
-            "ray_cap": ray_cap,
-        },
-        "window": _window_str(s.gwindow),
-        "table": _table_json(table),
+    parameters = {
+        "i": args.i,
+        "route": args.route,
+        "n_cap": s.n_cap,
+        "ray_cap": s.ray_cap,
     }
     comments = ["i: %d" % args.i, "route: " + args.route]
-    if stab is not None:
-        payload["stabilized_at"] = {
-            str(g): n
-            for g, n in sorted(
-                stab.per_degree.items(), key=lambda kv: kv[0].sort_key()
-            )
-        }
-        payload["global_index"] = stab.global_index
+    if args.route == "ext" and args.i > 0:
+        table, stab = colim_ext_table(
+            args.i, s.ideal, s.module, s.gwindow, s.n_cap, family="quotient"
+        )
         comments.append("global_index: %d" % stab.global_index)
-    return payload, _table_tsv("lc", "OK", table, comments), EXIT_OK
+        stages = _stages(stab.per_degree, stab.global_index)
+        return _table_report("lc", table, s, parameters, comments, **stages)
+    table = local_cohomology(
+        s.ideal, args.i, s.module, s.gwindow, args.route, s.n_cap, s.ray_cap
+    )
+    return _table_report("lc", table, s, parameters, comments)
 
 
 def _cmd_dtransform(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    n_cap = args.ncap or s.n_cap
     table, report = colim_ext_table(
-        args.i, s.ideal, s.module, s.gwindow, n_cap, family="ideal"
+        args.i, s.ideal, s.module, s.gwindow, s.n_cap, family="ideal"
     )
-    payload = {
-        "command": "dtransform",
-        "verdict": "OK",
-        "parameters": {"i": args.i, "n_cap": n_cap},
-        "window": _window_str(s.gwindow),
-        "table": _table_json(table),
-        "stabilized_at": {
-            str(g): n
-            for g, n in sorted(
-                report.per_degree.items(), key=lambda kv: kv[0].sort_key()
-            )
-        },
-        "global_index": report.global_index,
-    }
+    parameters = {"i": args.i, "n_cap": s.n_cap}
     comments = ["i: %d" % args.i, "global_index: %d" % report.global_index]
-    return payload, _table_tsv("dtransform", "OK", table, comments), EXIT_OK
+    stages = _stages(report.per_degree, report.global_index)
+    return _table_report("dtransform", table, s, parameters, comments, **stages)
 
 
 def _cmd_coarsen(s: Scenario, args):
@@ -255,24 +195,22 @@ def _cmd_coarsen(s: Scenario, args):
         coarse_ring=coarse_ring,
         assume_support_covered=args.assume_support_covered,
     )
-    payload = {
-        "command": "coarsen",
-        "verdict": "OK",
-        "parameters": {
-            "assume_support_covered": args.assume_support_covered,
-        },
-        "gwindow": _window_str(s.gwindow),
-        "hwindow": _window_str(s.hwindow),
-        "table": _table_json(table),
-        "certificate": {"route": cert.route, "note": cert.note},
-    }
-    comments = ["certificate: " + cert.route]
-    return payload, _table_tsv("coarsen", "OK", table, comments), EXIT_OK
+    payload, tsv, code = _table_report(
+        "coarsen",
+        table,
+        s,
+        {"assume_support_covered": args.assume_support_covered},
+        ["certificate: " + cert.route],
+        hwindow=_window_str(s.hwindow),
+        certificate={"route": cert.route, "note": cert.note},
+    )
+    # the coarse table lives on hwindow; the scenario's window is the fine one
+    payload["gwindow"] = payload.pop("window")
+    return payload, tsv, code
 
 
 def _cmd_check_commute(s: Scenario, args):
     s.require("ring", "ideal", "module", "psi", "gwindow", "hwindow")
-    n_cap = args.ncap or s.n_cap
     report = check_commutation(
         s.ideal,
         s.module,
@@ -280,134 +218,68 @@ def _cmd_check_commute(s: Scenario, args):
         args.i,
         s.gwindow,
         s.hwindow,
-        n_cap=n_cap,
+        n_cap=s.n_cap,
         assume_support_covered=args.assume_support_covered,
         coarse_certificate=s.coarse_certificate,
     )
     payload = report.to_json_dict()
-    payload["command"] = "check-commute"
     payload["gwindow"] = _window_str(s.gwindow)
     payload["hwindow"] = _window_str(s.hwindow)
-    comments = [
-        "command: check-commute",
-        "verdict: " + report.verdict,
-        "n_cap: %d" % n_cap,
-    ]
+    comments = ["n_cap: %d" % s.n_cap]
+    if report.unstable is not None:
+        comments.append(
+            "unstabilized: i=%(i)s at %(degree)s, trajectory %(trajectory)s"
+            % report.unstable
+        )
     rows = []
     for entry in report.entries:
         route = entry.cert.route if entry.cert else "-"
         for (h, a), (_, b) in zip(entry.coarsened.rows(), entry.coarse.rows()):
             rows.append((entry.i, h, a, b, "yes" if a == b else "NO", route))
-    if report.unstable is not None:
-        comments.append(
-            "unstabilized: i=%s at %s, trajectory %s"
-            % (
-                report.unstable["i"],
-                report.unstable["degree"],
-                report.unstable["trajectory"],
-            )
-        )
-    tsv = _tsv(
-        comments,
-        ["i", "degree", "coarsened", "coarse", "agree", "certificate"],
-        rows,
-    )
-    return payload, tsv, _VERDICT_EXIT[report.verdict]
+    header = ["i", "degree", "coarsened", "coarse", "agree", "certificate"]
+    return _report("check-commute", payload, comments, header, rows)
 
 
 def _cmd_check_transform(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    n_cap = args.ncap or s.n_cap
-    ray_cap = args.raycap or s.ray_cap
-    report = check_transform_sequence(s.ideal, s.module, s.gwindow, n_cap, ray_cap)
+    report = check_transform_sequence(
+        s.ideal, s.module, s.gwindow, s.n_cap, s.ray_cap
+    )
     payload = report.to_json_dict()
-    payload["command"] = "check-transform"
     payload["window"] = _window_str(s.gwindow)
     comments = [
-        "command: check-transform",
-        "verdict: " + report.verdict,
+        "higher i=%d: %s over %d degrees"
+        % (e["i"], "agree" if e["agree"] else "DISAGREE", e["degrees_checked"])
+        for e in report.higher
     ]
-    for entry in report.higher:
-        comments.append(
-            "higher i=%d: %s over %d degrees"
-            % (
-                entry["i"],
-                "agree" if entry["agree"] else "DISAGREE",
-                entry["degrees_checked"],
-            )
-        )
     if report.unstable is not None:
         comments.append(
-            "unstabilized: %s at %s, trajectory %s"
-            % (
-                report.unstable["what"],
-                report.unstable["degree"],
-                report.unstable["trajectory"],
-            )
+            "unstabilized: %(what)s at %(degree)s, trajectory %(trajectory)s"
+            % report.unstable
         )
     rows = [
-        (
-            str(r.degree),
-            r.gamma,
-            r.module,
-            r.d0,
-            r.h1,
-            "yes" if r.all_ok() else "NO",
-        )
+        (str(r.degree), r.gamma, r.module, r.d0, r.h1, "yes" if r.all_ok() else "NO")
         for r in report.rows
     ]
-    tsv = _tsv(
-        comments,
-        ["degree", "torsion", "module", "transform0", "h1", "exact"],
-        rows,
-    )
-    return payload, tsv, _VERDICT_EXIT[report.verdict]
+    header = ["degree", "torsion", "module", "transform0", "h1", "exact"]
+    return _report("check-transform", payload, comments, header, rows)
 
 
 def _cmd_counterexample(s: Scenario, args):
     report = counterexample_report(args.k, seed=args.seed)
-    payload = report.to_json_dict()
-    payload["command"] = "counterexample"
-    payload["verdict"] = "OK"
+    payload = {**report.to_json_dict(), "verdict": "OK"}
     comments = [
-        "command: counterexample",
-        "verdict: OK",
         "support size: %d" % len(report.support),
         "idempotency witnesses: %d verified" % len(report.idempotency),
         "generation gaps: %d certified" % len(report.generation_gaps),
         "external claim: " + report.external_claim,
     ]
     rows = [
-        (
-            c.k,
-            str(c.shift),
-            str(c.ideal.threshold),
-            repr(c.probe),
-            repr(c.probe_image),
-        )
+        (c.k, str(c.shift), str(c.ideal.threshold), repr(c.probe), repr(c.probe_image))
         for c in build_witness_hom(report.level).components
     ]
-    tsv = _tsv(
-        comments,
-        ["k", "degree", "threshold", "probe", "probe_image"],
-        rows,
-    )
-    return payload, tsv, EXIT_OK
-
-
-_HANDLERS = {
-    "hilbert": _cmd_hilbert,
-    "hom": _cmd_hom,
-    "ext": _cmd_ext,
-    "gamma": _cmd_gamma,
-    "cech": _cmd_cech,
-    "lc": _cmd_lc,
-    "dtransform": _cmd_dtransform,
-    "coarsen": _cmd_coarsen,
-    "check-commute": _cmd_check_commute,
-    "check-transform": _cmd_check_transform,
-    "counterexample": _cmd_counterexample,
-}
+    header = ["k", "degree", "threshold", "probe", "probe_image"]
+    return _report("counterexample", payload, comments, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +294,82 @@ def _i_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             "expected a comma-separated list of integers, got %r" % text
         )
+
+
+def _cap(text: str) -> int:
+    """A cap flag, held to the rule of the scenario's caps block."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("caps must be positive, got %d" % value)
+    return value
+
+
+# flag name -> (option string, add_argument keywords)
+_FLAGS = {
+    "scenario": ("scenario", {"help": "path to a scenario file"}),
+    "i": ("--i", {"type": int, "required": True}),
+    "i-list": (
+        "--i",
+        {
+            "type": _i_list,
+            "default": [0, 1, 2],
+            "help": "comma-separated cohomological degrees (default 0,1,2)",
+        },
+    ),
+    "n": ("--n", {"type": int, "default": 1, "help": "ideal power (default 1)"}),
+    "route": ("--route", {"choices": ("cech", "ext"), "default": "cech"}),
+    "ncap": ("--ncap", {"type": _cap, "help": "override the scenario's n_cap"}),
+    "raycap": ("--raycap", {"type": _cap, "help": "override the scenario's ray_cap"}),
+    "assume": ("--assume-support-covered", {"action": "store_true"}),
+    "k": ("--k", {"type": int, "required": True, "help": "truncation level"}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+}
+
+# subcommand -> (handler, help line, flag names); builds the parser and dispatches
+_COMMANDS = {
+    "hilbert": (_cmd_hilbert, "dimension table of the module", ("scenario",)),
+    "hom": (_cmd_hom, "graded Hom dimension table (module -> module2)", ("scenario",)),
+    "ext": (
+        _cmd_ext,
+        "Ext^i(R/ideal^n, module) dimension table",
+        ("scenario", "i", "n"),
+    ),
+    "gamma": (_cmd_gamma, "torsion submodule along the ideal", ("scenario", "ncap")),
+    "cech": (
+        _cmd_cech,
+        "local cohomology by the localization route",
+        ("scenario", "i", "raycap"),
+    ),
+    "lc": (
+        _cmd_lc,
+        "local cohomology by either route",
+        ("scenario", "i", "route", "ncap", "raycap"),
+    ),
+    "dtransform": (_cmd_dtransform, "ideal transform D^i", ("scenario", "i", "ncap")),
+    "coarsen": (
+        _cmd_coarsen,
+        "fiber-sum the module's dimension table along psi",
+        ("scenario", "assume"),
+    ),
+    "check-commute": (
+        _cmd_check_commute,
+        "coarsened vs directly coarse local cohomology",
+        ("scenario", "i-list", "ncap", "assume"),
+    ),
+    "check-transform": (
+        _cmd_check_transform,
+        "four-term torsion/transform sequence check",
+        ("scenario", "ncap", "raycap"),
+    ),
+    "counterexample": (
+        _cmd_counterexample,
+        "escape family for the rational monoid algebra",
+        ("k", "seed"),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -439,65 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact graded local cohomology and coarsening checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, scenario: bool = True):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if scenario:
-            p.add_argument("scenario", help="path to a scenario file")
         p.add_argument("--out", help="write BASE.json and BASE.tsv")
         p.add_argument(
             "--json",
             action="store_true",
             help="print the JSON report instead of the TSV table",
         )
-        return p
-
-    add("hilbert", "dimension table of the module")
-    add("hom", "graded Hom dimension table (module -> module2)")
-
-    p = add("ext", "Ext^i(R/ideal^n, module) dimension table")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n", type=int, default=1, help="ideal power (default 1)")
-
-    p = add("gamma", "torsion submodule along the ideal")
-    p.add_argument("--ncap", type=int, help="override the scenario's n_cap")
-
-    p = add("cech", "local cohomology by the localization route")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--raycap", type=int, help="override the scenario's ray_cap")
-
-    p = add("lc", "local cohomology by either route")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--route", choices=("cech", "ext"), default="cech")
-    p.add_argument("--ncap", type=int, help="override the scenario's n_cap")
-    p.add_argument("--raycap", type=int, help="override the scenario's ray_cap")
-
-    p = add("dtransform", "ideal transform D^i")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--ncap", type=int, help="override the scenario's n_cap")
-
-    p = add("coarsen", "fiber-sum the module's dimension table along psi")
-    p.add_argument("--assume-support-covered", action="store_true")
-
-    p = add("check-commute", "coarsened vs directly coarse local cohomology")
-    p.add_argument(
-        "--i",
-        type=_i_list,
-        default=[0, 1, 2],
-        help="comma-separated cohomological degrees (default 0,1,2)",
-    )
-    p.add_argument("--ncap", type=int, help="override the scenario's n_cap")
-    p.add_argument("--assume-support-covered", action="store_true")
-
-    p = add("check-transform", "four-term torsion/transform sequence check")
-    p.add_argument("--ncap", type=int, help="override the scenario's n_cap")
-    p.add_argument("--raycap", type=int, help="override the scenario's ray_cap")
-
-    p = add("counterexample", "escape family for the rational monoid algebra",
-            scenario=False)
-    p.add_argument("--k", type=int, required=True, help="truncation level")
-    p.add_argument("--seed", type=int, default=0)
-
+        for flag in flags:
+            option, keywords = _FLAGS[flag]
+            p.add_argument(option, **keywords)
     return parser
 
 
@@ -507,47 +407,25 @@ def run_command(args) -> tuple[str, str, int]:
     scenario = None
     if getattr(args, "scenario", None) is not None:
         scenario = parse_scenario(Path(args.scenario).read_text())
+        # a given cap flag always wins over the scenario's caps block
+        if getattr(args, "ncap", None) is not None:
+            scenario.n_cap = args.ncap
+        if getattr(args, "raycap", None) is not None:
+            scenario.ray_cap = args.raycap
     try:
-        payload, tsv, code = _HANDLERS[args.command](scenario, args)
-    except UnstabilizedError as err:
-        payload = {
-            "command": args.command,
-            "verdict": "UNSTABILIZED",
-            "unstable": {
-                "what": err.what,
-                "degree": str(err.degree),
-                "trajectory": err.trajectory,
-            },
-        }
-        tsv = _tsv(
-            [
-                "command: " + args.command,
-                "verdict: UNSTABILIZED",
-                "what: " + err.what,
-                "degree: %s" % (err.degree,),
-                "trajectory: %s" % (err.trajectory,),
-            ],
-            ["degree", "dim"],
-            [],
+        payload, tsv, code = _COMMANDS[args.command][0](scenario, args)
+    except (UnstabilizedError, CoarseningRefusal) as err:
+        if isinstance(err, UnstabilizedError):
+            notes = err.payload()
+            payload = {"verdict": "UNSTABILIZED", "unstable": notes}
+        else:
+            notes = {"reason": err.reason}
+            degree = None if err.h is None else str(err.h)
+            payload = {"verdict": "REFUSED", "degree": degree, **notes}
+        comments = ["%s: %s" % kv for kv in notes.items()]
+        payload, tsv, code = _report(
+            args.command, payload, comments, ["degree", "dim"], []
         )
-        code = EXIT_UNSTABILIZED
-    except CoarseningRefusal as err:
-        payload = {
-            "command": args.command,
-            "verdict": "REFUSED",
-            "degree": None if err.h is None else str(err.h),
-            "reason": err.reason,
-        }
-        tsv = _tsv(
-            [
-                "command: " + args.command,
-                "verdict: REFUSED",
-                "reason: " + err.reason,
-            ],
-            ["degree", "dim"],
-            [],
-        )
-        code = EXIT_REFUSED
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )

@@ -353,40 +353,6 @@ def compare_tables(coarsened: HilbertTable, coarse: HilbertTable):
     return not witnesses, witnesses
 
 
-def compute_commutation_tables(
-    ideal: MonomialIdeal,
-    M: GradedModulePresentation,
-    psi: GroupEpimorphism,
-    i: int,
-    gwindow: DegreeWindow,
-    hwindow: DegreeWindow,
-    n_cap: int = 6,
-    assume_support_covered: bool = False,
-    coarse_certificate: tuple[int, ...] | None = None,
-):
-    """Both sides of the commutation square for H^i supported at the
-    ideal: the fine table summed along fibers, and the table of the
-    coarsened data, plus the fiber-sum certificate."""
-    Rc = coarsen_ring(M.ring, psi, coarse_certificate)
-    fine_table, _ = colim_ext_table(i, ideal, M, gwindow, n_cap=n_cap)
-    coarsened, cert = coarsen_table(
-        fine_table,
-        psi,
-        hwindow,
-        fine_ring=M.ring,
-        coarse_ring=Rc,
-        assume_support_covered=assume_support_covered,
-    )
-    coarse_table, _ = colim_ext_table(
-        i,
-        coarsen_ideal(ideal, Rc),
-        coarsen_module(M, Rc, psi),
-        hwindow,
-        n_cap=n_cap,
-    )
-    return coarsened, coarse_table, cert
-
-
 @dataclass
 class CommutationEntry:
     i: int
@@ -466,30 +432,31 @@ def check_commutation(
 ) -> CommutationReport:
     """Check H^i(coarsened) == coarsened H^i on the window for each i.
 
+    For each i both sides of the commutation square are computed: the fine
+    table summed along fibers, with its fiber-sum certificate, and the
+    table of the coarsened data.  The data is coarsened once, so every i
+    shares the coarse module's component and multiplication caches.
     UnstabilizedError turns into an UNSTABILIZED verdict; a fiber-sum
     refusal propagates (the caller decides how to surface it)."""
+    Rc = coarsen_ring(M.ring, psi, coarse_certificate)
+    coarse_ideal = coarsen_ideal(ideal, Rc)
+    Mc = coarsen_module(M, Rc, psi)
     labeled = []
     unstable = None
     for i in degrees_i:
         try:
-            coarsened, coarse, cert = compute_commutation_tables(
-                ideal,
-                M,
+            fine_table, _ = colim_ext_table(i, ideal, M, gwindow, n_cap=n_cap)
+            coarsened, cert = coarsen_table(
+                fine_table,
                 psi,
-                i,
-                gwindow,
                 hwindow,
-                n_cap=n_cap,
+                fine_ring=M.ring,
+                coarse_ring=Rc,
                 assume_support_covered=assume_support_covered,
-                coarse_certificate=coarse_certificate,
             )
+            coarse, _ = colim_ext_table(i, coarse_ideal, Mc, hwindow, n_cap=n_cap)
         except UnstabilizedError as err:
-            unstable = {
-                "i": i,
-                "what": err.what,
-                "degree": str(err.degree),
-                "trajectory": list(err.trajectory),
-            }
+            unstable = {"i": i, **err.payload()}
             break
         labeled.append((i, coarsened, coarse, cert))
     return assemble_commutation_report(gwindow, hwindow, n_cap, labeled, unstable)

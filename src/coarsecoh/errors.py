@@ -23,6 +23,14 @@ class UnstabilizedError(RuntimeError):
             "dimension trajectory %s" % (what, degree, self.trajectory)
         )
 
+    def payload(self) -> dict:
+        """The refusal as a report record: what, degree, trajectory."""
+        return {
+            "what": self.what,
+            "degree": str(self.degree),
+            "trajectory": list(self.trajectory),
+        }
+
 
 class CoarseningRefusal(RuntimeError):
     """A fiber sum could not be certified finite over the given window."""

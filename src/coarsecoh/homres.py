@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
-from .linalg import DirectedLimit, Mat, Q0, Subquotient, nullspace
+from .linalg import DirectedLimit, Mat, Subquotient, nullspace
 from .ringcore import (
     GradedModulePresentation,
     HilbertTable,
@@ -39,7 +39,7 @@ from .ringcore import (
 )
 
 
-def _poly_mat_mul(A, B, inner: int, ring=None):
+def _poly_mat_mul(A, B, inner: int):
     """Product of polynomial matrices given as lists of lists of Poly."""
     rows = len(A)
     cols = len(B[0]) if B else 0
@@ -110,6 +110,14 @@ class FreeComplex:
                         raise ValueError("differentials do not compose to zero")
 
 
+def _lcm_of(ring, gens, S):
+    """lcm of the generators indexed by S; 1 for the empty subset."""
+    m = ring.one()
+    for i in S:
+        m = mono_lcm(m, gens[i])
+    return m
+
+
 def taylor_complex(ideal: MonomialIdeal, max_position: int | None = None) -> FreeComplex:
     """The lcm-lattice resolution of R/ideal, optionally truncated above."""
     ring = ideal.ring
@@ -123,19 +131,7 @@ def taylor_complex(ideal: MonomialIdeal, max_position: int | None = None) -> Fre
         subs = list(itertools.combinations(range(s), p))
         basis.append(subs)
         index.append({S: i for i, S in enumerate(subs)})
-        sh = []
-        for S in subs:
-            m = ring.one()
-            for i in S:
-                m = mono_lcm(m, gens[i])
-            sh.append(ring.monomial_degree(m))
-        shifts.append(sh)
-
-    def lcm_of(S):
-        m = ring.one()
-        for i in S:
-            m = mono_lcm(m, gens[i])
-        return m
+        shifts.append([ring.monomial_degree(_lcm_of(ring, gens, S)) for S in subs])
 
     diffs = []
     for p in range(1, top + 1):
@@ -144,10 +140,10 @@ def taylor_complex(ideal: MonomialIdeal, max_position: int | None = None) -> Fre
             for _ in range(len(basis[p - 1]))
         ]
         for j, S in enumerate(basis[p]):
-            lcm_S = lcm_of(S)
+            lcm_S = _lcm_of(ring, gens, S)
             for t in range(p):
                 S2 = S[:t] + S[t + 1 :]
-                q = mono_quotient(lcm_S, lcm_of(S2))
+                q = mono_quotient(lcm_S, _lcm_of(ring, gens, S2))
                 i = index[p - 1][S2]
                 mat[i][j] = mat[i][j] + Poly.monomial(q, (-1) ** t)
         diffs.append(mat)
@@ -239,12 +235,6 @@ def comparison_chain_map(
         {S: i for i, S in enumerate(target_cx.basis[p])} for p in range(top + 1)
     ]
 
-    def lcm_of(gens, S):
-        m = ring.one()
-        for i in S:
-            m = mono_lcm(m, gens[i])
-        return m
-
     maps = []
     for p in range(top + 1):
         mat = [
@@ -258,7 +248,7 @@ def comparison_chain_map(
             sign = _perm_sign(imgs)
             T = tuple(sorted(imgs))
             q = mono_quotient(
-                lcm_of(source_ideal.gens, S), lcm_of(target_ideal.gens, T)
+                _lcm_of(ring, source_ideal.gens, S), _lcm_of(ring, target_ideal.gens, T)
             )
             mat[tgt_index[p][T]][j] = Poly.monomial(q, sign)
         maps.append(mat)

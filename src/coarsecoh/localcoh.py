@@ -72,11 +72,12 @@ class CechAtDegree:
         for p in range(s + 1):
             self.subsets.extend(itertools.combinations(range(s), p))
         self.models: dict[tuple[int, ...], DirectedLimit] = {}
+        self.f_degrees: dict[tuple[int, ...], Degree] = {}  # S -> deg f_S
         for S in self.subsets:
             f_S = ring.one()
             for i in S:
                 f_S = mono_mul(f_S, self.gens[i])
-            d_S = ring.monomial_degree(f_S)
+            d_S = self.f_degrees[S] = ring.monomial_degree(f_S)
             dims = []
             transitions = []
             for k in range(ray_cap + 1):
@@ -105,7 +106,6 @@ class CechAtDegree:
         return sum(self.models[S].limit_dim for S in self._by_size.get(p, []))
 
     def _differential(self, p: int) -> Mat:
-        ring = self.M.ring
         cap = self.ray_cap
         srcs = self._by_size.get(p, [])
         dsts = self._by_size.get(p + 1, [])
@@ -119,12 +119,9 @@ class CechAtDegree:
                 return None
             a = extra[0]
             sign = (-1) ** sum(1 for b in S if b < a)
-            d_S = ring.monomial_degree(
-                self._product(S)
-            )
             mult = self.M.multiplication_matrix(
                 Poly.monomial(tuple(e * cap for e in self.gens[a]), sign),
-                self.g + d_S.scale(cap),
+                self.g + self.f_degrees[S].scale(cap),
             )
             src_model = self.models[S]
             dst_model = self.models[T]
@@ -135,12 +132,6 @@ class CechAtDegree:
 
         return _assemble(row_dims, col_dims, block)
 
-    def _product(self, S) -> Monomial:
-        m = self.M.ring.one()
-        for i in S:
-            m = mono_mul(m, self.gens[i])
-        return m
-
     def cohomology_dim(self, i: int) -> int:
         if i < 0 or i > len(self.gens):
             return 0
@@ -148,15 +139,6 @@ class CechAtDegree:
         nullity = d_i.ncols - rank(d_i)
         boundary_rank = rank(self.matrices[i - 1]) if i >= 1 else 0
         return nullity - boundary_rank
-
-    def subquotient(self, i: int) -> Subquotient:
-        d_i = self.matrices[i]
-        cocycles = nullspace(d_i)
-        boundaries = []
-        if i >= 1:
-            prev = self.matrices[i - 1]
-            boundaries = [prev.column(j) for j in range(prev.ncols)]
-        return Subquotient(d_i.ncols, cocycles, boundaries)
 
     def h0_basis_in_module(self) -> list:
         """Basis of the kernel at position zero, in M_g coordinates (the
@@ -369,11 +351,7 @@ def check_transform_sequence(
                     report.witnesses.append(g)
     except UnstabilizedError as err:
         report.verdict = "UNSTABILIZED"
-        report.unstable = {
-            "what": err.what,
-            "degree": str(err.degree),
-            "trajectory": err.trajectory,
-        }
+        report.unstable = err.payload()
         return report
     if report.witnesses:
         report.verdict = "FAILS"

@@ -233,3 +233,21 @@ def test_out_writes_both_files(tmp_path, capsys):
     assert written == out
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["command"] == "hilbert"
+
+
+def test_cap_flags_must_be_positive_and_win(tmp_path, capsys):
+    path = scn(tmp_path, LINE)  # its caps block says n_cap = 6, ray_cap = 8
+    for argv in (
+        ["lc", path, "--i", "1", "--route", "ext", "--ncap", "0"],
+        ["cech", path, "--i", "1", "--raycap", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "caps must be positive" in capsys.readouterr().err
+    code, out, _ = run(
+        capsys, ["lc", path, "--i", "1", "--ncap", "7", "--raycap", "6", "--json"]
+    )
+    assert code == 0
+    parameters = json.loads(out)["parameters"]
+    assert (parameters["n_cap"], parameters["ray_cap"]) == (7, 6)
