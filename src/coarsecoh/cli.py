@@ -9,9 +9,9 @@ for a fixed scenario and command, except for the ``_generated_at``
 timestamp, which always sits alone on its own line.
 
 The subcommands, their help lines and their flags are the ``_COMMANDS``
-table below; ``coarsecoh --help`` prints it.  An explicit ``--ncap`` or
-``--raycap`` must be a positive integer and always wins over the
-scenario's ``caps`` block.
+table below; ``coarsecoh --help`` prints it.  An explicit ``--ncap`` (at
+least 2) or ``--raycap`` (at least 1) follows the rule of the scenario's
+``caps`` block and always wins over it.
 
 Exit codes: 0 success (and every checker verdict positive), 1 scenario or
 usage error, 2 a checker returned FAILS, 3 a limit refused to stabilize
@@ -36,7 +36,7 @@ from .localcoh import (
     torsion_submodule,
 )
 from .monoidx import build_witness_hom, counterexample_report
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, cap_problem, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -296,15 +296,21 @@ def _i_list(text: str) -> list[int]:
         )
 
 
-def _cap(text: str) -> int:
-    """A cap flag, held to the rule of the scenario's caps block."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("caps must be positive, got %d" % value)
-    return value
+def _cap(name: str):
+    """Type of the flag for cap `name`, held to the rule of the
+    scenario's caps block."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        problem = cap_problem(name, value)
+        if problem:
+            raise argparse.ArgumentTypeError(problem)
+        return value
+
+    return parse
 
 
 # flag name -> (option string, add_argument keywords)
@@ -321,8 +327,14 @@ _FLAGS = {
     ),
     "n": ("--n", {"type": int, "default": 1, "help": "ideal power (default 1)"}),
     "route": ("--route", {"choices": ("cech", "ext"), "default": "cech"}),
-    "ncap": ("--ncap", {"type": _cap, "help": "override the scenario's n_cap"}),
-    "raycap": ("--raycap", {"type": _cap, "help": "override the scenario's ray_cap"}),
+    "ncap": (
+        "--ncap",
+        {"type": _cap("n_cap"), "help": "override the scenario's n_cap"},
+    ),
+    "raycap": (
+        "--raycap",
+        {"type": _cap("ray_cap"), "help": "override the scenario's ray_cap"},
+    ),
     "assume": ("--assume-support-covered", {"action": "store_true"}),
     "k": ("--k", {"type": int, "required": True, "help": "truncation level"}),
     "seed": ("--seed", {"type": int, "default": 0}),

@@ -287,7 +287,7 @@ class CochainSpaces:
         if p + 1 > self.cx.top:
             return Mat.zero(0, sum(col_dims))
         d = self.cx.diffs[p + 1]
-        return _assemble(
+        return Mat.block(
             row_dims,
             col_dims,
             lambda i, j: self._mult_block(d[j][i], self.cx.shifts[p][j])
@@ -297,30 +297,6 @@ class CochainSpaces:
 
     def _mult_block(self, entry: Poly, src_shift: Degree) -> Mat:
         return self.N.multiplication_matrix(entry, self.g + src_shift)
-
-
-def _assemble(row_dims, col_dims, block_fn) -> Mat:
-    total_rows = sum(row_dims)
-    total_cols = sum(col_dims)
-    out = Mat.zero(total_rows, total_cols)
-    r0 = 0
-    for i, rd in enumerate(row_dims):
-        c0 = 0
-        for j, cd in enumerate(col_dims):
-            if rd and cd:
-                blk = block_fn(i, j)
-                if blk is not None:
-                    if blk.nrows != rd or blk.ncols != cd:
-                        raise ValueError("block (%d,%d) has the wrong shape" % (i, j))
-                    for a in range(rd):
-                        row = out.rows[r0 + a]
-                        brow = blk.rows[a]
-                        for b in range(cd):
-                            if brow[b]:
-                                row[c0 + b] = brow[b]
-            c0 += cd
-        r0 += rd
-    return out
 
 
 def hom_of_chain_map(
@@ -339,7 +315,7 @@ def hom_of_chain_map(
             return None
         return N.multiplication_matrix(entry, g + cm.target.shifts[p][j])
 
-    return _assemble(row_dims, col_dims, block)
+    return Mat.block(row_dims, col_dims, block)
 
 
 def ext_subquotient(
@@ -352,7 +328,7 @@ def ext_subquotient(
     boundaries = []
     if include_boundary and p >= 1:
         d_prev = spaces.differential(p - 1)
-        boundaries = [d_prev.column(j) for j in range(d_prev.ncols)]
+        boundaries = d_prev.columns()
     return Subquotient(n, cocycles, boundaries)
 
 
@@ -379,7 +355,7 @@ class GradedHomSpace:
                 return None
             return N.multiplication_matrix(p, g + M.gen_degrees[j])
 
-        system = _assemble(row_dims, self.block_dims, block)
+        system = Mat.block(row_dims, self.block_dims, block)
         self.basis = nullspace(system) if col_total else []
 
     @property

@@ -1,9 +1,25 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Everything at desk scale, so plain Gaussian elimination on lists of
-Fractions.  Pivot choice is leftmost-nonzero with rows taken in the order
-given (no reordering, no magnitude heuristics), which makes every rank,
-kernel and basis in the package deterministic for identical input.
+A row is a dict ``{column: Fraction}`` that holds its nonzero entries
+only: a missing key is a zero, and no routine ever stores a zero.  Every
+entry is converted to ``Fraction`` once, where it enters the module; the
+public functions take and return dense sequences, so the representation
+stays inside this module.
+
+There is one elimination routine.  A ``RowSpan`` keeps its rows in
+reduced row echelon form, each row stored without its leading 1
+(``_reduce`` clears the pivot columns of a vector, ``_insert`` adds a
+vector as a new pivot row and clears its pivot column from the others).
+``rref``, ``rank``, ``nullspace``, ``Subquotient`` and the coordinates of
+``DirectedLimit`` bases are all built on it.
+
+The reduced row echelon form of a list of rows depends only on the space
+they span, not on the order of elimination.  So the rows, the pivot
+columns, the kernel basis (one vector per free column, in column order),
+the choice of representatives in a subquotient (the first vectors that
+are independent modulo the boundaries) and every coordinate vector are
+determined by the input alone: every rank, kernel and basis in the
+package is deterministic for identical input.
 
 A matrix acts on column vectors.  ``Mat`` carries the column count
 explicitly so maps with zero rows or zero columns keep their shape.
@@ -22,13 +38,72 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _sparse(v) -> dict:
+    """Row of a dense vector: its nonzero entries as Fractions."""
+    return {
+        j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(v) if x
+    }
+
+
+def _dense(row: dict, n: int) -> list[Fraction]:
+    out = [Q0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _addmul(v: dict, c: Fraction, w: dict) -> None:
+    """v += c * w in place, dropping the entries that cancel."""
+    for k, x in w.items():
+        y = v.get(k)
+        if y is None:
+            v[k] = c * x
+        else:
+            y += c * x
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+
+
+def _reduce(tails: dict, v: dict) -> dict:
+    """Clear every pivot column of the reduced rows from v, in place.
+
+    ``tails`` maps each pivot column to its row without the leading 1.
+    The rows are fully reduced, so clearing one pivot column never brings
+    another one back and one pass suffices."""
+    for p in [p for p in v if p in tails]:
+        _addmul(v, -v.pop(p), tails[p])
+    return v
+
+
+def _insert(tails: dict, v: dict) -> None:
+    """Add v, nonzero and reduced against tails, as a new pivot row.
+
+    Its pivot is its leftmost column, so the rows stay in reduced row
+    echelon form."""
+    lead = min(v)
+    c = v.pop(lead)
+    if c != Q1:
+        inv = Q1 / c
+        v = {k: x * inv for k, x in v.items()}
+    for t in tails.values():
+        c = t.pop(lead, None)
+        if c is not None:
+            _addmul(t, -c, v)
+    tails[lead] = v
+
+
 class Mat:
-    """Rational matrix with explicit shape, acting on column vectors."""
+    """Rational matrix with explicit shape, acting on column vectors.
+
+    ``rows`` holds one sparse row per matrix row; rows are not changed
+    after the matrix is built."""
 
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        rows = [list(map(frac, r)) for r in rows]
+        rows = list(rows)
         if ncols is None:
             if not rows:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -36,8 +111,15 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        self.rows = rows
+        self.rows = [_sparse(r) for r in rows]
         self.ncols = ncols
+
+    @staticmethod
+    def _of(rows: list[dict], ncols: int) -> "Mat":
+        m = object.__new__(Mat)
+        m.rows = rows
+        m.ncols = ncols
+        return m
 
     @property
     def nrows(self) -> int:
@@ -45,48 +127,74 @@ class Mat:
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Mat":
-        return Mat([[Q0] * ncols for _ in range(nrows)], ncols)
+        return Mat._of([{} for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[Q1 if i == j else Q0 for j in range(n)] for i in range(n)], n)
+        return Mat._of([{i: Q1} for i in range(n)], n)
 
     @staticmethod
     def from_columns(cols, nrows: int) -> "Mat":
-        m = Mat.zero(nrows, len(cols))
+        rows = [{} for _ in range(nrows)]
         for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise ValueError("column of wrong height")
             for i, x in enumerate(c):
-                m.rows[i][j] = frac(x)
-        return m
+                if x:
+                    rows[i][j] = x if isinstance(x, Fraction) else Fraction(x)
+        return Mat._of(rows, len(cols))
+
+    @staticmethod
+    def block(row_dims, col_dims, block_fn) -> "Mat":
+        """Block matrix; block_fn(i, j) gives block (i, j), shaped
+        row_dims[i] x col_dims[j], or None for a zero block.  It is only
+        asked for blocks with both dimensions nonzero."""
+        rows = [{} for _ in range(sum(row_dims))]
+        r0 = 0
+        for i, rd in enumerate(row_dims):
+            c0 = 0
+            for j, cd in enumerate(col_dims):
+                blk = block_fn(i, j) if rd and cd else None
+                if blk is not None:
+                    if blk.nrows != rd or blk.ncols != cd:
+                        raise ValueError("block (%d,%d) has the wrong shape" % (i, j))
+                    for row, brow in zip(rows[r0 : r0 + rd], blk.rows):
+                        for b, x in brow.items():
+                            row[c0 + b] = x
+                c0 += cd
+            r0 += rd
+        return Mat._of(rows, sum(col_dims))
+
+    def is_zero(self) -> bool:
+        return not any(self.rows)
 
     def column(self, j: int) -> list[Fraction]:
-        return [r[j] for r in self.rows]
+        return [r.get(j, Q0) for r in self.rows]
 
     def columns(self) -> list[list[Fraction]]:
-        return [self.column(j) for j in range(self.ncols)]
+        cols = [[Q0] * self.nrows for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for j, x in r.items():
+                cols[j][i] = x
+        return cols
 
     def apply(self, v) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("vector length %d, expected %d" % (len(v), self.ncols))
-        return [sum((r[j] * v[j] for j in range(self.ncols)), Q0) for r in self.rows]
+        v = _sparse(v)
+        return [sum((x * v[j] for j, x in r.items() if j in v), Q0) for r in self.rows]
 
     def mul(self, other: "Mat") -> "Mat":
         """self  o  other, as composition of column-vector maps."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        out = Mat.zero(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            for j in range(other.ncols):
-                s = Q0
-                for k in range(self.ncols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.rows[k][j]
-                out.rows[i][j] = s
-        return out
+        out = []
+        for ri in self.rows:
+            acc: dict = {}
+            for k, a in ri.items():
+                _addmul(acc, a, other.rows[k])
+            out.append(acc)
+        return Mat._of(out, other.ncols)
 
     def __eq__(self, other):
         return (
@@ -96,144 +204,156 @@ class Mat:
         )
 
     def __repr__(self):
-        return "Mat(%r, ncols=%d)" % (self.rows, self.ncols)
+        dense = [_dense(r, self.ncols) for r in self.rows]
+        return "Mat(%r, ncols=%d)" % (dense, self.ncols)
+
+
+class RowSpan:
+    """Incrementally built row span of Q^n with membership tests, kept in
+    reduced row echelon form."""
+
+    def __init__(self, n: int, rows=()):
+        self.n = n
+        self._tails: dict[int, dict] = {}
+        self._add_all(_sparse(r) for r in rows)
+
+    def _add_all(self, rows) -> None:
+        """Add sparse rows, which it may change.  The span does not depend
+        on the order, so rows with the rightmost leading entry go first: a
+        row whose leading column lies left of every pivot so far has no
+        pivot row to clear."""
+        for r in sorted(filter(None, rows), key=min, reverse=True):
+            self._add(r)
+
+    def _add(self, v: dict) -> bool:
+        v = _reduce(self._tails, v)
+        if not v:
+            return False
+        _insert(self._tails, v)
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self._tails)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._tails)
+
+    def residue(self, v) -> list[Fraction]:
+        """v with the pivot columns of the span cleared."""
+        return _dense(_reduce(self._tails, _sparse(v)), self.n)
+
+    def contains(self, v) -> bool:
+        return not _reduce(self._tails, _sparse(v))
+
+    def add(self, v) -> bool:
+        """Add v to the span; True when the dimension grew."""
+        return self._add(_sparse(v))
+
+
+class _Coordinates:
+    """Coordinates with respect to independent vectors b_0, b_1, ... of Q^n.
+
+    Vector b_i enters the span as b_i + e_(n+i), so every row x + t of
+    the span satisfies x = sum t_i b_i.  Reducing w leaves, when w lies
+    in the span of the b_i, nothing below column n and minus the
+    coordinates of w from column n on."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.size = 0
+        self._tails: dict[int, dict] = {}
+
+    def _reduce(self, v: dict) -> dict:
+        # an entry from column n on would be read as a coordinate
+        if v and max(v) >= self.n:
+            raise ValueError("vector longer than %d" % self.n)
+        return _reduce(self._tails, v)
+
+    def add(self, v: dict) -> bool:
+        """Take v as the next vector unless it depends on the earlier
+        ones; True when it was taken.  v is consumed."""
+        n = self.n
+        v = self._reduce(v)
+        if not any(k < n for k in v):
+            return False
+        v[n + self.size] = Q1
+        self.size += 1
+        _insert(self._tails, v)
+        return True
+
+    def of(self, v: dict) -> list[Fraction] | None:
+        """Coordinates of v, or None if v is outside the span.  v is
+        consumed."""
+        n = self.n
+        v = self._reduce(v)
+        if any(k < n for k in v):
+            return None
+        return [-v.get(n + i, Q0) for i in range(self.size)]
 
 
 def rref(rows, ncols: int):
     """Reduced row echelon form.
 
-    Returns (reduced_nonzero_rows, pivot_columns).  Scans columns left to
-    right; the pivot row for a column is the first remaining row with a
-    nonzero entry there.
-    """
-    work = [list(map(frac, r)) for r in rows]
-    pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(top, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[top], work[sel] = work[sel], work[top]
-        inv = Q1 / work[top][col]
-        work[top] = [x * inv for x in work[top]]
-        for i in range(len(work)):
-            if i != top and work[i][col]:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[top])]
-        pivots.append(col)
-        top += 1
-        if top == len(work):
-            break
-    return work[: len(pivots)], pivots
+    Returns (reduced_nonzero_rows, pivot_columns), the rows in pivot
+    order."""
+    span = RowSpan(ncols, rows)
+    red = []
+    for p in span.pivots:
+        row = _dense(span._tails[p], ncols)
+        row[p] = Q1
+        red.append(row)
+    return red, span.pivots
+
+
+def _span_of_rows(mat: Mat) -> RowSpan:
+    """Row span of mat: every elimination of a matrix goes through here."""
+    span = RowSpan(mat.ncols)
+    span._add_all(dict(r) for r in mat.rows)
+    return span
 
 
 def rank(mat: Mat) -> int:
-    return len(rref(mat.rows, mat.ncols)[1])
-
-
-def reduce_against(red_rows, pivots, v):
-    """Eliminate the pivot coordinates of v against reduced rows."""
-    v = list(map(frac, v))
-    for row, p in zip(red_rows, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
-
-
-def in_row_span(red_rows, pivots, v) -> bool:
-    return not any(reduce_against(red_rows, pivots, v))
+    return _span_of_rows(mat).dim
 
 
 def spans_equal(vecs_a, vecs_b, n: int) -> bool:
-    """Do two lists of length-n vectors span the same subspace?"""
-    ra = len(rref(vecs_a, n)[1])
-    rb = len(rref(vecs_b, n)[1])
-    rab = len(rref(list(vecs_a) + list(vecs_b), n)[1])
-    return ra == rb == rab
+    """Do two lists of length-n vectors span the same subspace?  They do
+    exactly when their reduced row echelon forms agree."""
+    return RowSpan(n, vecs_a)._tails == RowSpan(n, vecs_b)._tails
 
 
 def nullspace(mat: Mat) -> list[list[Fraction]]:
     """Basis of the kernel, one vector per free column, in column order."""
-    red, pivots = rref(mat.rows, mat.ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(mat.ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Q0] * mat.ncols
-        v[f] = Q1
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
+    tails = _span_of_rows(mat)._tails
+    free = [j for j in range(mat.ncols) if j not in tails]
+    basis = {f: _dense({f: Q1}, mat.ncols) for f in free}
+    for p, t in tails.items():
+        for f, x in t.items():
+            basis[f][p] = -x
+    return [basis[f] for f in free]
 
 
 def column_space_basis(mat: Mat) -> tuple[list[list[Fraction]], list[int]]:
     """Independent columns of mat (the pivot columns), with their indices."""
-    _, pivots = rref(mat.rows, mat.ncols)
-    return [mat.column(j) for j in pivots], list(pivots)
+    pivots = _span_of_rows(mat).pivots
+    return [mat.column(j) for j in pivots], pivots
 
 
 def express_in_basis(basis_vectors, v, n: int):
     """Coefficients c with sum c_i basis_i = v, or None if v is outside.
 
-    The basis vectors need not be independent; the first consistent
-    solution in rref order is returned.
-    """
-    if not basis_vectors:
-        return [] if not any(frac(x) for x in v) else None
-    aug_rows = []
-    for i in range(n):
-        aug_rows.append([frac(b[i]) for b in basis_vectors] + [frac(v[i])])
-    red, pivots = rref(aug_rows, len(basis_vectors) + 1)
-    k = len(basis_vectors)
-    if k in pivots:
+    The basis vectors need not be independent: a vector that depends on
+    the ones before it gets coefficient 0, which is the solution with the
+    free unknowns of the reduced system set to 0."""
+    coords = _Coordinates(n)
+    taken = [coords.add(_sparse(b)) for b in basis_vectors]
+    got = coords.of(_sparse(v))
+    if got is None:
         return None
-    coeffs = [Q0] * k
-    for row, p in zip(red, pivots):
-        coeffs[p] = row[k]
-    return coeffs
-
-
-class RowSpan:
-    """Incrementally built row span with membership tests."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.red: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def residue(self, v):
-        return reduce_against(self.red, self.pivots, v)
-
-    def contains(self, v) -> bool:
-        return not any(self.residue(v))
-
-    def add(self, v) -> bool:
-        """Add v to the span; True when the dimension grew."""
-        res = self.residue(v)
-        lead = next((j for j, x in enumerate(res) if x), None)
-        if lead is None:
-            return False
-        inv = Q1 / res[lead]
-        res = [x * inv for x in res]
-        for row in self.red:
-            c = row[lead]
-            if c:
-                for j in range(self.n):
-                    row[j] -= c * res[j]
-        at = next((k for k, p in enumerate(self.pivots) if p > lead), len(self.pivots))
-        self.red.insert(at, res)
-        self.pivots.insert(at, lead)
-        return True
+    it = iter(got)
+    return [next(it) if t else Q0 for t in taken]
 
 
 class Subquotient:
@@ -246,15 +366,16 @@ class Subquotient:
 
     def __init__(self, n: int, cocycles, boundaries):
         self.n = n
-        self.bnd_red, self.bnd_piv = rref(boundaries, n)
+        self._boundaries = RowSpan(n, boundaries)
+        self._classes = _Coordinates(n)
         self.reps: list[list[Fraction]] = []
-        self._reduced_reps: list[list[Fraction]] = []
-        span = RowSpan(n)
+        self._rep_rows: list[dict] = []
+        bnd = self._boundaries._tails
         for v in cocycles:
-            res = reduce_against(self.bnd_red, self.bnd_piv, v)
-            if span.add(res):
-                self.reps.append(list(map(frac, v)))
-                self._reduced_reps.append(res)
+            row = _sparse(v)
+            if self._classes.add(_reduce(bnd, dict(row))):
+                self.reps.append(_dense(row, n))
+                self._rep_rows.append(row)
 
     @property
     def dim(self) -> int:
@@ -262,19 +383,17 @@ class Subquotient:
 
     def express(self, v) -> list[Fraction]:
         """Coordinates of the class of v in the chosen basis."""
-        res = reduce_against(self.bnd_red, self.bnd_piv, v)
-        coeffs = express_in_basis(self._reduced_reps, res, self.n)
+        coeffs = self._classes.of(_reduce(self._boundaries._tails, _sparse(v)))
         if coeffs is None:
             raise ValueError("vector lies outside the subquotient")
         return coeffs
 
     def lift(self, coords) -> list[Fraction]:
-        v = [Q0] * self.n
-        for c, rep in zip(coords, self.reps):
-            c = frac(c)
+        v: dict = {}
+        for c, rep in zip(coords, self._rep_rows):
             if c:
-                v = [a + c * b for a, b in zip(v, rep)]
-        return v
+                _addmul(v, frac(c), rep)
+        return _dense(v, self.n)
 
 
 @dataclass
@@ -313,6 +432,9 @@ class DirectedLimit:
     stabilized_at: int | None = None
     limit_dim: int = 0
     basis: list[list[Fraction]] = field(default_factory=list)
+    _coords: _Coordinates | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def of(dims, transitions) -> "DirectedLimit":
@@ -380,7 +502,11 @@ class DirectedLimit:
         """Coordinates in the limit basis of a vector of V_m lying in it."""
         if not self.stabilized:
             raise ValueError("limit not stabilized")
-        coeffs = express_in_basis(self.basis, v_end, len(v_end))
+        if self._coords is None:
+            self._coords = _Coordinates(self.dims[-1])
+            for b in self.basis:
+                self._coords.add(_sparse(b))
+        coeffs = self._coords.of(_sparse(v_end))
         if coeffs is None:
             raise ValueError("vector lies outside the limit model")
         return coeffs

@@ -36,7 +36,6 @@ from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
 from .homres import (
     PowerTower,
-    _assemble,
     colim_ext_table,
     ext_limit_at_degree,
 )
@@ -99,7 +98,7 @@ class CechAtDegree:
             self.matrices[p] = self._differential(p)
         for p in range(s):
             comp = self.matrices[p + 1].mul(self.matrices[p])
-            if any(any(row) for row in comp.rows):
+            if not comp.is_zero():
                 raise AssertionError("localization complex differential squared is nonzero")
 
     def position_dim(self, p: int) -> int:
@@ -130,7 +129,7 @@ class CechAtDegree:
             ]
             return Mat.from_columns(cols, dst_model.limit_dim)
 
-        return _assemble(row_dims, col_dims, block)
+        return Mat.block(row_dims, col_dims, block)
 
     def cohomology_dim(self, i: int) -> int:
         if i < 0 or i > len(self.gens):
@@ -154,6 +153,8 @@ def cech_table(
     window: DegreeWindow,
     ray_cap: int = 8,
 ) -> HilbertTable:
+    if i < 0:
+        raise ValueError("negative cohomological index")
     gens = (
         ideal_or_gens.gens
         if isinstance(ideal_or_gens, MonomialIdeal)
@@ -196,13 +197,13 @@ def torsion_submodule(
         for n in range(1, n_cap + 1):
             power = ideal.power(n)
             if power.is_zero():
-                kernels.append([row for row in Mat.identity(mg).rows])
+                kernels.append(Mat.identity(mg).columns())
                 continue
-            stacked = []
-            for mono in power.gens:
-                mult = M.multiplication_matrix(Poly.monomial(mono), g)
-                stacked.extend(mult.rows)
-            kernels.append(nullspace(Mat(stacked, mg) if stacked else Mat.zero(0, mg)))
+            mults = [
+                M.multiplication_matrix(Poly.monomial(mono), g) for mono in power.gens
+            ]
+            stacked = Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i])
+            kernels.append(nullspace(stacked))
         dims = [len(k) for k in kernels]
         if dims[-2] != dims[-1]:
             raise UnstabilizedError("torsion submodule", g, dims)
@@ -415,7 +416,7 @@ def _sequence_row_at_degree(
     kernel_matches = spans_equal(kernel, gamma_basis, mg)
     residual_surjective = rank(res) == h1_lim.dim
     comp = res.mul(ins)
-    composite_zero = not any(any(row) for row in comp.rows)
+    composite_zero = comp.is_zero()
     exact_at_transform = rank(ins) == d0_lim.dim - rank(res)
     gamma_dim = len(gamma_basis)
     alternating = gamma_dim - mg + d0_lim.dim - h1_lim.dim == 0

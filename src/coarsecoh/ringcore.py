@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import HomogeneityError
 from .grading import Degree, DegreeGroup, DegreeWindow
-from .linalg import Mat, Q0, Q1, frac, reduce_against, rref
+from .linalg import Mat, Q0, RowSpan, frac
 
 Monomial = tuple  # of int exponents
 
@@ -323,8 +323,8 @@ class ComponentSpace:
                         hit = True
                 if hit:
                     rel_vectors.append(vec)
-        self.rel_red, self.rel_piv = rref(rel_vectors, n)
-        piv = set(self.rel_piv)
+        self.relations = RowSpan(n, rel_vectors)
+        piv = set(self.relations.pivots)
         self.basis_positions = [i for i in range(n) if i not in piv]
         self.basis_labels = [labels[i] for i in self.basis_positions]
 
@@ -341,7 +341,7 @@ class ComponentSpace:
 
     def reduce(self, f0_vec) -> list[Fraction]:
         """Quotient coordinates of an ambient free-cover vector."""
-        res = reduce_against(self.rel_red, self.rel_piv, f0_vec)
+        res = self.relations.residue(f0_vec)
         return [res[i] for i in self.basis_positions]
 
     def lift(self, coords) -> list[Fraction]:

@@ -61,6 +61,21 @@ _BLOCKS = (
 )
 
 
+# The least caps the limit processes can run with: a power tower and the
+# torsion chain compare two stages, a localization ray needs one step.
+CAP_FLOORS = {"n_cap": 2, "ray_cap": 1}
+
+
+def cap_problem(name: str, value: int) -> str | None:
+    """Why a cap value is refused, or None when it is allowed."""
+    if value < CAP_FLOORS[name]:
+        return "caps must be positive, and n_cap at least 2: got %s = %d" % (
+            name,
+            value,
+        )
+    return None
+
+
 @dataclass
 class Scenario:
     """Validated contents of a scenario file.
@@ -573,8 +588,10 @@ def parse_scenario(text: str) -> Scenario:
             scenario.n_cap = _int(*entries["n_cap"])
         if "ray_cap" in entries:
             scenario.ray_cap = _int(*entries["ray_cap"])
-        if scenario.n_cap < 1 or scenario.ray_cap < 1:
-            _fail_raw(base, "caps must be positive")
+        for name in CAP_FLOORS:
+            problem = cap_problem(name, getattr(scenario, name))
+            if problem:
+                _fail_raw(base, problem)
 
     return scenario
 

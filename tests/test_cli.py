@@ -251,3 +251,37 @@ def test_cap_flags_must_be_positive_and_win(tmp_path, capsys):
     assert code == 0
     parameters = json.loads(out)["parameters"]
     assert (parameters["n_cap"], parameters["ray_cap"]) == (7, 6)
+
+
+def test_cap_rule_is_enforced_at_parse_time(tmp_path, capsys):
+    # a tower needs two stages: n_cap = 1 is refused before any command runs,
+    # whether it comes from the caps block or from the flag
+    one = scn(tmp_path, LINE.replace("n_cap = 6", "n_cap = 1"), "one.scn")
+    code, out, err = run(capsys, ["gamma", one])
+    assert (code, out) == (1, "")
+    assert "n_cap at least 2" in err and "line 6" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", scn(tmp_path, LINE), "--ncap", "1"])
+    assert exc.value.code == 1
+    assert "n_cap at least 2: got n_cap = 1" in capsys.readouterr().err
+    # ray_cap = 1 passes the rule; so short a ray cannot certify its
+    # limit, which is a refusal of the computation, not a usage error
+    code, out, _ = run(
+        capsys, ["cech", scn(tmp_path, LINE), "--i", "1", "--raycap", "1", "--json"]
+    )
+    assert code == 3
+    assert json.loads(out)["verdict"] == "UNSTABILIZED"
+
+
+def test_negative_index_is_refused_by_both_routes(tmp_path, capsys):
+    path = scn(tmp_path, FINE)
+    for argv in (
+        ["cech", path, "--i", "-1"],
+        ["lc", path, "--i", "-1"],
+        ["lc", path, "--i", "-1", "--route", "ext"],
+        ["ext", path, "--i", "-1"],
+        ["check-commute", path, "--i=-1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "negative cohomological index" in err, argv

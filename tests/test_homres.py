@@ -6,7 +6,6 @@ from coarsecoh.errors import UnstabilizedError
 from coarsecoh.grading import DegreeWindow
 from coarsecoh.homres import (
     CochainSpaces,
-    _assemble,
     colim_ext_table,
     comparison_chain_map,
     divisor_pick,
@@ -48,7 +47,7 @@ def _chain_matrix(cx, Rmod, p, g):
             return None
         return Rmod.multiplication_matrix(d[i][j], g - cx.shifts[p][j])
 
-    return _assemble(row_dims, col_dims, block)
+    return Mat.block(row_dims, col_dims, block)
 
 
 def test_taylor_ranks_and_shifts():

@@ -1,0 +1,187 @@
+"""The sparse kernel of coarsecoh.linalg against sympy on random rational
+matrices: shapes up to 12 x 12, densities from 0 to 1, with duplicated
+(rescaled) and zero rows mixed in.  sympy's exact rref is the reference."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarsecoh.linalg import (
+    Mat,
+    RowSpan,
+    Subquotient,
+    express_in_basis,
+    nullspace,
+    rank,
+    rref,
+    spans_equal,
+)
+
+MAX = 12
+PROPERTY = settings(max_examples=100, deadline=None, database=None)
+
+# a drawn seed drives the entries: one draw per matrix keeps generation fast
+seeds = st.integers(0, 2**32).map(random.Random)
+VALUES = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)]
+NONZERO = [x for x in VALUES if x]
+
+
+@st.composite
+def rows_of(draw, ncols, max_rows=MAX):
+    """Random rows of length ncols at a drawn density, with rescaled
+    duplicates and zero rows inserted at random places."""
+    nrows = draw(st.integers(0, max_rows))
+    density = draw(st.floats(0, 1))
+    rnd = draw(seeds)
+    rows = [
+        [rnd.choice(NONZERO) if rnd.random() < density else Fraction(0)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        if len(rows) >= max_rows:
+            break
+        if rows and rnd.random() < 0.5:
+            scale = rnd.choice(NONZERO)
+            new = [scale * x for x in rnd.choice(rows)]
+        else:
+            new = [Fraction(0)] * ncols
+        rows.insert(rnd.randrange(len(rows) + 1), new)
+    return rows
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(0, MAX))
+    return draw(rows_of(ncols)), ncols
+
+
+def vectors(n):
+    return st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)
+
+
+def sym(rows, ncols):
+    entries = [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+    return sympy.Matrix(len(rows), ncols, entries)
+
+
+def fracs(vec):
+    return [Fraction(int(x.p), int(x.q)) for x in vec]
+
+
+def sym_rank(rows, ncols):
+    return len(sym(rows, ncols).rref()[1])
+
+
+def combination(rnd, rows, ncols):
+    """A random vector of the row span of rows."""
+    out = [Fraction(0)] * ncols
+    for r in rows:
+        c = rnd.choice(VALUES)
+        out = [a + c * b for a, b in zip(out, r)]
+    return out
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_rank_nullspace_match_sympy(case):
+    rows, ncols = case
+    red, pivots = rref(rows, ncols)
+    ref, ref_pivots = sym(rows, ncols).rref()
+    assert pivots == list(ref_pivots)
+    assert red == [fracs(ref.row(i)) for i in range(len(ref_pivots))]
+    mat = Mat(rows, ncols)
+    assert rank(mat) == len(ref_pivots)
+    assert nullspace(mat) == [fracs(v) for v in sym(rows, ncols).nullspace()]
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_mat_mul_and_apply_match_sympy(case, data):
+    rows, ncols = case
+    inner = data.draw(st.integers(0, MAX))
+    other = data.draw(st.lists(vectors(inner), min_size=ncols, max_size=ncols))
+    product = sym(rows, ncols) * sym(other, inner)
+    expected = Mat([fracs(product.row(i)) for i in range(product.rows)], inner)
+    assert Mat(rows, ncols).mul(Mat(other, inner)) == expected
+    v = data.draw(vectors(ncols))
+    image = sym(rows, ncols) * sympy.Matrix(ncols, 1, v)
+    assert Mat(rows, ncols).apply(v) == fracs(image)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_row_span_agrees_with_ranks(case, data):
+    rows, ncols = case
+    # row k raises the rank exactly when it is a pivot column of the transpose
+    raisers = set(sym(rows, ncols).T.rref()[1])
+    span = RowSpan(ncols)
+    assert [span.add(r) for r in rows] == [k in raisers for k in range(len(rows))]
+    assert span.dim == len(raisers)
+    rnd = data.draw(seeds)
+    assert span.contains(combination(rnd, rows, ncols))
+    other = data.draw(rows_of(ncols, max_rows=1))
+    for v in other:
+        assert span.contains(v) == (sym_rank(rows + [v], ncols) == span.dim)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_subquotient_agrees_with_ranks(case, data):
+    cocycles, n = case
+    rnd = data.draw(seeds)
+    boundaries = [combination(rnd, cocycles, n) for _ in range(rnd.randrange(7))]
+    sq = Subquotient(n, cocycles, boundaries)
+    assert sq.dim == sym_rank(cocycles, n) - sym_rank(boundaries, n)
+    # the representatives are cocycles, independent modulo the boundaries
+    assert all(rep in [list(c) for c in cocycles] for rep in sq.reps)
+    assert sym_rank(boundaries + sq.reps, n) == sym_rank(boundaries, n) + sq.dim
+    # express() inverts lift() and lands in the class of its argument
+    coords = data.draw(vectors(sq.dim))
+    assert sq.express(sq.lift(coords)) == coords
+    v = combination(rnd, cocycles, n)
+    diff = [a - b for a, b in zip(sq.lift(sq.express(v)), v)]
+    assert sym_rank(boundaries + [diff], n) == sym_rank(boundaries, n)
+    outside = data.draw(rows_of(n, max_rows=1))
+    for w in outside:
+        if sym_rank(cocycles + [w], n) > sym_rank(cocycles, n):
+            with pytest.raises(ValueError):
+                sq.express(w)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_express_in_basis_and_spans_equal(case, data):
+    basis, n = case
+    rnd = data.draw(seeds)
+    v = combination(rnd, basis, n)
+    coeffs = express_in_basis(basis, v, n)
+    assert coeffs is not None
+    combined = [sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(n)]
+    assert combined == v
+    # a vector that depends on the ones before it gets coefficient 0
+    raisers = set(sym(basis, n).T.rref()[1])
+    assert all(c == 0 for k, c in enumerate(coeffs) if k not in raisers)
+    other = data.draw(rows_of(n))
+    r_a = sym_rank(basis, n)
+    same = r_a == sym_rank(other, n) == sym_rank(basis + other, n)
+    assert spans_equal(basis, other, n) == same
+    mixed = [combination(rnd, basis, n) for _ in basis]
+    if sym_rank(mixed, n) == r_a:
+        assert spans_equal(basis, mixed, n)
+
+
+def test_overlong_vectors_are_refused_not_misread():
+    # coordinates live in the columns past n; a longer vector must not
+    # have its tail entries read as coordinates
+    sq = Subquotient(2, [[1, 0]], [])
+    with pytest.raises(ValueError):
+        sq.express([0, 0, 1])
+    with pytest.raises(ValueError):
+        express_in_basis([[1, 0]], [1, 0, 5], 2)

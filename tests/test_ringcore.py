@@ -6,6 +6,7 @@ import pytest
 
 from coarsecoh.errors import HomogeneityError
 from coarsecoh.grading import DegreeGroup, DegreeWindow
+from coarsecoh.linalg import Mat
 from coarsecoh.ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -168,7 +169,7 @@ def test_multiplication_matrix_known():
     mat = M.multiplication_matrix(x, g1)
     # bases are exponent-lexicographic: M_1 = {y, x}, M_2 = {y^2, xy};
     # x*y = xy and x*x = 0
-    assert mat.rows == [[0, 0], [1, 0]]
+    assert mat == Mat([[0, 0], [1, 0]], 2)
 
 
 def test_multiplication_composes():
