@@ -15,8 +15,11 @@ dividing it.  On subsets the induced map multiplies by the lcm quotient
 when the picks stay distinct and collapses to zero otherwise; its chain
 property is verified symbolically at construction.
 
-Cochain spaces Hom(F_p, N)_g are direct sums of components of N; all
-matrices are assembled from the multiplication matrices of N.
+Every map of free modules here is a FreeMap with sparse polynomial
+columns.  Cochain spaces Hom(F_p, N)_g are direct sums of components of
+N, and FreeMap.hom is the one place that assembles matrices from the
+multiplication matrices of N: cochain differentials, tower transitions
+and the relation system of Hom(M, N)_g all go through it.
 """
 
 from __future__ import annotations
@@ -39,21 +42,56 @@ from .ringcore import (
 )
 
 
-def _poly_mat_mul(A, B, inner: int):
-    """Product of polynomial matrices given as lists of lists of Poly."""
-    rows = len(A)
-    cols = len(B[0]) if B else 0
-    out = [[Poly.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(cols):
-                b = B[k][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return out
+class FreeMap:
+    """Homogeneous map  F -> F'  of graded free modules.
+
+    Summand j of the source is R(-source[j]) and summand i of the target
+    is R(-target[i]); `columns[j]` holds the nonzero entries {i: Poly} of
+    column j, the image of the j-th generator.  An entry (i, j) must have
+    degree source[j] - target[i].
+    """
+
+    def __init__(self, ring, source_shifts, target_shifts, columns):
+        self.source = list(source_shifts)
+        self.target = list(target_shifts)
+        self.columns = [dict(c) for c in columns]
+        if len(self.columns) != len(self.source):
+            raise ValueError("need one column per source summand")
+        for j, col in enumerate(self.columns):
+            for i, entry in col.items():
+                if not 0 <= i < len(self.target):
+                    raise ValueError("entry (%d,%d) lies outside the target" % (i, j))
+                got = ring.poly_degree(entry)
+                want = self.source[j] - self.target[i]
+                if got != want:
+                    raise ValueError(
+                        "entry (%d,%d) has degree %s, expected %s" % (i, j, got, want)
+                    )
+
+    def after(self, first: "FreeMap") -> list[dict]:
+        """Columns of the composite  self o first, nonzero entries only."""
+        out = []
+        for col in first.columns:
+            acc: dict = {}
+            for k, a in col.items():
+                for i, b in self.columns[k].items():
+                    acc[i] = acc[i] + b * a if i in acc else b * a
+            out.append({i: e for i, e in acc.items() if not e.is_zero()})
+        return out
+
+    def hom(self, N: GradedModulePresentation, g: Degree) -> Mat:
+        """The induced map  Hom(target, N)_g -> Hom(source, N)_g.
+
+        Hom(R(-t), N)_g is N_{g+t}, so block (j, i) is multiplication by
+        entry (i, j) from N_{g+target[i]}."""
+        cols = self.columns
+        return Mat.block(
+            [N.dim(g + s) for s in self.source],
+            [N.dim(g + t) for t in self.target],
+            lambda j, i: N.multiplication_matrix(cols[j][i], g + self.target[i])
+            if i in cols[j]
+            else None,
+        )
 
 
 class FreeComplex:
@@ -61,21 +99,25 @@ class FreeComplex:
 
     positions 0..top; `basis[p]` are opaque labels, `shifts[p]` their
     generator degrees (so summand c of F_p is R(-shifts[p][c])), and
-    `diffs[p]` the matrix of F_p -> F_{p-1} for p >= 1, rows indexed by
-    F_{p-1}.
+    `diffs[p]` the FreeMap F_p -> F_{p-1} for p >= 1, built from
+    `diff_columns[p-1]`.  Differentials must compose to zero.
     """
 
-    def __init__(self, ring, basis, shifts, diffs, validate=True):
+    def __init__(self, ring, basis, shifts, diff_columns):
         self.ring = ring
         self.basis = [list(b) for b in basis]
         self.shifts = [list(s) for s in shifts]
-        self.diffs = [None] + [d for d in diffs]  # diffs[p] for p >= 1
         if len(self.basis) != len(self.shifts):
             raise ValueError("basis/shift position count mismatch")
-        if len(self.diffs) != len(self.basis):
+        if len(diff_columns) != self.top:
             raise ValueError("need one differential per positive position")
-        if validate:
-            self._validate()
+        self.diffs = [None] + [
+            FreeMap(ring, self.shifts[p], self.shifts[p - 1], cols)
+            for p, cols in enumerate(diff_columns, 1)
+        ]
+        for p in range(2, self.top + 1):
+            if any(self.diffs[p - 1].after(self.diffs[p])):
+                raise ValueError("differentials do not compose to zero")
 
     @property
     def top(self) -> int:
@@ -83,31 +125,6 @@ class FreeComplex:
 
     def rank(self, p: int) -> int:
         return len(self.basis[p]) if 0 <= p <= self.top else 0
-
-    def _validate(self):
-        ring = self.ring
-        for p in range(1, self.top + 1):
-            d = self.diffs[p]
-            if len(d) != self.rank(p - 1) or any(len(r) != self.rank(p) for r in d):
-                raise ValueError("differential %d has the wrong shape" % p)
-            for i in range(self.rank(p - 1)):
-                for j in range(self.rank(p)):
-                    entry = d[i][j]
-                    if entry.is_zero():
-                        continue
-                    got = ring.poly_degree(entry)
-                    want = self.shifts[p][j] - self.shifts[p - 1][i]
-                    if got != want:
-                        raise ValueError(
-                            "differential %d entry (%d,%d) has degree %s, "
-                            "expected %s" % (p, i, j, got, want)
-                        )
-        for p in range(2, self.top + 1):
-            prod = _poly_mat_mul(self.diffs[p - 1], self.diffs[p], self.rank(p - 1))
-            for row in prod:
-                for entry in row:
-                    if not entry.is_zero():
-                        raise ValueError("differentials do not compose to zero")
 
 
 def _lcm_of(ring, gens, S):
@@ -124,70 +141,41 @@ def taylor_complex(ideal: MonomialIdeal, max_position: int | None = None) -> Fre
     gens = ideal.gens
     s = len(gens)
     top = s if max_position is None else min(s, max_position)
-    basis = []
-    shifts = []
-    index = []
-    for p in range(top + 1):
-        subs = list(itertools.combinations(range(s), p))
-        basis.append(subs)
-        index.append({S: i for i, S in enumerate(subs)})
-        shifts.append([ring.monomial_degree(_lcm_of(ring, gens, S)) for S in subs])
-
-    diffs = []
+    basis = [list(itertools.combinations(range(s), p)) for p in range(top + 1)]
+    shifts = [
+        [ring.monomial_degree(_lcm_of(ring, gens, S)) for S in subs] for subs in basis
+    ]
+    diff_columns = []
     for p in range(1, top + 1):
-        mat = [
-            [Poly.zero() for _ in range(len(basis[p]))]
-            for _ in range(len(basis[p - 1]))
-        ]
-        for j, S in enumerate(basis[p]):
+        index = {S: i for i, S in enumerate(basis[p - 1])}
+        cols = []
+        for S in basis[p]:
             lcm_S = _lcm_of(ring, gens, S)
+            col = {}
             for t in range(p):
                 S2 = S[:t] + S[t + 1 :]
                 q = mono_quotient(lcm_S, _lcm_of(ring, gens, S2))
-                i = index[p - 1][S2]
-                mat[i][j] = mat[i][j] + Poly.monomial(q, (-1) ** t)
-        diffs.append(mat)
-    return FreeComplex(ring, basis, shifts, diffs)
+                col[index[S2]] = Poly.monomial(q, (-1) ** t)
+            cols.append(col)
+        diff_columns.append(cols)
+    return FreeComplex(ring, basis, shifts, diff_columns)
 
 
-@dataclass
 class ChainMap:
     """Chain map source -> target between complexes over the same ring;
-    maps[p] has rows indexed by target position p, columns by source."""
+    maps[p] is the FreeMap source_p -> target_p built from columns[p].
+    The chain property is verified symbolically."""
 
-    source: FreeComplex
-    target: FreeComplex
-    maps: list
-
-    def validate(self):
-        ring = self.source.ring
-        top = min(self.source.top, self.target.top, len(self.maps) - 1)
-        for p in range(top + 1):
-            m = self.maps[p]
-            if len(m) != self.target.rank(p) or any(
-                len(r) != self.source.rank(p) for r in m
-            ):
-                raise ValueError("chain map %d has the wrong shape" % p)
-            for i in range(self.target.rank(p)):
-                for j in range(self.source.rank(p)):
-                    entry = m[i][j]
-                    if entry.is_zero():
-                        continue
-                    got = ring.poly_degree(entry)
-                    want = self.source.shifts[p][j] - self.target.shifts[p][i]
-                    if got != want:
-                        raise ValueError(
-                            "chain map %d entry (%d,%d) has degree %s, "
-                            "expected %s" % (p, i, j, got, want)
-                        )
-        for p in range(1, top + 1):
-            lhs = _poly_mat_mul(
-                self.target.diffs[p], self.maps[p], self.target.rank(p)
-            )
-            rhs = _poly_mat_mul(
-                self.maps[p - 1], self.source.diffs[p], self.source.rank(p - 1)
-            )
-            if lhs != rhs:
+    def __init__(self, source: FreeComplex, target: FreeComplex, columns):
+        self.source = source
+        self.target = target
+        self.maps = [
+            FreeMap(source.ring, source.shifts[p], target.shifts[p], cols)
+            for p, cols in enumerate(columns)
+        ]
+        for p in range(1, len(self.maps)):
+            lhs = target.diffs[p].after(self.maps[p])
+            if lhs != self.maps[p - 1].after(source.diffs[p]):
                 raise ValueError("chain property fails at position %d" % p)
 
 
@@ -224,38 +212,27 @@ def comparison_chain_map(
     target_cx: FreeComplex,
     source_ideal: MonomialIdeal,
     target_ideal: MonomialIdeal,
-    validate: bool = True,
 ) -> ChainMap:
     """Chain map between resolutions over an inclusion source <= target of
     ideals, lifting the surjection R/source -> R/target of quotients."""
     ring = source_ideal.ring
     picks = divisor_pick(source_ideal, target_ideal)
-    top = min(source_cx.top, target_cx.top)
-    tgt_index = [
-        {S: i for i, S in enumerate(target_cx.basis[p])} for p in range(top + 1)
-    ]
-
-    maps = []
-    for p in range(top + 1):
-        mat = [
-            [Poly.zero() for _ in range(source_cx.rank(p))]
-            for _ in range(target_cx.rank(p))
-        ]
-        for j, S in enumerate(source_cx.basis[p]):
+    columns = []
+    for p in range(min(source_cx.top, target_cx.top) + 1):
+        index = {T: i for i, T in enumerate(target_cx.basis[p])}
+        cols = []
+        for S in source_cx.basis[p]:
             imgs = [picks[i] for i in S]
             if len(set(imgs)) != len(imgs):
-                continue  # collapsed subset, maps to zero
-            sign = _perm_sign(imgs)
+                cols.append({})  # collapsed subset, maps to zero
+                continue
             T = tuple(sorted(imgs))
             q = mono_quotient(
                 _lcm_of(ring, source_ideal.gens, S), _lcm_of(ring, target_ideal.gens, T)
             )
-            mat[tgt_index[p][T]][j] = Poly.monomial(q, sign)
-        maps.append(mat)
-    cm = ChainMap(source_cx, target_cx, maps)
-    if validate:
-        cm.validate()
-    return cm
+            cols.append({index[T]: Poly.monomial(q, _perm_sign(imgs))})
+        columns.append(cols)
+    return ChainMap(source_cx, target_cx, columns)
 
 
 class CochainSpaces:
@@ -265,71 +242,29 @@ class CochainSpaces:
         self.cx = cx
         self.N = N
         self.g = g
-        self._dims: dict[int, list[int]] = {}
-
-    def block_dims(self, p: int) -> list[int]:
-        if p < 0 or p > self.cx.top:
-            return []
-        got = self._dims.get(p)
-        if got is None:
-            got = [self.N.dim(self.g + sh) for sh in self.cx.shifts[p]]
-            self._dims[p] = got
-        return got
 
     def dim(self, p: int) -> int:
-        return sum(self.block_dims(p))
+        if p < 0 or p > self.cx.top:
+            return 0
+        return sum(self.N.dim(self.g + sh) for sh in self.cx.shifts[p])
 
     def differential(self, p: int) -> Mat:
         """d^p : Hom(F_p, N)_g -> Hom(F_{p+1}, N)_g (precompose with the
         complex differential)."""
-        row_dims = self.block_dims(p + 1)
-        col_dims = self.block_dims(p)
         if p + 1 > self.cx.top:
-            return Mat.zero(0, sum(col_dims))
-        d = self.cx.diffs[p + 1]
-        return Mat.block(
-            row_dims,
-            col_dims,
-            lambda i, j: self._mult_block(d[j][i], self.cx.shifts[p][j])
-            if not d[j][i].is_zero()
-            else None,
-        )
-
-    def _mult_block(self, entry: Poly, src_shift: Degree) -> Mat:
-        return self.N.multiplication_matrix(entry, self.g + src_shift)
-
-
-def hom_of_chain_map(
-    cm: ChainMap, N: GradedModulePresentation, g: Degree, p: int
-) -> Mat:
-    """Induced map Hom(target_p, N)_g -> Hom(source_p, N)_g."""
-    src_spaces = CochainSpaces(cm.target, N, g)   # domain of the induced map
-    dst_spaces = CochainSpaces(cm.source, N, g)
-    row_dims = dst_spaces.block_dims(p)
-    col_dims = src_spaces.block_dims(p)
-    m = cm.maps[p]
-
-    def block(i, j):
-        entry = m[j][i]
-        if entry.is_zero():
-            return None
-        return N.multiplication_matrix(entry, g + cm.target.shifts[p][j])
-
-    return Mat.block(row_dims, col_dims, block)
+            return Mat.zero(0, self.dim(p))
+        return self.cx.diffs[p + 1].hom(self.N, self.g)
 
 
 def ext_subquotient(
     spaces: CochainSpaces, p: int, include_boundary: bool = True
 ) -> Subquotient:
     """Cohomology (or plain cocycles) of the cochain complex at position p."""
-    n = spaces.dim(p)
     d_p = spaces.differential(p)
-    cocycles = nullspace(d_p)
     boundaries = []
     if include_boundary and p >= 1:
-        d_prev = spaces.differential(p - 1)
-        boundaries = d_prev.columns()
-    return Subquotient(n, cocycles, boundaries)
+        boundaries = spaces.differential(p - 1).columns()
+    return Subquotient(d_p.ncols, nullspace(d_p), boundaries)
 
 
 class GradedHomSpace:
@@ -347,15 +282,12 @@ class GradedHomSpace:
         self.degree = g
         self.block_dims = [N.dim(g + dj) for dj in M.gen_degrees]
         col_total = sum(self.block_dims)
-        row_dims = [N.dim(g + col.degree) for col in M.relations]
-
-        def block(i, j):
-            p = M.relations[i].entries.get(j)
-            if p is None:
-                return None
-            return N.multiplication_matrix(p, g + M.gen_degrees[j])
-
-        system = Mat.block(row_dims, self.block_dims, block)
+        system = FreeMap(
+            M.ring,
+            [col.degree for col in M.relations],
+            M.gen_degrees,
+            [col.entries for col in M.relations],
+        ).hom(N, g)
         self.basis = nullspace(system) if col_total else []
 
     @property
@@ -449,14 +381,13 @@ def ext_limit_at_degree(
     include_boundary: bool = True,
 ) -> LimitAtDegree:
     stages = []
-    spaces = []
     for cx in tower.complexes:
-        sp = CochainSpaces(cx, N, g)
-        spaces.append(sp)
         if position > cx.top:
             stages.append(Subquotient(0, [], []))
         else:
-            stages.append(ext_subquotient(sp, position, include_boundary))
+            stages.append(
+                ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
+            )
     transitions = []
     for n in range(tower.n_cap - 1):
         src_sq = stages[n]
@@ -464,7 +395,7 @@ def ext_limit_at_degree(
         if position > tower.complexes[n].top or position > tower.complexes[n + 1].top:
             transitions.append(Mat.zero(dst_sq.dim, src_sq.dim))
             continue
-        ambient = hom_of_chain_map(tower.maps[n], N, g, position)
+        ambient = tower.maps[n].maps[position].hom(N, g)
         cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
         transitions.append(Mat.from_columns(cols, dst_sq.dim))
     return LimitAtDegree(

@@ -416,10 +416,15 @@ class DirectedLimit:
     composite length whose ranks already agree with the ranks to the end;
     every late stage that still has J steps of room must reach rank v as
     well, otherwise the window ends on unexplained elements and the chain
-    is refused.  Chains whose maps eventually become isomorphisms, chains
-    killed by nilpotents (single-step ranks stay positive but composites
-    die), and mixtures of the two all certify; strictly growing chains and
-    chains whose last stages pick up new elements do not.
+    is refused.  The last stage has no room at all, so it gets a guard of
+    its own: the elements it gains (its dimension minus the rank of the
+    map into it) may not outnumber those the stage before it gains; a
+    chain like 0 -> 0 -> 0 -> K or K -> K -> K -> K^2 is refused rather
+    than read off from the stages before the growth.  Chains whose maps
+    eventually become isomorphisms, chains killed by nilpotents
+    (single-step ranks stay positive but composites die), and mixtures of
+    the two all certify; strictly growing chains and chains whose last
+    stages pick up new elements do not.
 
     The limit is modelled by the image of the composite V_n* -> V_m inside
     V_m; stability makes that image independent of the stage chosen from
@@ -482,6 +487,8 @@ class DirectedLimit:
         for n in (m - 3, m - 2):
             if n + death <= m - 1 and ranks[n][n + death] != v:
                 return lim
+        if dims[m - 1] - ranks[m - 2][m - 1] > dims[m - 2] - ranks[m - 3][m - 2]:
+            return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
         basis, _ = column_space_basis(comp[n_star][m - 1])
         lim.basis = basis

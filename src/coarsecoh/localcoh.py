@@ -101,9 +101,6 @@ class CechAtDegree:
             if not comp.is_zero():
                 raise AssertionError("localization complex differential squared is nonzero")
 
-    def position_dim(self, p: int) -> int:
-        return sum(self.models[S].limit_dim for S in self._by_size.get(p, []))
-
     def _differential(self, p: int) -> Mat:
         cap = self.ray_cap
         srcs = self._by_size.get(p, [])

@@ -186,6 +186,25 @@ def test_unstabilized_exits_3(tmp_path, capsys):
     assert payload["unstable"]["trajectory"] == [0, 1]
 
 
+def test_growth_at_the_last_tower_stage_exits_3(tmp_path, capsys):
+    # at (-6) only the sixth stage of the x^n tower sees the Laurent line:
+    # both tower commands must refuse instead of reporting 0
+    path = scn(
+        tmp_path, LINE.replace("gwindow { lo = (-3); hi = (2) }",
+                               "gwindow { lo = (-8); hi = (-6) }")
+    )
+    for argv in (
+        ["lc", path, "--i", "1", "--route", "ext", "--json"],
+        ["dtransform", path, "--i", "0", "--json"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 3, argv
+        payload = json.loads(out)
+        assert payload["verdict"] == "UNSTABILIZED"
+        assert payload["unstable"]["degree"] == "(-6)"
+        assert payload["unstable"]["trajectory"] == [0, 0, 0, 0, 0, 1]
+
+
 def test_refusal_exits_4_and_flag_recovers(tmp_path, capsys):
     path = scn(tmp_path, FINE)
     code, out, _ = run(capsys, ["coarsen", path, "--json"])

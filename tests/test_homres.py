@@ -5,14 +5,16 @@ import pytest
 from coarsecoh.errors import UnstabilizedError
 from coarsecoh.grading import DegreeWindow
 from coarsecoh.homres import (
+    ChainMap,
     CochainSpaces,
+    FreeComplex,
+    FreeMap,
     colim_ext_table,
     comparison_chain_map,
     divisor_pick,
     ext_subquotient,
     graded_ext,
     graded_hom,
-    hom_of_chain_map,
     hom_table,
     taylor_complex,
 )
@@ -40,12 +42,12 @@ def _chain_matrix(cx, Rmod, p, g):
     only ring multiplication (independent of the cochain machinery)."""
     row_dims = [Rmod.dim(g - sh) for sh in cx.shifts[p - 1]]
     col_dims = [Rmod.dim(g - sh) for sh in cx.shifts[p]]
-    d = cx.diffs[p]
+    cols = cx.diffs[p].columns
 
     def block(i, j):
-        if d[i][j].is_zero():
+        if i not in cols[j]:
             return None
-        return Rmod.multiplication_matrix(d[i][j], g - cx.shifts[p][j])
+        return Rmod.multiplication_matrix(cols[j][i], g - cx.shifts[p][j])
 
     return Mat.block(row_dims, col_dims, block)
 
@@ -108,7 +110,7 @@ def test_divisor_pick_and_comparison_map():
     assert divisor_pick(a2, a1) == [0]
     cm = comparison_chain_map(taylor_complex(a2), taylor_complex(a1), a2, a1)
     # position 1 entry must be x^2 / x = x
-    assert cm.maps[1][0][0] == Poly.monomial((1,))
+    assert cm.maps[1].columns[0] == {0: Poly.monomial((1,))}
     with pytest.raises(ValueError):
         divisor_pick(a1, a2)
 
@@ -121,6 +123,35 @@ def test_comparison_map_on_powers_of_two_variables():
     comparison_chain_map(
         taylor_complex(m.power(3)), taylor_complex(m.power(2)), m.power(3), m.power(2)
     )
+
+
+def test_entry_of_the_wrong_degree_is_refused():
+    # R(-1) -> R needs an entry of degree 1; x^2 has degree 2
+    R = ring_x()
+    with pytest.raises(ValueError, match="has degree"):
+        FreeMap(R, [Z1.degree((1,))], [Z1.zero()], [{0: Poly.monomial((2,))}])
+
+
+def test_differentials_must_compose_to_zero():
+    # R(-2) -x-> R(-1) -x-> R has homogeneous entries but d1 d2 = x^2
+    R = ring_x()
+    x = Poly.monomial((1,))
+    shifts = [[Z1.degree((k,))] for k in range(3)]
+    with pytest.raises(ValueError, match="compose to zero"):
+        FreeComplex(R, [[()], [(0,)], [(0, 1)]], shifts, [[{0: x}], [{0: x}]])
+
+
+def test_chain_property_is_checked():
+    # over (x^2) <= (x) the lift of the identity is 1 at position 0 and x
+    # at position 1; -x has the right degree but breaks the square
+    R = ring_x()
+    a1 = MonomialIdeal(R, [R.mono(x=1)])
+    a2 = MonomialIdeal(R, [R.mono(x=2)])
+    src, tgt = taylor_complex(a2), taylor_complex(a1)
+    one, x = Poly.monomial((0,)), Poly.monomial((1,))
+    ChainMap(src, tgt, [[{0: one}], [{0: x}]])
+    with pytest.raises(ValueError, match="chain property fails at position 1"):
+        ChainMap(src, tgt, [[{0: one}], [{0: -x}]])
 
 
 def test_graded_hom_full_ring_source():

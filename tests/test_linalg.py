@@ -211,6 +211,28 @@ def test_directed_limit_late_arrival_is_refused():
     assert not lim.stabilized
 
 
+def test_directed_limit_last_stage_arrival_is_refused():
+    # only the last stage gains an element: no stage before it can vouch
+    # for the zero the chain would otherwise certify
+    lim = DirectedLimit.of([0, 0, 0, 0, 1], [Mat.zero(0, 0)] * 3 + [Mat.zero(1, 0)])
+    assert not lim.stabilized
+
+
+def test_directed_limit_last_stage_growth_is_refused():
+    # a plateau of rank 1 that grows at the very last stage
+    ids = [Mat.identity(1), Mat.identity(1)]
+    lim = DirectedLimit.of([1, 1, 1, 2], ids + [Mat([[1], [0]], 1)])
+    assert not lim.stabilized
+
+
+def test_directed_limit_steady_gain_at_the_end_still_certifies():
+    # zero maps gain one new element at every stage, the last one included;
+    # the composites die at once, so the limit is zero
+    lim = DirectedLimit.of([1, 1, 1, 1], [Mat.zero(1, 1)] * 3)
+    assert lim.stabilized
+    assert lim.limit_dim == 0
+
+
 def test_directed_limit_too_short_to_judge():
     assert not DirectedLimit.of([1, 1], [Mat.identity(1)]).stabilized
     ids = [Mat.identity(1), Mat.identity(1)]
