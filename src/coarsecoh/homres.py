@@ -25,6 +25,7 @@ and the relation system of Hom(M, N)_g all go through it.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -267,6 +268,20 @@ def ext_subquotient(
     return Subquotient(d_p.ncols, nullspace(d_p), boundaries)
 
 
+_relation_maps: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def relation_map(M: GradedModulePresentation) -> FreeMap:
+    """M's relations as a FreeMap from relation degrees to generator
+    degrees; built, and its degrees checked, once per presentation."""
+    if M not in _relation_maps:
+        rels = M.relations
+        _relation_maps[M] = FreeMap(
+            M.ring, [c.degree for c in rels], M.gen_degrees, [c.entries for c in rels]
+        )
+    return _relation_maps[M]
+
+
 class GradedHomSpace:
     """Hom(M, N)_g for finitely presented M, N: solutions of the relation
     constraints, one block of unknowns per generator of M."""
@@ -282,12 +297,7 @@ class GradedHomSpace:
         self.degree = g
         self.block_dims = [N.dim(g + dj) for dj in M.gen_degrees]
         col_total = sum(self.block_dims)
-        system = FreeMap(
-            M.ring,
-            [col.degree for col in M.relations],
-            M.gen_degrees,
-            [col.entries for col in M.relations],
-        ).hom(N, g)
+        system = relation_map(M).hom(N, g)
         self.basis = nullspace(system) if col_total else []
 
     @property
@@ -325,11 +335,7 @@ def graded_ext(
     cx = taylor_complex(ideal, max_position=min(len(ideal.gens), i + 1))
     values = {}
     for g in window:
-        spaces = CochainSpaces(cx, N, g)
-        if i > cx.top:
-            values[g] = 0
-        else:
-            values[g] = ext_subquotient(spaces, i).dim
+        values[g] = 0 if i > cx.top else ext_subquotient(CochainSpaces(cx, N, g), i).dim
     support = N.gen_degrees if i == 0 else None
     return HilbertTable(window, values, support_gens=support)
 
@@ -449,7 +455,5 @@ def colim_ext_table(
             raise UnstabilizedError(what, g, lim.limit.dims)
         values[g] = lim.dim
         report.per_degree[g] = lim.limit.stabilized_at
-    support = None
-    if family == "quotient" and i == 0:
-        support = N.gen_degrees
+    support = N.gen_degrees if family == "quotient" and i == 0 else None
     return HilbertTable(window, values, support_gens=support), report

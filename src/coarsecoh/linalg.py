@@ -417,10 +417,13 @@ class DirectedLimit:
     every late stage that still has J steps of room must reach rank v as
     well, otherwise the window ends on unexplained elements and the chain
     is refused.  The last stage has no room at all, so it gets a guard of
-    its own: the elements it gains (its dimension minus the rank of the
-    map into it) may not outnumber those the stage before it gains; a
-    chain like 0 -> 0 -> 0 -> K or K -> K -> K -> K^2 is refused rather
-    than read off from the stages before the growth.  Chains whose maps
+    its own: when it gains more elements (its dimension minus the rank of
+    the map into it) than the stage before it, the growth is only taken
+    for more of a dying chain's dying, that is when v == 0 and the stage
+    before the last is not empty.  So 0 -> 0 -> 0 -> K and
+    K -> K -> K -> K^2 (identities, then an inclusion) are refused rather
+    than read off from the stages before the growth, while
+    K -> K^2 -> K^3 -> K^4 with zero maps certifies 0.  Chains whose maps
     eventually become isomorphisms, chains killed by nilpotents
     (single-step ranks stay positive but composites die), and mixtures of
     the two all certify; strictly growing chains and chains whose last
@@ -488,7 +491,8 @@ class DirectedLimit:
             if n + death <= m - 1 and ranks[n][n + death] != v:
                 return lim
         if dims[m - 1] - ranks[m - 2][m - 1] > dims[m - 2] - ranks[m - 3][m - 2]:
-            return lim
+            if v > 0 or dims[m - 2] == 0:
+                return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
         basis, _ = column_space_basis(comp[n_star][m - 1])
         lim.basis = basis

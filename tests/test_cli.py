@@ -205,6 +205,26 @@ def test_growth_at_the_last_tower_stage_exits_3(tmp_path, capsys):
         assert payload["unstable"]["trajectory"] == [0, 0, 0, 0, 0, 1]
 
 
+def test_cech_certifies_torsion_whose_components_grow_along_the_ray(
+    tmp_path, capsys
+):
+    # M = K[x,y,z]/(x) is x-torsion: its localization at x is zero, but the
+    # ray M_g -> M_{g+1} -> ... has growing stages and zero maps
+    path = scn(
+        tmp_path,
+        """\
+group { free = 1; torsion = [] }
+ring { vars = [x, y, z]; degrees = [(1), (1), (1)]; certificate = (1) }
+ideal { gens = [x] }
+module { gens = [(0)]; relations = [[x]] }
+gwindow { lo = (-1); hi = (2) }
+""",
+    )
+    code, out, _ = run(capsys, ["cech", path, "--i", "0", "--json"])
+    assert code == 0
+    assert json.loads(out)["table"] == {"(-1)": 0, "(0)": 1, "(1)": 2, "(2)": 3}
+
+
 def test_refusal_exits_4_and_flag_recovers(tmp_path, capsys):
     path = scn(tmp_path, FINE)
     code, out, _ = run(capsys, ["coarsen", path, "--json"])

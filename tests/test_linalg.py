@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from coarsecoh.linalg import (
     DirectedLimit,
     Mat,
@@ -225,10 +227,12 @@ def test_directed_limit_last_stage_growth_is_refused():
     assert not lim.stabilized
 
 
-def test_directed_limit_steady_gain_at_the_end_still_certifies():
-    # zero maps gain one new element at every stage, the last one included;
-    # the composites die at once, so the limit is zero
-    lim = DirectedLimit.of([1, 1, 1, 1], [Mat.zero(1, 1)] * 3)
+@pytest.mark.parametrize("dims", [[1, 1, 1, 1], [1, 2, 3, 4], [1, 1, 1, 1, 2]])
+def test_directed_limit_dying_chain_certifies_zero(dims):
+    # zero maps: every stage gains new elements, the last one as many or
+    # more than the one before, and everything dies in one step
+    zeros = [Mat.zero(dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
+    lim = DirectedLimit.of(dims, zeros)
     assert lim.stabilized
     assert lim.limit_dim == 0
 
