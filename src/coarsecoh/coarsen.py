@@ -147,10 +147,7 @@ def _uncovered_support(
         for d in table.support_gens:
             c = h - psi.apply(d)
             for mono in coarse_ring.monomials_of_degree(c):
-                e = d
-                for i, a in enumerate(mono):
-                    if a:
-                        e = e + fine_ring.var_degrees[i].scale(a)
+                e = d + fine_ring.monomial_degree(mono)
                 if e not in table.window:
                     return h, e
     return None

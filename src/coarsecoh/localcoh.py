@@ -188,17 +188,18 @@ def torsion_submodule(
     values = {}
     bases = {}
     stab = {}
+    powers = [
+        [Poly.monomial(mono) for mono in ideal.power(n).gens]
+        for n in range(1, n_cap + 1)
+    ]
     for g in window:
         mg = M.dim(g)
         kernels = []
-        for n in range(1, n_cap + 1):
-            power = ideal.power(n)
-            if power.is_zero():
+        for power in powers:
+            if not power:
                 kernels.append(Mat.identity(mg).columns())
                 continue
-            mults = [
-                M.multiplication_matrix(Poly.monomial(mono), g) for mono in power.gens
-            ]
+            mults = [M.multiplication_matrix(p, g) for p in power]
             stacked = Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i])
             kernels.append(nullspace(stacked))
         dims = [len(k) for k in kernels]

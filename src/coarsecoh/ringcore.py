@@ -10,6 +10,8 @@ Conventions fixed here and used everywhere else:
   with  w . (free part of deg x_i) > 0  for each variable.  This makes
   every graded component finite dimensional and effectively enumerable,
   at any degree, so windows only scope output, never computability.
+  The monomials of a degree h != 0 are the x_i-multiples of those of
+  h - deg x_i; the ring's cache keeps every degree below each one asked.
 
 Components of a finitely presented module are computed as explicit
 quotient spaces: monomial basis of the free cover in that degree, modulo
@@ -184,35 +186,31 @@ class GradedPolynomialRing:
         return degs.pop()
 
     def monomials_of_degree(self, g: Degree) -> tuple[Monomial, ...]:
-        """All monomials of exact degree g, in lexicographic exponent order."""
+        """All monomials of exact degree g, in lexicographic exponent order.
+
+        Recurrence: mons(h) = {x_i * m : m in mons(h - deg x_i)}, mons(0) = {1},
+        and no other degree of weight <= 0 has monomials.  Variables weigh > 0,
+        so finitely many degrees lie below g; an explicit stack fills them in
+        and the cache keeps each of them as well as g."""
         if g.group != self.group:
             raise ValueError("degree outside the grading group")
-        cached = self._mono_cache.get(g)
-        if cached is not None:
-            return cached
-        weights = [self.weight_of(d) for d in self.var_degrees]
-        out: list[Monomial] = []
-        exps = [0] * self.nvars
-
-        def descend(i: int, remaining: Degree, budget: Fraction):
-            if budget < 0:
-                return
-            if i == self.nvars:
-                if remaining.is_zero():
-                    out.append(tuple(exps))
-                return
-            w = weights[i]
-            top = int(budget / w)
-            for e in range(top + 1):
-                exps[i] = e
-                rem = remaining - self.var_degrees[i].scale(e) if e else remaining
-                descend(i + 1, rem, budget - w * e)
-            exps[i] = 0
-
-        descend(0, g, self.weight_of(g))
-        result = tuple(sorted(out))
-        self._mono_cache[g] = result
-        return result
+        cache = self._mono_cache
+        stack = [(g, None)]
+        while stack:
+            h, below = stack.pop()
+            if h in cache:
+                continue
+            if below is not None:  # every degree in below is cached by now
+                cache[h] = tuple(sorted({m[:i] + (m[i] + 1,) + m[i + 1:]
+                                         for i, b in enumerate(below)
+                                         for m in cache[b]}))
+            elif self.weight_of(h) <= 0:
+                cache[h] = (self.one(),) if h.is_zero() else ()
+            else:
+                below = [h - d for d in self.var_degrees]
+                stack.append((h, below))
+                stack.extend((b, None) for b in below if b not in cache)
+        return cache[g]
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []

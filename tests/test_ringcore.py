@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsecoh.errors import HomogeneityError
 from coarsecoh.grading import DegreeGroup, DegreeWindow
@@ -81,6 +84,62 @@ def test_ring_with_no_variables():
     R = GradedPolynomialRing(Z1, (), (), (1,))
     assert R.monomials_of_degree(Z1.degree((0,))) == ((),)
     assert R.monomials_of_degree(Z1.degree((1,))) == ()
+
+
+def _brute_force_monomials(R, g):
+    """Every exponent vector in the box e_i <= weight(g) / weight(x_i) whose
+    degree is g, sorted."""
+    w = R.weight_of(g)
+    box = [range(int(w // R.weight_of(d)) + 1) for d in R.var_degrees]
+    return tuple(m for m in itertools.product(*box) if R.monomial_degree(m) == g)
+
+
+@st.composite
+def graded_rings(draw):
+    """A positively graded ring over Z^r + torsion (r = 1..2, orders 2..3,
+    0..3 variables) whose variable degrees may have negative free
+    coordinates, with a degree of that group."""
+    r = draw(st.integers(1, 2))
+    G = DegreeGroup(r, tuple(draw(st.lists(st.sampled_from([2, 3]), max_size=2))))
+    cert = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    torsion = st.lists(st.integers(0, 2), min_size=len(G.torsion_orders),
+                       max_size=len(G.torsion_orders))
+    var_degrees = []
+    for _ in range(draw(st.integers(0, 3))):
+        free = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        weight = sum(c * f for c, f in zip(cert, free))
+        if weight <= 0:  # lift the first coordinate to a positive weight
+            free[0] += (cert[0] - weight) // cert[0]
+        var_degrees.append(G.degree(free, draw(torsion)))
+    names = ["x%d" % i for i in range(len(var_degrees))]
+    R = GradedPolynomialRing(G, names, var_degrees, cert)
+    g = G.degree(draw(st.lists(st.integers(-2, 4), min_size=r, max_size=r)),
+                 draw(torsion))
+    return R, g
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(graded_rings())
+def test_monomials_of_degree_matches_brute_force(case):
+    R, g = case
+    assert R.monomials_of_degree(g) == _brute_force_monomials(R, g)
+
+
+def test_monomials_do_not_depend_on_the_order_degrees_are_asked():
+    G = DegreeGroup(2, (3,))
+    degs = [G.degree((1, 0), (1,)), G.degree((-1, 1), (2,)), G.degree((1, 1), (0,))]
+    up, down = (GradedPolynomialRing(G, "xyz", degs, (2, 3)) for _ in range(2))
+    window = [G.degree((a, b), (t,))
+              for a in range(-2, 6) for b in range(-1, 5) for t in range(3)]
+    asked_up = [up.monomials_of_degree(g) for g in window]
+    asked_down = [down.monomials_of_degree(g) for g in reversed(window)]
+    assert asked_up == asked_down[::-1]
+    assert any(len(ms) > 1 for ms in asked_up)
+
+
+def test_monomials_of_a_high_degree_need_no_deep_recursion():
+    R = ring_x()
+    assert R.monomials_of_degree(Z1.degree((5000,))) == ((5000,),)
 
 
 def test_ideal_minimalization_and_powers():
