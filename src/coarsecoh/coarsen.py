@@ -26,11 +26,11 @@ of reporting a silently truncated sum.
 
 Commutation checks compare the coarsened fine table of a graded functor
 against the same functor evaluated on the coarsened input.  Both sides
-use the power-tower route, whose stages are finite-dimensional for every
-grading; mismatch witnesses report degree and both values.  The helper
-check_gamma_identity performs the torsion-submodule comparison at the
-element level (pushing actual basis vectors, not just dimensions), and
-hom_comparison does the same for graded-Hom components, reporting
+use the bracket-power tower route, whose stages are finite-dimensional
+for every grading; mismatch witnesses report degree and both values.
+The helper check_gamma_identity performs the torsion-submodule comparison
+at the element level (pushing actual basis vectors, not just dimensions),
+and hom_comparison does the same for graded-Hom components, reporting
 injectivity and surjectivity of the canonical comparison map.
 """
 
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .errors import CoarseningRefusal, UnstabilizedError
 from .grading import Degree, DegreeWindow, GroupEpimorphism
-from .homres import GradedHomSpace, colim_ext_table
+from .homres import GradedHomSpace, PowerTower, tower_ext_table
 from .linalg import Mat, Q0, rank, spans_equal
 from .localcoh import torsion_submodule
 from .ringcore import (
@@ -431,18 +431,21 @@ def check_commutation(
 
     For each i both sides of the commutation square are computed: the fine
     table summed along fibers, with its fiber-sum certificate, and the
-    table of the coarsened data.  The data is coarsened once, so every i
-    shares the coarse module's component and multiplication caches.
+    table of the coarsened data.  The data is coarsened once, and each side
+    builds one bracket-power tower reaching position max(i)+1, so every i
+    shares the towers and the modules' component and multiplication caches.
     UnstabilizedError turns into an UNSTABILIZED verdict; a fiber-sum
     refusal propagates (the caller decides how to surface it)."""
     Rc = coarsen_ring(M.ring, psi, coarse_certificate)
-    coarse_ideal = coarsen_ideal(ideal, Rc)
     Mc = coarsen_module(M, Rc, psi)
+    top = max([0, *degrees_i]) + 1
+    fine_tower = PowerTower(ideal, n_cap, max_position=top)
+    coarse_tower = PowerTower(coarsen_ideal(ideal, Rc), n_cap, max_position=top)
     labeled = []
     unstable = None
     for i in degrees_i:
         try:
-            fine_table, _ = colim_ext_table(i, ideal, M, gwindow, n_cap=n_cap)
+            fine_table, _ = tower_ext_table(i, fine_tower, M, gwindow)
             coarsened, cert = coarsen_table(
                 fine_table,
                 psi,
@@ -451,7 +454,7 @@ def check_commutation(
                 coarse_ring=Rc,
                 assume_support_covered=assume_support_covered,
             )
-            coarse, _ = colim_ext_table(i, coarse_ideal, Mc, hwindow, n_cap=n_cap)
+            coarse, _ = tower_ext_table(i, coarse_tower, Mc, hwindow)
         except UnstabilizedError as err:
             unstable = {"i": i, **err.payload()}
             break

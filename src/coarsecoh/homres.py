@@ -1,5 +1,5 @@
 """Free complexes on monomial generators, graded Hom, Ext, and colimits
-of Ext along the tower of powers of an ideal.
+of Ext along the tower of bracket powers of an ideal.
 
 The resolution used for R/a (a a monomial ideal) is the classical one on
 the lcm lattice of the generators: position p has one free summand per
@@ -9,11 +9,15 @@ monomial coefficients lcm(S)/lcm(S minus one element).  It is exact but
 not minimal, which is fine; everything downstream only needs a resolution
 with explicit monomial matrices.
 
-Comparison maps along an inclusion of ideals come from picking, for every
-generator of the smaller ideal, the first generator of the larger ideal
-dividing it.  On subsets the induced map multiplies by the lcm quotient
-when the picks stay distinct and collapses to zero otherwise; its chain
-property is verified symbolically at construction.
+Stage n of a tower is the bracket power a^[n] = (g^n : g a minimal
+generator of a), which equals a^n for a principal ideal.  For s
+generators a^{s(n-1)+1} <= a^[n] <= a^n, so the bracket powers are
+cofinal with the ordinary ones and have the same colimits; unlike a^n,
+a^[n] keeps the s generators of a, in the same order, and its resolution
+keeps 2^s summands.  The comparison map from stage n+1 to stage n is
+then the closed form  e_S -> (lcm(g_S^{n+1}) / lcm(g_S^n)) e_S  with sign
++1, and its chain property is still verified symbolically at
+construction.
 
 Every map of free modules here is a FreeMap with sparse polynomial
 columns.  Cochain spaces Hom(F_p, N)_g are direct sums of components of
@@ -180,58 +184,41 @@ class ChainMap:
                 raise ValueError("chain property fails at position %d" % p)
 
 
-def divisor_pick(source_ideal: MonomialIdeal, target_ideal: MonomialIdeal) -> list[int]:
-    """For each generator of the smaller ideal, the index of the first
-    generator of the containing ideal dividing it."""
-    picks = []
-    for m in source_ideal.gens:
-        found = None
-        for i, h in enumerate(target_ideal.gens):
-            if mono_divides(h, m):
-                found = i
-                break
-        if found is None:
-            raise ValueError(
-                "generator %s of the source ideal lies outside the target ideal"
-                % source_ideal.ring.monomial_str(m)
-            )
-        picks.append(found)
-    return picks
-
-
-def _perm_sign(values) -> int:
-    inv = 0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] > values[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def comparison_chain_map(
     source_cx: FreeComplex,
     target_cx: FreeComplex,
     source_ideal: MonomialIdeal,
     target_ideal: MonomialIdeal,
 ) -> ChainMap:
-    """Chain map between resolutions over an inclusion source <= target of
-    ideals, lifting the surjection R/source -> R/target of quotients."""
+    """Chain map between the resolutions of paired ideals source <= target,
+    lifting the surjection R/source -> R/target of quotients.
+
+    The ideals must have equally many generators, generator i of the
+    target dividing generator i of the source, as for consecutive bracket
+    powers a^[n+1] <= a^[n].  The map is then  e_S -> (lcm(source_S) /
+    lcm(target_S)) e_S  with sign +1: both ways round the square send e_S
+    to  sum_t (-1)^t lcm(source_S) / lcm(target_{S minus t}) e_{S minus t}.
+    """
     ring = source_ideal.ring
-    picks = divisor_pick(source_ideal, target_ideal)
+    src, dst = source_ideal.gens, target_ideal.gens
+    if len(src) != len(dst):
+        raise ValueError(
+            "the ideals have %d and %d generators; the comparison map pairs "
+            "them one to one" % (len(src), len(dst))
+        )
+    for m, h in zip(src, dst):
+        if not mono_divides(h, m):
+            raise ValueError(
+                "generator %s of the target ideal does not divide its partner %s "
+                "in the source ideal" % (ring.monomial_str(h), ring.monomial_str(m))
+            )
     columns = []
     for p in range(min(source_cx.top, target_cx.top) + 1):
         index = {T: i for i, T in enumerate(target_cx.basis[p])}
         cols = []
         for S in source_cx.basis[p]:
-            imgs = [picks[i] for i in S]
-            if len(set(imgs)) != len(imgs):
-                cols.append({})  # collapsed subset, maps to zero
-                continue
-            T = tuple(sorted(imgs))
-            q = mono_quotient(
-                _lcm_of(ring, source_ideal.gens, S), _lcm_of(ring, target_ideal.gens, T)
-            )
-            cols.append({index[T]: Poly.monomial(q, _perm_sign(imgs))})
+            q = mono_quotient(_lcm_of(ring, src, S), _lcm_of(ring, dst, S))
+            cols.append({index[S]: Poly.monomial(q)})
         columns.append(cols)
     return ChainMap(source_cx, target_cx, columns)
 
@@ -341,20 +328,29 @@ def graded_ext(
 
 
 class PowerTower:
-    """The tower a >= a^2 >= ... >= a^n_cap with resolutions and
-    comparison chain maps between consecutive stages."""
+    """The tower a = a^[1] >= a^[2] >= ... >= a^[n_cap] of bracket powers
+    a^[n] = (g^n : g a minimal generator of a), with the resolutions of the
+    stages (truncated above max_position) and the comparison chain maps
+    between consecutive stages.
+
+    For a principal ideal a^[n] = a^n.  In general the bracket powers are
+    cofinal with the powers, so colimits along this tower are the colimits
+    along a^n.  Every stage keeps the 2^s Taylor summands of a; summand S
+    of stage n is shifted by n * deg lcm(g_S), and the map from stage n+1
+    to stage n sends e_S to (lcm(g_S^{n+1}) / lcm(g_S^n)) e_S."""
 
     def __init__(self, ideal: MonomialIdeal, n_cap: int, max_position: int | None):
         if n_cap < 2:
             raise ValueError("the cap must allow at least two stages")
         self.ideal = ideal
         self.n_cap = n_cap
-        self.powers = [ideal.power(n) for n in range(1, n_cap + 1)]
+        self.max_position = max_position
+        self.powers = [ideal.bracket_power(n) for n in range(1, n_cap + 1)]
         self.complexes = [
             taylor_complex(a, max_position) for a in self.powers
         ]
-        # maps[n] : complex of a^{n+2} -> complex of a^{n+1} (stage n+1 to n+2
-        # in one-based stage numbering is contravariant on Hom)
+        # maps[n] : complex of a^[n+2] -> complex of a^[n+1] (stage n+1 to
+        # n+2 in one-based stage numbering is contravariant on Hom)
         self.maps = [
             comparison_chain_map(
                 self.complexes[n + 1],
@@ -428,27 +424,50 @@ def colim_ext_table(
     n_cap: int,
     family: str = "quotient",
 ) -> tuple[HilbertTable, StabilizationReport]:
-    """Degreewise colimit over n of Ext^i(R/a^n, N) (family "quotient") or
-    of Ext^i(a^n, N) (family "ideal", the ideal transform for i = 0).
+    """Degreewise colimit over n of Ext^i(R/a^[n], N) (family "quotient")
+    or of Ext^i(a^[n], N) (family "ideal", the ideal transform for i = 0);
+    the bracket powers a^[n] are cofinal with a^n, so these are the
+    colimits of Ext^i(R/a^n, N) and Ext^i(a^n, N).
 
     Raises UnstabilizedError when some degree fails to stabilize under the
     cap.  For family "ideal" the resolution of the ideal is the truncation
-    of the one of R/a^n, so cochain position i+1 computes Ext^i(a^n, -),
+    of the one of R/a^[n], so cochain position i+1 computes Ext^i(a^[n], -),
     with boundaries dropped at i = 0.
     """
+    position = _tower_position(i, family)
+    tower = PowerTower(ideal, n_cap, max_position=position + 1)
+    return tower_ext_table(i, tower, N, window, family)
+
+
+def _tower_position(i: int, family: str) -> int:
+    """Cochain position of Ext^i for the family; validates both."""
     if family not in ("quotient", "ideal"):
         raise ValueError("unknown family %r" % family)
     if i < 0:
         raise ValueError("negative cohomological index")
-    position = i if family == "quotient" else i + 1
+    return i if family == "quotient" else i + 1
+
+
+def tower_ext_table(
+    i: int,
+    tower: PowerTower,
+    N: GradedModulePresentation,
+    window: DegreeWindow,
+    family: str = "quotient",
+) -> tuple[HilbertTable, StabilizationReport]:
+    """colim_ext_table on a tower built once by the caller, which may share
+    it between several i; the tower must reach cochain position i+1 (i+2
+    for family "ideal")."""
+    position = _tower_position(i, family)
+    if tower.max_position is not None and tower.max_position < position + 1:
+        raise ValueError("the tower stops below cochain position %d" % (position + 1))
     include_boundary = family == "quotient" or i >= 1
-    tower = PowerTower(ideal, n_cap, max_position=position + 1)
     what = "colim Ext^%d(%s^n, module)" % (
         i,
         "R/a" if family == "quotient" else "a",
     )
     values = {}
-    report = StabilizationReport(what, n_cap)
+    report = StabilizationReport(what, tower.n_cap)
     for g in window:
         lim = ext_limit_at_degree(tower, N, g, position, include_boundary)
         if not lim.limit.stabilized:

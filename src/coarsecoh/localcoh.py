@@ -8,15 +8,21 @@ Two independent routes are implemented and kept separate on purpose.
   the generators is assembled on the stabilized models, and cohomology is
   read off positionwise.
 
-* The tower route: the degreewise colimit over n of Ext^i(R/a^n, -), with
-  explicit comparison maps between the resolutions of consecutive powers
-  (see homres).
+* The tower route: the degreewise colimit over n of Ext^i(R/a^[n], -),
+  with explicit comparison maps between the resolutions of consecutive
+  bracket powers (see homres).
+
+Stage n of both the tower and the torsion chain is the bracket power
+a^[n] = (g^n : g a minimal generator of a), which equals a^n for a
+principal ideal.  The bracket powers are cofinal with the powers
+(a^{s(n-1)+1} <= a^[n] <= a^n for s generators), so every colimit below is
+the one along a^n.
 
 The torsion submodule is computed a third way, as the increasing chain of
-kernels of multiplication by the generators of a^n, which gives honest
-element-level bases inside M_g.
+kernels of multiplication by the generators g^n of a^[n], which gives
+honest element-level bases inside M_g.
 
-The ideal transform is the colimit over n of Ext^i(a^n, -); its
+The ideal transform is the colimit over n of Ext^i(a^[n], -); its
 relationship to local cohomology in one degree higher is checked, not
 assumed, and the check deliberately pairs the tower-built transform with
 the localization-built cohomology so the two sides come from different
@@ -182,14 +188,17 @@ def torsion_submodule(
     n_cap: int = 6,
 ) -> TorsionData:
     """Elements killed by a power of the ideal, per degree, as the
-    increasing chain of kernels of multiplication by generators of a^n."""
+    increasing chain of kernels of multiplication by the generators g^n
+    of the bracket power a^[n].  Since a^{s(n-1)+1} <= a^[n] <= a^n for s
+    generators, an element is killed by some a^[n] exactly when it is
+    killed by some a^n; for a principal ideal the stages are the same."""
     if n_cap < 2:
         raise ValueError("the cap must allow at least two stages")
     values = {}
     bases = {}
     stab = {}
     powers = [
-        [Poly.monomial(mono) for mono in ideal.power(n).gens]
+        [Poly.monomial(mono) for mono in ideal.bracket_power(n).gens]
         for n in range(1, n_cap + 1)
     ]
     for g in window:
@@ -241,7 +250,8 @@ def ideal_transform(
     window: DegreeWindow,
     n_cap: int = 6,
 ) -> HilbertTable:
-    """Degreewise colimit over n of Ext^i(a^n, M)."""
+    """Degreewise colimit over n of Ext^i(a^[n], M), which is the one of
+    Ext^i(a^n, M)."""
     table, _ = colim_ext_table(i, ideal, M, window, n_cap, family="ideal")
     return table
 
@@ -387,7 +397,7 @@ def _sequence_row_at_degree(
     last_power = tower.powers[-1]
 
     # insertion: v in M_g goes to the hom sending each generator m of the
-    # top power a^n to m*v; written in the last-stage cochain coordinates
+    # top stage a^[n] to m*v; written in the last-stage cochain coordinates
     ins_cols = []
     for b in range(mg):
         v = [0] * mg

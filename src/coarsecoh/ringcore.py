@@ -276,6 +276,17 @@ class MonomialIdeal:
             prods.add(m)
         return MonomialIdeal(self.ring, prods)
 
+    def bracket_power(self, n: int) -> "MonomialIdeal":
+        """a^[n] = (g^n : g a minimal generator), for n >= 1.
+
+        Generator i of the result is gens[i]^n: raising every exponent by
+        the same factor keeps both the lex order and minimality.  For s
+        generators a^{s(n-1)+1} <= a^[n] <= a^n, so the bracket powers are
+        cofinal with the ordinary ones."""
+        if n < 1:
+            raise ValueError("bracket powers start at n = 1")
+        return MonomialIdeal(self.ring, [tuple(n * e for e in g) for g in self.gens])
+
     def gen_degrees(self) -> list[Degree]:
         return [self.ring.monomial_degree(g) for g in self.gens]
 

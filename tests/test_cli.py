@@ -253,6 +253,35 @@ def test_failing_commutation_exits_2(tmp_path, capsys):
     assert witnesses[0]["degree"] == "(1)"
 
 
+# K[x,y,z] finely graded, coarsened by the coordinate sum: H^3_m at coarse
+# degree -d has dimension (d-1)(d-2)/2.  The ordinary-power tower needs
+# minutes for this check; the bracket-power tower takes well under a second.
+FINE3 = """\
+group { free = 3; torsion = [] }
+ring { vars = [x, y, z]; degrees = [(1,0,0), (0,1,0), (0,0,1)]; certificate = (1,1,1) }
+ideal { gens = [x, y, z] }
+module { gens = [(0,0,0)]; relations = [] }
+psi { free = 1; torsion = []; images = [(1), (1), (1)] }
+gwindow { lo = (-4,-4,-4); hi = (-1,-1,-1) }
+hwindow { lo = (-6); hi = (-3) }
+"""
+
+
+def test_three_variable_fine_to_coarse_commutation(tmp_path, capsys):
+    code, out, _ = run(
+        capsys,
+        ["check-commute", scn(tmp_path, FINE3), "--i", "3", "--ncap", "7",
+         "--assume-support-covered", "--json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "COMMUTES_ON_WINDOW"
+    (entry,) = payload["entries"]
+    expected = {"(-6)": 10, "(-5)": 6, "(-4)": 3, "(-3)": 1}
+    assert entry["coarse"] == expected
+    assert entry["coarsened"] == expected
+
+
 def test_counterexample_support_size(capsys):
     code, out, _ = run(capsys, ["counterexample", "--k", "5", "--json"])
     assert code == 0

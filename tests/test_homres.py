@@ -9,14 +9,15 @@ from coarsecoh.homres import (
     CochainSpaces,
     FreeComplex,
     FreeMap,
+    PowerTower,
     colim_ext_table,
     comparison_chain_map,
-    divisor_pick,
     ext_subquotient,
     graded_ext,
     graded_hom,
     hom_table,
     taylor_complex,
+    tower_ext_table,
 )
 from coarsecoh.linalg import Mat, nullspace, rank
 from coarsecoh.ringcore import (
@@ -103,26 +104,45 @@ def test_taylor_resolution_exact_for_powers():
         assert quotient_dim == oracle
 
 
-def test_divisor_pick_and_comparison_map():
+def test_comparison_map_multiplies_by_the_lcm_quotient():
+    # (x^2) -> (x): the position 1 entry is x^2 / x = x, with sign +1
     R = ring_x()
     a1 = MonomialIdeal(R, [R.mono(x=1)])
     a2 = MonomialIdeal(R, [R.mono(x=2)])
-    assert divisor_pick(a2, a1) == [0]
     cm = comparison_chain_map(taylor_complex(a2), taylor_complex(a1), a2, a1)
-    # position 1 entry must be x^2 / x = x
-    assert cm.maps[1].columns[0] == {0: Poly.monomial((1,))}
-    with pytest.raises(ValueError):
-        divisor_pick(a1, a2)
+    assert cm.maps[0].columns == [{0: Poly.monomial((0,))}]
+    assert cm.maps[1].columns == [{0: Poly.monomial((1,))}]
 
 
 def test_comparison_map_on_powers_of_two_variables():
-    # construction validates the chain property symbolically; surviving it
-    # for (x,y)^3 inside (x,y)^2 exercises collapses and signs
+    # (x,y)^[3] -> (x,y)^[2]: e_S goes to lcm(g_S^3)/lcm(g_S^2) e_S, and the
+    # construction verifies the chain property symbolically
     R = std_ring_xy()
     m = maximal_ideal(R)
-    comparison_chain_map(
-        taylor_complex(m.power(3)), taylor_complex(m.power(2)), m.power(3), m.power(2)
-    )
+    a3, a2 = m.bracket_power(3), m.bracket_power(2)
+    cm = comparison_chain_map(taylor_complex(a3), taylor_complex(a2), a3, a2)
+    # generators in lex order: y^k, then x^k
+    assert cm.maps[1].columns == [
+        {0: Poly.monomial((0, 1))},
+        {1: Poly.monomial((1, 0))},
+    ]
+    assert cm.maps[2].columns == [{0: Poly.monomial((1, 1))}]
+
+
+def test_comparison_map_needs_paired_generators():
+    # m^3 has four generators and m^2 three: no pairing, so no closed form
+    R = std_ring_xy()
+    m = maximal_ideal(R)
+    with pytest.raises(ValueError, match="one to one"):
+        comparison_chain_map(
+            taylor_complex(m.power(3)), taylor_complex(m.power(2)),
+            m.power(3), m.power(2),
+        )
+    # equal counts, but y^2 does not divide x^3
+    a = MonomialIdeal(R, [R.mono(x=3), R.mono(x=1, y=1)])
+    b = MonomialIdeal(R, [R.mono(y=2), R.mono(x=1)])
+    with pytest.raises(ValueError, match="does not divide its partner"):
+        comparison_chain_map(taylor_complex(a), taylor_complex(b), a, b)
 
 
 def test_entry_of_the_wrong_degree_is_refused():
@@ -241,6 +261,23 @@ def test_colim_ext_vanishes_in_nonnegative_degrees():
     F = GradedModulePresentation.free(R, [Z1.zero()])
     t, _ = colim_ext_table(1, a, F, window1(0, 2), n_cap=6)
     assert t.total() == 0
+
+
+def test_one_tower_serves_every_index_below_its_top():
+    # a tower resolved up to position 3 gives the tables of i = 0, 1, 2
+    # that per-index towers give; one stopping at 2 refuses i = 2
+    R = fine_ring_xy()
+    m = maximal_ideal(R)
+    F = GradedModulePresentation.free(R, [Z2.zero()])
+    w = window2((-2, -2), (0, 0))
+    tower = PowerTower(m, 6, max_position=3)
+    for i in range(3):
+        shared, _ = tower_ext_table(i, tower, F, w)
+        alone, _ = colim_ext_table(i, m, F, w, n_cap=6)
+        assert shared.values == alone.values
+    assert shared.total() == 4  # H^2_m(K[x,y]) is 1 where both coordinates < 0
+    with pytest.raises(ValueError, match="stops below"):
+        tower_ext_table(2, PowerTower(m, 6, max_position=2), F, w)
 
 
 def test_ideal_transform_of_free_line():

@@ -154,6 +154,32 @@ def test_ideal_minimalization_and_powers():
     assert not m.power(2).contains_monomial((1, 0))
 
 
+def test_bracket_powers_are_cofinal_with_powers():
+    # a^{s(n-1)+1} <= a^[n] <= a^n for s generators, and generator i of
+    # a^[n] is g_i^n
+    R = GradedPolynomialRing(Z1, ("x", "y", "z"), (Z1.degree((1,)),) * 3, (1,))
+    ideals = [
+        MonomialIdeal(R, [R.mono(x=1), R.mono(y=1)]),
+        MonomialIdeal(R, [R.mono(x=2, y=1), R.mono(y=1, z=3)]),
+        MonomialIdeal(R, [R.mono(x=1), R.mono(y=1), R.mono(z=1)]),
+        MonomialIdeal(R, [R.mono(x=1, y=1), R.mono(y=2), R.mono(x=1, z=1)]),
+    ]
+
+    def inside(small, big):
+        return all(big.contains_monomial(m) for m in small.gens)
+
+    for a in ideals:
+        s = len(a.gens)
+        assert s in (2, 3)
+        for n in range(1, 5):
+            b = a.bracket_power(n)
+            assert b.gens == tuple(tuple(n * e for e in g) for g in a.gens)
+            assert inside(b, a.power(n))
+            assert inside(a.power(s * (n - 1) + 1), b)
+    with pytest.raises(ValueError):
+        ideals[0].bracket_power(0)
+
+
 def test_zero_ideal():
     R = ring_x()
     z = MonomialIdeal(R, [])
