@@ -2,9 +2,15 @@
 
 A degree group is Z^r direct sum Z/m_1 x ... x Z/m_t, presented by its free
 rank and the tuple of torsion orders.  Degrees are (free part, torsion
-part) with the torsion part kept reduced.  Windows are explicit finite
-boxes on the free part crossed with the full torsion group; nothing is
-ever widened implicitly.
+part) with the torsion part kept reduced.  ``DegreeGroup.degree`` is the
+only place a degree is validated: it checks the shape against the group,
+coerces every coordinate to int and reduces the torsion part.  Arithmetic
+between degrees of one group (``+``, ``-``, negation, ``scale``) builds
+its result directly and only reduces the torsion coordinates modulo their
+orders, so the long runs of additions in rays, monomial recurrences and
+fiber walks pay no validation.  Windows are explicit finite boxes on the
+free part crossed with the full torsion group; nothing is ever widened
+implicitly.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mod, sub
 
 from .linalg import Mat, rank
 
@@ -30,12 +37,11 @@ class DegreeGroup:
                 raise ValueError("torsion orders must be at least 2")
 
     def degree(self, free=(), torsion=()) -> "Degree":
-        free = tuple(int(x) for x in free)
-        torsion = tuple(int(x) for x in torsion)
+        free = tuple(map(int, free))
+        torsion = tuple(map(int, torsion))
         if len(free) != self.free_rank or len(torsion) != len(self.torsion_orders):
             raise ValueError("degree shape does not match the group")
-        torsion = tuple(t % m for t, m in zip(torsion, self.torsion_orders))
-        return Degree(self, free, torsion)
+        return Degree(self, free, tuple(map(mod, torsion, self.torsion_orders)))
 
     def zero(self) -> "Degree":
         return self.degree((0,) * self.free_rank, (0,) * len(self.torsion_orders))
@@ -67,38 +73,83 @@ class DegreeGroup:
         return " * ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class Degree:
-    group: DegreeGroup
-    free: tuple[int, ...]
-    torsion: tuple[int, ...]
+    """An element of a degree group: free coordinates and reduced torsion
+    coordinates, as tuples of ints.
 
-    def _check(self, other: "Degree"):
-        if self.group != other.group:
+    Build degrees with ``DegreeGroup.degree``, which validates them.  A
+    degree is never changed after it is built: its hash is computed once,
+    at construction.  Equality compares the hash, then the coordinates,
+    then the group; degrees of different groups are never equal."""
+
+    __slots__ = ("group", "free", "torsion", "_hash")
+
+    def __init__(self, group: DegreeGroup, free: tuple, torsion: tuple):
+        self.group = group
+        self.free = free
+        self.torsion = torsion
+        self._hash = hash((free, torsion))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Degree):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.free == other.free
+            and self.torsion == other.torsion
+            and (self.group is other.group or self.group == other.group)
+        )
+
+    def __repr__(self):
+        return "Degree(group=%r, free=%r, torsion=%r)" % (
+            self.group, self.free, self.torsion,
+        )
+
+    def _group_of(self, other: "Degree") -> DegreeGroup:
+        group = self.group
+        if other.group is not group and other.group != group:
             raise ValueError("degrees live in different groups")
+        return group
 
     def __add__(self, other: "Degree") -> "Degree":
-        self._check(other)
-        return self.group.degree(
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(a + b for a, b in zip(self.torsion, other.torsion)),
-        )
+        group = self._group_of(other)
+        torsion = self.torsion
+        if torsion:
+            torsion = tuple(
+                (a + b) % m
+                for a, b, m in zip(torsion, other.torsion, group.torsion_orders)
+            )
+        return Degree(group, tuple(map(add, self.free, other.free)), torsion)
 
     def __sub__(self, other: "Degree") -> "Degree":
-        self._check(other)
-        return self.group.degree(
-            tuple(a - b for a, b in zip(self.free, other.free)),
-            tuple(a - b for a, b in zip(self.torsion, other.torsion)),
-        )
+        group = self._group_of(other)
+        torsion = self.torsion
+        if torsion:
+            torsion = tuple(
+                (a - b) % m
+                for a, b, m in zip(torsion, other.torsion, group.torsion_orders)
+            )
+        return Degree(group, tuple(map(sub, self.free, other.free)), torsion)
 
     def __neg__(self) -> "Degree":
-        return self.group.degree(
-            tuple(-a for a in self.free), tuple(-a for a in self.torsion)
+        group = self.group
+        return Degree(
+            group,
+            tuple(-a for a in self.free),
+            tuple(-a % m for a, m in zip(self.torsion, group.torsion_orders)),
         )
 
     def scale(self, k: int) -> "Degree":
-        return self.group.degree(
-            tuple(k * a for a in self.free), tuple(k * a for a in self.torsion)
+        group = self.group
+        return Degree(
+            group,
+            tuple(k * a for a in self.free),
+            tuple(k * a % m for a, m in zip(self.torsion, group.torsion_orders)),
         )
 
     def is_zero(self) -> bool:
@@ -149,9 +200,6 @@ class DegreeWindow:
         w = DegreeWindow(group, degs)
         w.free_box = (lo, hi)
         return w
-
-    def translate(self, d: Degree) -> "DegreeWindow":
-        return DegreeWindow(self.group, [g + d for g in self.degrees])
 
     def __contains__(self, d: Degree) -> bool:
         return d in self._set

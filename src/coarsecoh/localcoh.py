@@ -77,19 +77,19 @@ class CechAtDegree:
         for p in range(s + 1):
             self.subsets.extend(itertools.combinations(range(s), p))
         self.models: dict[tuple[int, ...], DirectedLimit] = {}
-        self.f_degrees: dict[tuple[int, ...], Degree] = {}  # S -> deg f_S
+        self.ray_ends: dict[tuple[int, ...], Degree] = {}  # S -> g + cap deg f_S
         for S in self.subsets:
             f_S = ring.one()
             for i in S:
                 f_S = mono_mul(f_S, self.gens[i])
-            d_S = self.f_degrees[S] = ring.monomial_degree(f_S)
-            dims = []
-            transitions = []
-            for k in range(ray_cap + 1):
-                dims.append(M.dim(g + d_S.scale(k)))
+            d_S = ring.monomial_degree(f_S)
+            ray = [g]  # g, g + d_S, g + 2 d_S, ..., g + ray_cap d_S
+            for _ in range(ray_cap):
+                ray.append(ray[-1] + d_S)
+            self.ray_ends[S] = ray[-1]
+            dims = [M.dim(h) for h in ray]
             mono = Poly.monomial(f_S)
-            for k in range(ray_cap):
-                transitions.append(M.multiplication_matrix(mono, g + d_S.scale(k)))
+            transitions = [M.multiplication_matrix(mono, h) for h in ray[:-1]]
             lim = DirectedLimit.of(dims, transitions)
             if not lim.stabilized:
                 raise UnstabilizedError(
@@ -123,7 +123,7 @@ class CechAtDegree:
             sign = (-1) ** sum(1 for b in S if b < a)
             mult = self.M.multiplication_matrix(
                 Poly.monomial(tuple(e * cap for e in self.gens[a]), sign),
-                self.g + self.f_degrees[S].scale(cap),
+                self.ray_ends[S],
             )
             src_model = self.models[S]
             dst_model = self.models[T]
@@ -141,12 +141,6 @@ class CechAtDegree:
         nullity = d_i.ncols - rank(d_i)
         boundary_rank = rank(self.matrices[i - 1]) if i >= 1 else 0
         return nullity - boundary_rank
-
-    def h0_basis_in_module(self) -> list:
-        """Basis of the kernel at position zero, in M_g coordinates (the
-        position-zero model is M_g itself: the empty-product ray is
-        constant)."""
-        return nullspace(self.matrices[0])
 
 
 def cech_table(

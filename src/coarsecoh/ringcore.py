@@ -10,6 +10,8 @@ Conventions fixed here and used everywhere else:
   with  w . (free part of deg x_i) > 0  for each variable.  This makes
   every graded component finite dimensional and effectively enumerable,
   at any degree, so windows only scope output, never computability.
+  Positivity is tested against w times the lcm of its denominators, an
+  integer vector giving weights of the same sign as w.
   The monomials of a degree h != 0 are the x_i-multiples of those of
   h - deg x_i; the ring's cache keeps every degree below each one asked.
 
@@ -22,8 +24,10 @@ labels outside the pivot set) is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import HomogeneityError
 from .grading import Degree, DegreeGroup, DegreeWindow
@@ -142,12 +146,25 @@ class GradedPolynomialRing:
         self.certificate = tuple(frac(c) for c in certificate)
         if len(self.certificate) != group.free_rank:
             raise ValueError("certificate length must equal the free rank")
+        # the certificate times the lcm of its denominators: an integer
+        # weight with the sign of weight_of, for every positivity test
+        scale = math.lcm(*(c.denominator for c in self.certificate))
+        self._int_certificate = tuple(
+            int(c * scale) for c in self.certificate
+        )
         for name, d in zip(self.var_names, self.var_degrees):
-            if self.weight_of(d) <= 0:
+            if self._scaled_weight(d) <= 0:
                 raise ValueError(
                     "certificate fails positivity on variable %s of degree %s"
                     % (name, d)
                 )
+        # coordinate k of deg x_1 .. deg x_n, for each free then torsion k
+        self._degree_rows = (
+            [tuple(d.free[k] for d in self.var_degrees)
+             for k in range(group.free_rank)],
+            [tuple(d.torsion[k] for d in self.var_degrees)
+             for k in range(len(group.torsion_orders))],
+        )
         self._mono_cache: dict[Degree, tuple[Monomial, ...]] = {}
 
     @property
@@ -156,6 +173,10 @@ class GradedPolynomialRing:
 
     def weight_of(self, d: Degree) -> Fraction:
         return sum((c * f for c, f in zip(self.certificate, d.free)), Q0)
+
+    def _scaled_weight(self, d: Degree) -> int:
+        """weight_of(d) times a fixed positive integer."""
+        return sum(map(mul, self._int_certificate, d.free))
 
     def one(self) -> Monomial:
         return (0,) * self.nvars
@@ -167,11 +188,11 @@ class GradedPolynomialRing:
         return tuple(e)
 
     def monomial_degree(self, m: Monomial) -> Degree:
-        d = self.group.zero()
-        for e, vd in zip(m, self.var_degrees):
-            if e:
-                d = d + vd.scale(e)
-        return d
+        free_rows, torsion_rows = self._degree_rows
+        return self.group.degree(
+            [sum(map(mul, m, row)) for row in free_rows],
+            [sum(map(mul, m, row)) for row in torsion_rows],
+        )
 
     def poly_degree(self, p: Poly) -> Degree | None:
         """Common degree of all terms, None for the zero polynomial."""
@@ -204,7 +225,7 @@ class GradedPolynomialRing:
                 cache[h] = tuple(sorted({m[:i] + (m[i] + 1,) + m[i + 1:]
                                          for i, b in enumerate(below)
                                          for m in cache[b]}))
-            elif self.weight_of(h) <= 0:
+            elif self._scaled_weight(h) <= 0:
                 cache[h] = (self.one(),) if h.is_zero() else ()
             else:
                 below = [h - d for d in self.var_degrees]

@@ -125,6 +125,29 @@ def test_monomials_of_degree_matches_brute_force(case):
     assert R.monomials_of_degree(g) == _brute_force_monomials(R, g)
 
 
+def test_monomials_under_a_rational_certificate():
+    # weights 1/3, 1/6 and 17/6 under the certificate (1/3, 5/2): the
+    # integer weight used for positivity must keep the sign of these
+    # fractions, which neither truncation nor the numerators alone do
+    cert = (Fraction(1, 3), Fraction(5, 2))
+    degs = (Z2.degree((1, 0)), Z2.degree((-7, 1)), Z2.degree((1, 1)))
+    R = GradedPolynomialRing(Z2, "xyz", degs, cert)
+    assert [R.weight_of(d) for d in degs] == [
+        Fraction(1, 3), Fraction(1, 6), Fraction(17, 6)]
+    found = 0
+    for a in range(-16, 7):
+        for b in range(-1, 5):
+            g = Z2.degree((a, b))
+            ms = R.monomials_of_degree(g)
+            assert ms == _brute_force_monomials(R, g)
+            found += len(ms) > 1
+    assert found
+    # weight exactly 0 is refused, and 1/6 accepted in either position
+    with pytest.raises(ValueError):
+        GradedPolynomialRing(Z2, "xy", (degs[0], Z2.degree((-15, 2))), cert)
+    GradedPolynomialRing(Z2, "yx", (degs[1], degs[0]), cert)
+
+
 def test_monomials_do_not_depend_on_the_order_degrees_are_asked():
     G = DegreeGroup(2, (3,))
     degs = [G.degree((1, 0), (1,)), G.degree((-1, 1), (2,)), G.degree((1, 1), (0,))]
