@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CoarseningRefusal, UnstabilizedError
 from .grading import Degree, DegreeWindow, GroupEpimorphism
 from .homres import GradedHomSpace, PowerTower, tower_ext_table
-from .linalg import Mat, Q0, rank, spans_equal
+from .linalg import Mat, rank, spans_equal
 from .localcoh import torsion_submodule
 from .ringcore import (
     ComponentSpace,
@@ -224,16 +223,17 @@ def coarsen_table(
 
 
 def _push_component_vector(
-    fine_comp: ComponentSpace, coarse_comp: ComponentSpace, coords
-) -> list[Fraction]:
+    fine_comp: ComponentSpace, coarse_comp: ComponentSpace, coords: dict
+) -> dict:
     """Image in the coarse component of a fine component class, using the
     shared (generator, monomial) labels of the free covers."""
-    ambient = fine_comp.lift(coords)
-    out = [Q0] * coarse_comp.ambient_dim
-    for c, lab in zip(ambient, fine_comp.labels):
-        if c:
-            out[coarse_comp.index_of(lab)] += c
-    return coarse_comp.reduce(out)
+    labels = fine_comp.labels
+    return coarse_comp.reduce(
+        {
+            coarse_comp.index_of(labels[i]): x
+            for i, x in fine_comp.lift(coords).items()
+        }
+    )
 
 
 @dataclass
@@ -320,14 +320,18 @@ def hom_comparison(
             fine = GradedHomSpace(M, N, g)
             total += fine.dim
             for k in range(fine.dim):
-                blocks = []
+                images = fine.generator_images(k)
+                vec = {}
+                ofs = 0
                 for j, dj in enumerate(M.gen_degrees):
                     comp_f = N.component(g + dj)
                     comp_c = Nc.component(h + psi.apply(dj))
-                    coords = fine.generator_images(k)[j]
-                    blocks.extend(_push_component_vector(comp_f, comp_c, coords))
-                pushed.append(blocks)
-        injective = rank(Mat([list(v) for v in pushed], ambient)) == total
+                    image = _push_component_vector(comp_f, comp_c, images[j])
+                    for i, x in image.items():
+                        vec[ofs + i] = x
+                    ofs += comp_c.dim
+                pushed.append(vec)
+        injective = rank(Mat.from_columns(pushed, ambient)) == total
         surjective = spans_equal(pushed, coarse.basis, ambient)
         rows.append(HomComparisonRow(h, total, coarse.dim, injective, surjective))
     return rows

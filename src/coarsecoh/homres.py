@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
@@ -291,14 +290,14 @@ class GradedHomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def generator_images(self, k: int) -> list[list[Fraction]]:
+    def generator_images(self, k: int) -> list[dict]:
         """Coordinates in each N_{g+d_j} of where basis hom k sends the
         generators of M."""
         vec = self.basis[k]
         out = []
         ofs = 0
         for d in self.block_dims:
-            out.append(vec[ofs : ofs + d])
+            out.append({i - ofs: x for i, x in vec.items() if ofs <= i < ofs + d})
             ofs += d
         return out
 

@@ -1,10 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
-A row is a dict ``{column: Fraction}`` that holds its nonzero entries
-only: a missing key is a zero, and no routine ever stores a zero.  Every
-entry is converted to ``Fraction`` once, where it enters the module; the
-public functions take and return dense sequences, so the representation
-stays inside this module.
+A vector is a dict ``{index: Fraction}`` that holds its nonzero entries
+only: a missing key is a zero, and no routine ever stores a zero.  This
+is the one vector format of the package: component coordinates, matrix
+rows and columns, kernel bases, subquotient representatives and limit
+coordinates all use it, and a vector's length is carried by the matrix
+or space it belongs to.  Only two entry points take dense sequences, for
+literal matrices: ``Mat(rows, ncols)`` and ``rref``, which also returns
+dense rows.  Entries of a dense sequence are converted to ``Fraction``
+there.
 
 There is one elimination routine.  A ``RowSpan`` keeps its rows in
 reduced row echelon form, each row stored without its leading 1
@@ -39,10 +43,8 @@ def frac(x) -> Fraction:
 
 
 def _sparse(v) -> dict:
-    """Row of a dense vector: its nonzero entries as Fractions."""
-    return {
-        j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(v) if x
-    }
+    """Sparse vector of a dense sequence: its nonzero entries as Fractions."""
+    return {j: frac(x) for j, x in enumerate(v) if x}
 
 
 def _dense(row: dict, n: int) -> list[Fraction]:
@@ -50,6 +52,13 @@ def _dense(row: dict, n: int) -> list[Fraction]:
     for j, x in row.items():
         out[j] = x
     return out
+
+
+def _check_length(v: dict, n: int) -> None:
+    """Refuse a vector with an entry outside positions 0..n-1, which would
+    otherwise be read as a wrong row, column or coordinate."""
+    if v and (min(v) < 0 or max(v) >= n):
+        raise ValueError("vector has an entry outside positions 0..%d" % (n - 1))
 
 
 def _addmul(v: dict, c: Fraction, w: dict) -> None:
@@ -97,8 +106,10 @@ def _insert(tails: dict, v: dict) -> None:
 class Mat:
     """Rational matrix with explicit shape, acting on column vectors.
 
-    ``rows`` holds one sparse row per matrix row; rows are not changed
-    after the matrix is built."""
+    ``Mat(rows, ncols)`` takes dense rows, for literal matrices; every
+    other constructor and method speaks sparse vectors.  ``rows`` holds
+    one sparse row per matrix row; rows are not changed after the matrix
+    is built."""
 
     __slots__ = ("rows", "ncols")
 
@@ -134,14 +145,13 @@ class Mat:
         return Mat._of([{i: Q1} for i in range(n)], n)
 
     @staticmethod
-    def from_columns(cols, nrows: int) -> "Mat":
+    def from_columns(cols: list[dict], nrows: int) -> "Mat":
+        """The matrix whose column j is the vector cols[j] of Q^nrows."""
         rows = [{} for _ in range(nrows)]
         for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise ValueError("column of wrong height")
-            for i, x in enumerate(c):
-                if x:
-                    rows[i][j] = x if isinstance(x, Fraction) else Fraction(x)
+            _check_length(c, nrows)
+            for i, x in c.items():
+                rows[i][j] = x
         return Mat._of(rows, len(cols))
 
     @staticmethod
@@ -168,21 +178,21 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self.rows)
 
-    def column(self, j: int) -> list[Fraction]:
-        return [r.get(j, Q0) for r in self.rows]
-
-    def columns(self) -> list[list[Fraction]]:
-        cols = [[Q0] * self.nrows for _ in range(self.ncols)]
+    def columns(self) -> list[dict]:
+        cols = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self.rows):
             for j, x in r.items():
                 cols[j][i] = x
         return cols
 
-    def apply(self, v) -> list[Fraction]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length %d, expected %d" % (len(v), self.ncols))
-        v = _sparse(v)
-        return [sum((x * v[j] for j, x in r.items() if j in v), Q0) for r in self.rows]
+    def apply(self, v: dict) -> dict:
+        _check_length(v, self.ncols)
+        out = {}
+        for i, r in enumerate(self.rows):
+            x = sum(a * v[j] for j, a in r.items() if j in v)
+            if x:
+                out[i] = x
+        return out
 
     def mul(self, other: "Mat") -> "Mat":
         """self  o  other, as composition of column-vector maps."""
@@ -215,7 +225,7 @@ class RowSpan:
     def __init__(self, n: int, rows=()):
         self.n = n
         self._tails: dict[int, dict] = {}
-        self._add_all(_sparse(r) for r in rows)
+        self._add_all(dict(r) for r in rows)
 
     def _add_all(self, rows) -> None:
         """Add sparse rows, which it may change.  The span does not depend
@@ -240,16 +250,16 @@ class RowSpan:
     def pivots(self) -> list[int]:
         return sorted(self._tails)
 
-    def residue(self, v) -> list[Fraction]:
+    def residue(self, v: dict) -> dict:
         """v with the pivot columns of the span cleared."""
-        return _dense(_reduce(self._tails, _sparse(v)), self.n)
+        return _reduce(self._tails, dict(v))
 
-    def contains(self, v) -> bool:
-        return not _reduce(self._tails, _sparse(v))
+    def contains(self, v: dict) -> bool:
+        return not _reduce(self._tails, dict(v))
 
-    def add(self, v) -> bool:
+    def add(self, v: dict) -> bool:
         """Add v to the span; True when the dimension grew."""
-        return self._add(_sparse(v))
+        return self._add(dict(v))
 
 
 class _Coordinates:
@@ -266,9 +276,7 @@ class _Coordinates:
         self._tails: dict[int, dict] = {}
 
     def _reduce(self, v: dict) -> dict:
-        # an entry from column n on would be read as a coordinate
-        if v and max(v) >= self.n:
-            raise ValueError("vector longer than %d" % self.n)
+        _check_length(v, self.n)
         return _reduce(self._tails, v)
 
     def add(self, v: dict) -> bool:
@@ -283,14 +291,14 @@ class _Coordinates:
         _insert(self._tails, v)
         return True
 
-    def of(self, v: dict) -> list[Fraction] | None:
+    def of(self, v: dict) -> dict | None:
         """Coordinates of v, or None if v is outside the span.  v is
         consumed."""
         n = self.n
         v = self._reduce(v)
         if any(k < n for k in v):
             return None
-        return [-v.get(n + i, Q0) for i in range(self.size)]
+        return {k - n: -x for k, x in v.items()}
 
 
 def rref(rows, ncols: int):
@@ -298,7 +306,8 @@ def rref(rows, ncols: int):
 
     Returns (reduced_nonzero_rows, pivot_columns), the rows in pivot
     order."""
-    span = RowSpan(ncols, rows)
+    span = RowSpan(ncols)
+    span._add_all(_sparse(r) for r in rows)
     red = []
     for p in span.pivots:
         row = _dense(span._tails[p], ncols)
@@ -319,48 +328,34 @@ def rank(mat: Mat) -> int:
 
 
 def spans_equal(vecs_a, vecs_b, n: int) -> bool:
-    """Do two lists of length-n vectors span the same subspace?  They do
+    """Do two lists of vectors of Q^n span the same subspace?  They do
     exactly when their reduced row echelon forms agree."""
     return RowSpan(n, vecs_a)._tails == RowSpan(n, vecs_b)._tails
 
 
-def nullspace(mat: Mat) -> list[list[Fraction]]:
+def nullspace(mat: Mat) -> list[dict]:
     """Basis of the kernel, one vector per free column, in column order."""
     tails = _span_of_rows(mat)._tails
-    free = [j for j in range(mat.ncols) if j not in tails]
-    basis = {f: _dense({f: Q1}, mat.ncols) for f in free}
+    basis = {f: {f: Q1} for f in range(mat.ncols) if f not in tails}
     for p, t in tails.items():
         for f, x in t.items():
             basis[f][p] = -x
-    return [basis[f] for f in free]
+    return list(basis.values())
 
 
-def column_space_basis(mat: Mat) -> tuple[list[list[Fraction]], list[int]]:
+def column_space_basis(mat: Mat) -> tuple[list[dict], list[int]]:
     """Independent columns of mat (the pivot columns), with their indices."""
     pivots = _span_of_rows(mat).pivots
-    return [mat.column(j) for j in pivots], pivots
-
-
-def express_in_basis(basis_vectors, v, n: int):
-    """Coefficients c with sum c_i basis_i = v, or None if v is outside.
-
-    The basis vectors need not be independent: a vector that depends on
-    the ones before it gets coefficient 0, which is the solution with the
-    free unknowns of the reduced system set to 0."""
-    coords = _Coordinates(n)
-    taken = [coords.add(_sparse(b)) for b in basis_vectors]
-    got = coords.of(_sparse(v))
-    if got is None:
-        return None
-    it = iter(got)
-    return [next(it) if t else Q0 for t in taken]
+    cols = mat.columns()
+    return [cols[j] for j in pivots], pivots
 
 
 class Subquotient:
     """A subquotient  span(cocycles) / span(boundaries)  of Q^n.
 
     Boundaries must lie in the cocycle span.  Basis classes are represented
-    by the first cocycle vectors that are independent modulo boundaries;
+    by the first cocycle vectors that are independent modulo boundaries
+    (``reps`` holds those vectors themselves, which must not change);
     express() writes any ambient vector of the cocycle span in this basis.
     """
 
@@ -368,32 +363,28 @@ class Subquotient:
         self.n = n
         self._boundaries = RowSpan(n, boundaries)
         self._classes = _Coordinates(n)
-        self.reps: list[list[Fraction]] = []
-        self._rep_rows: list[dict] = []
+        self.reps: list[dict] = []
         bnd = self._boundaries._tails
         for v in cocycles:
-            row = _sparse(v)
-            if self._classes.add(_reduce(bnd, dict(row))):
-                self.reps.append(_dense(row, n))
-                self._rep_rows.append(row)
+            if self._classes.add(_reduce(bnd, dict(v))):
+                self.reps.append(v)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def express(self, v) -> list[Fraction]:
+    def express(self, v: dict) -> dict:
         """Coordinates of the class of v in the chosen basis."""
-        coeffs = self._classes.of(_reduce(self._boundaries._tails, _sparse(v)))
+        coeffs = self._classes.of(_reduce(self._boundaries._tails, dict(v)))
         if coeffs is None:
             raise ValueError("vector lies outside the subquotient")
         return coeffs
 
-    def lift(self, coords) -> list[Fraction]:
+    def lift(self, coords: dict) -> dict:
         v: dict = {}
-        for c, rep in zip(coords, self._rep_rows):
-            if c:
-                _addmul(v, frac(c), rep)
-        return _dense(v, self.n)
+        for k, c in coords.items():
+            _addmul(v, c, self.reps[k])
+        return v
 
 
 @dataclass
@@ -439,7 +430,7 @@ class DirectedLimit:
     transitions: list[Mat]
     stabilized_at: int | None = None
     limit_dim: int = 0
-    basis: list[list[Fraction]] = field(default_factory=list)
+    basis: list[dict] = field(default_factory=list)
     _coords: _Coordinates | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -503,21 +494,15 @@ class DirectedLimit:
     def stabilized(self) -> bool:
         return self.stabilized_at is not None
 
-    def push_to_end(self, stage: int, v) -> list[Fraction]:
-        """Image of v in V_m, for v given at 1-based `stage`."""
-        for t in self.transitions[stage - 1 :]:
-            v = t.apply(v)
-        return list(map(frac, v))
-
-    def express(self, v_end) -> list[Fraction]:
+    def express(self, v_end: dict) -> dict:
         """Coordinates in the limit basis of a vector of V_m lying in it."""
         if not self.stabilized:
             raise ValueError("limit not stabilized")
         if self._coords is None:
             self._coords = _Coordinates(self.dims[-1])
             for b in self.basis:
-                self._coords.add(_sparse(b))
-        coeffs = self._coords.of(_sparse(v_end))
+                self._coords.add(dict(b))
+        coeffs = self._coords.of(dict(v_end))
         if coeffs is None:
             raise ValueError("vector lies outside the limit model")
         return coeffs

@@ -391,17 +391,15 @@ def _sequence_row_at_degree(
     last_power = tower.powers[-1]
 
     # insertion: v in M_g goes to the hom sending each generator m of the
-    # top stage a^[n] to m*v; written in the last-stage cochain coordinates
-    ins_cols = []
-    for b in range(mg):
-        v = [0] * mg
-        v[b] = 1
-        ambient = []
-        for mono in last_power.gens:
-            mult = M.multiplication_matrix(Poly.monomial(mono), g)
-            ambient.extend(mult.apply(v))
-        stage_coords = last_stage_d0.express(ambient)
-        ins_cols.append(d0_lim.limit.express(stage_coords))
+    # top stage a^[n] to m*v; column b of the stacked multiplications is
+    # that hom for basis vector b, in the last-stage cochain coordinates
+    mults = [
+        M.multiplication_matrix(Poly.monomial(mono), g) for mono in last_power.gens
+    ]
+    stacked = Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i])
+    ins_cols = [
+        d0_lim.limit.express(last_stage_d0.express(col)) for col in stacked.columns()
+    ]
     ins = Mat.from_columns(ins_cols, d0_lim.dim)
 
     # residual: a transform class, given by a cocycle in the last stage,

@@ -18,7 +18,11 @@ Conventions fixed here and used everywhere else:
 Components of a finitely presented module are computed as explicit
 quotient spaces: monomial basis of the free cover in that degree, modulo
 the row reduced relation image.  The chosen basis (unreduced monomial
-labels outside the pivot set) is deterministic.
+labels outside the pivot set) is deterministic.  Relation vectors,
+multiplication columns and component coordinates are sparse vectors
+``{index: Fraction}`` (see linalg): a product m * p of a monomial and a
+polynomial is written straight into one, since its terms fall on
+distinct (generator, monomial) labels.
 """
 
 from __future__ import annotations
@@ -100,10 +104,6 @@ class Poly:
     def scaled(self, c) -> "Poly":
         c = frac(c)
         return Poly({m: c * x for m, x in self.terms.items()})
-
-    def times_monomial(self, m: Monomial, c=1) -> "Poly":
-        c = frac(c)
-        return Poly({mono_mul(t, tuple(m)): c * x for t, x in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Monomial, Fraction] = {}
@@ -278,9 +278,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit(self) -> bool:
-        return any(not any(g) for g in self.gens)
-
     def contains_monomial(self, m: Monomial) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
 
@@ -341,26 +338,16 @@ class ComponentSpace:
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
-        rel_vectors: list[list[Fraction]] = []
-        for col in module.relations:
-            for m in ring.monomials_of_degree(degree - col.degree):
-                vec = [Q0] * n
-                hit = False
-                for j, p in col.entries.items():
-                    shifted = p.times_monomial(m)
-                    for t, c in shifted.terms.items():
-                        vec[self._index[(j, t)]] += c
-                        hit = True
-                if hit:
-                    rel_vectors.append(vec)
+        rel_vectors = [
+            self.product(m, col.entries)
+            for col in module.relations
+            for m in ring.monomials_of_degree(degree - col.degree)
+        ]
         self.relations = RowSpan(n, rel_vectors)
         piv = set(self.relations.pivots)
         self.basis_positions = [i for i in range(n) if i not in piv]
         self.basis_labels = [labels[i] for i in self.basis_positions]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.labels)
+        self._coordinate = {i: k for k, i in enumerate(self.basis_positions)}
 
     @property
     def dim(self) -> int:
@@ -369,22 +356,27 @@ class ComponentSpace:
     def index_of(self, label) -> int:
         return self._index[label]
 
-    def reduce(self, f0_vec) -> list[Fraction]:
+    def product(self, m: Monomial, entries: dict) -> dict:
+        """Ambient vector of m * sum_j entries[j] e_j, for polynomials
+        entries[j] whose products with m have this degree.  The terms of
+        a Poly are distinct monomials, so each label is hit at most once."""
+        index = self._index
+        return {
+            index[(j, mono_mul(m, t))]: c
+            for j, p in entries.items()
+            for t, c in p.terms.items()
+        }
+
+    def reduce(self, vec: dict) -> dict:
         """Quotient coordinates of an ambient free-cover vector."""
-        res = self.relations.residue(f0_vec)
-        return [res[i] for i in self.basis_positions]
+        coordinate = self._coordinate
+        return {coordinate[i]: x for i, x in self.relations.residue(vec).items()}
 
-    def lift(self, coords) -> list[Fraction]:
-        vec = [Q0] * self.ambient_dim
-        for c, i in zip(coords, self.basis_positions):
-            vec[i] = frac(c)
-        return vec
-
-    def basis_str(self) -> list[str]:
-        ring = self.module.ring
-        return [
-            "g%d*%s" % (j, ring.monomial_str(m)) for j, m in self.basis_labels
-        ]
+    def lift(self, coords: dict) -> dict:
+        """The ambient vector of quotient coordinates: the basis labels
+        are ambient labels outside the relation pivots."""
+        positions = self.basis_positions
+        return {positions[k]: x for k, x in coords.items()}
 
 
 class GradedModulePresentation:
@@ -466,12 +458,7 @@ class GradedModulePresentation:
             self._mult_cache[key] = out
             return out
         tgt = self.component(g + fd)
-        cols = []
-        for (j, m) in src.basis_labels:
-            vec = [Q0] * tgt.ambient_dim
-            for t, c in f.terms.items():
-                vec[tgt.index_of((j, mono_mul(m, t)))] += c
-            cols.append(tgt.reduce(vec))
+        cols = [tgt.reduce(tgt.product(m, {j: f})) for j, m in src.basis_labels]
         mat = Mat.from_columns(cols, tgt.dim)
         self._mult_cache[key] = mat
         return mat

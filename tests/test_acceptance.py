@@ -78,7 +78,7 @@ def laurent_two_term_dims(g: int) -> tuple[int, int]:
     for K[x] supported at (x): source basis {x^g} when g >= 0 (empty
     otherwise), target basis {x^g} always (x acts invertibly), inclusion
     written out as an explicit matrix."""
-    cols = [[Fraction(1)]] if g >= 0 else []
+    cols = [{0: Fraction(1)}] if g >= 0 else []
     r = rank(Mat.from_columns(cols, 1))
     return len(cols) - r, 1 - r
 

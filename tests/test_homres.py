@@ -193,7 +193,7 @@ def test_graded_hom_annihilator_constraint():
     assert [v for _, v in t.rows()] == [0, 0, 1]
     hom = graded_hom(M, N, Z1.degree((2,)))
     # the single hom sends the generator to the class of x^2
-    assert hom.generator_images(0) == [[1]]
+    assert hom.generator_images(0) == [{0: 1}]
 
 
 def test_hom_vanishes_from_torsion_to_free():

@@ -11,7 +11,6 @@ from coarsecoh.linalg import (
     RowSpan,
     Subquotient,
     column_space_basis,
-    express_in_basis,
     nullspace,
     rank,
     rref,
@@ -49,7 +48,7 @@ def test_rank_nullity_random():
         ker = nullspace(a)
         assert rank(a) + len(ker) == n
         for v in ker:
-            assert not any(a.apply(v))
+            assert a.apply(v) == {}
 
 
 def test_nullspace_vectors_are_independent():
@@ -57,7 +56,7 @@ def test_nullspace_vectors_are_independent():
     for _ in range(20):
         a = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         ker = nullspace(a)
-        assert len(rref(ker, a.ncols)[1]) == len(ker)
+        assert rank(Mat.from_columns(ker, a.ncols)) == len(ker)
 
 
 def test_mat_mul_apply_consistent():
@@ -65,17 +64,32 @@ def test_mat_mul_apply_consistent():
     a = _rand_matrix(rng, 3, 4)
     b = _rand_matrix(rng, 4, 2)
     ab = a.mul(b)
-    for j in range(2):
-        assert ab.column(j) == a.apply(b.column(j))
+    assert ab.columns() == [a.apply(c) for c in b.columns()]
+
+
+def test_apply_refuses_an_index_outside_the_vector():
+    a = Mat([[1, 2], [3, 4]], 2)
+    assert a.apply({1: Fraction(1)}) == {0: 2, 1: 4}
+    for bad in (-1, 2):
+        with pytest.raises(ValueError):
+            a.apply({bad: Fraction(1)})
+
+
+def test_from_columns_refuses_an_index_outside_the_column():
+    # an entry at -1 would otherwise land silently in the last row
+    assert Mat.from_columns([{1: Fraction(5)}], 2) == Mat([[0], [5]], 1)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError):
+            Mat.from_columns([{0: Fraction(1)}, {bad: Fraction(1)}], 2)
 
 
 def test_zero_shaped_matrices():
     z = Mat.zero(0, 3)
-    assert z.apply([1, 2, 3]) == []
+    assert z.apply({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}) == {}
     assert rank(z) == 0
     assert len(nullspace(z)) == 3
     w = Mat.zero(3, 0)
-    assert w.apply([]) == [0, 0, 0]
+    assert w.apply({}) == {}
     assert rank(w) == 0
 
 
@@ -83,50 +97,46 @@ def test_column_space_basis():
     a = Mat([[1, 2, 0], [2, 4, 1]], 3)
     basis, idx = column_space_basis(a)
     assert idx == [0, 2]
-    assert basis == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-
-
-def test_express_in_basis():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    assert express_in_basis(basis, [2, 3, 5], 3) == [2, 3]
-    assert express_in_basis(basis, [0, 0, 1], 3) is None
-    assert express_in_basis([], [0, 0, 0], 3) == []
-    assert express_in_basis([], [1, 0, 0], 3) is None
+    assert basis == [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
 
 
 def test_spans_equal():
-    assert spans_equal([[1, 0], [0, 1]], [[1, 1], [1, -1]], 2)
-    assert not spans_equal([[1, 0]], [[0, 1]], 2)
-    assert spans_equal([], [[0, 0]], 2)
+    e0, e1 = {0: Fraction(1)}, {1: Fraction(1)}
+    plus, minus = {0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}
+    assert spans_equal([e0, e1], [plus, minus], 2)
+    assert not spans_equal([e0], [e1], 2)
+    assert spans_equal([], [{}], 2)
 
 
 def test_row_span_incremental():
     s = RowSpan(3)
-    assert s.add([1, 1, 0])
-    assert not s.add([2, 2, 0])
-    assert s.add([0, 0, 1])
+    assert s.add({0: Fraction(1), 1: Fraction(1)})
+    assert not s.add({0: Fraction(2), 1: Fraction(2)})
+    assert s.add({2: Fraction(1)})
     assert s.dim == 2
-    assert s.contains([3, 3, 7])
-    assert not s.contains([1, 0, 0])
+    assert s.contains({0: Fraction(3), 1: Fraction(3), 2: Fraction(7)})
+    assert not s.contains({0: Fraction(1)})
 
 
 def test_subquotient_basic():
     # span{e1, e2} / span{e1 - e2} inside Q^3 is one dimensional
-    sq = Subquotient(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[1, -1, 0]])
+    e0, e1 = {0: Fraction(1)}, {1: Fraction(1)}
+    plus, minus = {0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}
+    sq = Subquotient(3, [e0, e1, plus], [minus])
     assert sq.dim == 1
-    assert sq.express([0, 1, 0]) == [1]
-    assert sq.express([5, 5, 0]) == [10]
+    assert sq.express(e1) == {0: 1}
+    assert sq.express({0: Fraction(5), 1: Fraction(5)}) == {0: 10}
     try:
-        sq.express([0, 0, 1])
+        sq.express({2: Fraction(1)})
         assert False, "expected a failure outside the subquotient"
     except ValueError:
         pass
 
 
 def test_subquotient_zero_boundaries():
-    sq = Subquotient(2, [[1, 1]], [])
+    sq = Subquotient(2, [{0: Fraction(1), 1: Fraction(1)}], [])
     assert sq.dim == 1
-    assert sq.lift([2]) == [2, 2]
+    assert sq.lift({0: Fraction(2)}) == {0: 2, 1: 2}
 
 
 def test_directed_limit_kernel_growth_pattern():
@@ -144,7 +154,10 @@ def test_directed_limit_kernel_growth_pattern():
     assert lim.stabilized
     assert lim.stabilized_at == 3
     assert lim.limit_dim == 1
-    assert lim.express(lim.push_to_end(3, [Fraction(1)])) == [1]
+    v = {0: Fraction(1)}  # at stage 3
+    for t in lim.transitions[2:]:
+        v = t.apply(v)
+    assert lim.express(v) == {0: 1}
 
 
 def test_directed_limit_all_zero():
@@ -200,8 +213,14 @@ def test_directed_limit_death_plus_survivor():
     assert lim.stabilized
     assert lim.stabilized_at == 1
     assert lim.limit_dim == 1
-    assert lim.express(lim.push_to_end(1, [0, 0, 1])) == [1]
-    assert lim.express(lim.push_to_end(1, [1, 0, 0])) == [0]
+
+    def to_end(v):
+        for _ in range(6):
+            v = t.apply(v)
+        return v
+
+    assert lim.express(to_end({2: Fraction(1)})) == {0: 1}
+    assert lim.express(to_end({0: Fraction(1)})) == {}
 
 
 def test_directed_limit_late_arrival_is_refused():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from coarsecoh.errors import UnstabilizedError
@@ -227,7 +229,7 @@ def test_h0_basis_is_the_torsion_basis():
     gamma = torsion_submodule(m, M, window1(1, 1)).bases[g]
     assert spans_equal(h0, gamma, M.dim(g))
     # and the class in M_1 is x, not y: basis order is (y, x)
-    assert spans_equal(h0, [[0, 1]], M.dim(g))
+    assert spans_equal(h0, [{1: Fraction(1)}], M.dim(g))
 
 
 # ---------------------------------------------------------------------------

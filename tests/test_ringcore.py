@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from coarsecoh.ringcore import (
     Poly,
     RelationColumn,
     mono_lcm,
+    mono_mul,
     mono_quotient,
 )
 
@@ -172,7 +174,7 @@ def test_ideal_minimalization_and_powers():
     m = maximal_ideal(R)
     for n in range(1, 5):
         assert len(m.power(n).gens) == n + 1
-    assert m.power(0).is_unit()
+    assert m.power(0).gens == ((0, 0),)
     assert m.power(2).contains_monomial((1, 1))
     assert not m.power(2).contains_monomial((1, 0))
 
@@ -226,7 +228,7 @@ def test_hilbert_quotient_known_pattern():
     t = M.hilbert(window1(0, 3))
     assert [v for _, v in t.rows()] == [1, 2, 1, 1]
     comp2 = M.component(Z1.degree((2,)))
-    assert comp2.basis_str() == ["g0*y^2"]
+    assert comp2.basis_labels == [(0, (0, 2))]
 
 
 def test_hilbert_vs_monomial_count_oracle():
@@ -265,7 +267,7 @@ def test_component_reduce_lift_roundtrip():
     )
     comp = M.component(Z1.degree((3,)))
     assert comp.dim == 2  # xy^2 and y^3 survive, x^2 y dies
-    coords = [Fraction(2), Fraction(-1)]
+    coords = {0: Fraction(2), 1: Fraction(-1)}
     assert comp.reduce(comp.lift(coords)) == coords
 
 
@@ -278,6 +280,91 @@ def test_multiplication_matrix_known():
     # bases are exponent-lexicographic: M_1 = {y, x}, M_2 = {y^2, xy};
     # x*y = xy and x*x = 0
     assert mat == Mat([[0, 0], [1, 0]], 2)
+
+
+COEFFS = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2)]
+
+
+@st.composite
+def presentations(draw):
+    """A module over K[x_0..x_{n-1}] (n = 1..3), graded by Z or Z + Z/3,
+    with 1..2 generators and 1..3 homogeneous relations whose entries take
+    every monomial of their degree with a random, possibly zero,
+    coefficient; with a degree g and a homogeneous f != 0 built the same
+    way on nonzero coefficients."""
+    G = DegreeGroup(1, draw(st.sampled_from([(), (3,)])))
+    torsion = st.lists(st.integers(0, 2), min_size=len(G.torsion_orders),
+                       max_size=len(G.torsion_orders))
+    var_degrees = [G.degree([draw(st.integers(1, 2))], draw(torsion))
+                   for _ in range(draw(st.integers(1, 3)))]
+    names = ["x%d" % i for i in range(len(var_degrees))]
+    R = GradedPolynomialRing(G, names, var_degrees, (1,))
+    gens = [G.degree([draw(st.integers(0, 1))], draw(torsion))
+            for _ in range(draw(st.integers(1, 2)))]
+
+    def above(d, most):
+        for _ in range(draw(st.integers(1, most))):
+            d = d + draw(st.sampled_from(var_degrees))
+        return d
+
+    def poly_of(d, coeffs):
+        coeff = st.sampled_from(coeffs)
+        return Poly({m: draw(coeff) for m in R.monomials_of_degree(d)})
+
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = above(draw(st.sampled_from(gens)), 2)
+        entries = {j: poly_of(d - e, COEFFS) for j, e in enumerate(gens)}
+        relations.append(RelationColumn(d, entries))
+    M = GradedModulePresentation(R, gens, relations)
+    g = above(draw(st.sampled_from(gens)), 3)
+    f = poly_of(above(G.zero(), 2), [c for c in COEFFS if c])
+    return M, g, f
+
+
+def _reference_component(M, h):
+    """Relation vectors of M_h over its labels, accumulated term by term,
+    and sympy's reduced row echelon form of them."""
+    comp = M.component(h)
+    index = {lab: i for i, lab in enumerate(comp.labels)}
+    rows = []
+    for col in M.relations:
+        for m in M.ring.monomials_of_degree(h - col.degree):
+            v = [sympy.Rational(0)] * len(index)
+            for j, p in col.entries.items():
+                for t, c in p.terms.items():
+                    v[index[(j, mono_mul(m, t))]] += sympy.Rational(c)
+            rows.append(v)
+    if not rows:
+        return comp, index, [], ()
+    red, pivots = sympy.Matrix(rows).rref()
+    red = [[Fraction(int(x.p), int(x.q)) for x in red.row(i)]
+           for i in range(len(pivots))]
+    return comp, index, red, pivots
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(presentations())
+def test_components_and_multiplication_match_sympy(case):
+    M, g, f = case
+    tgt_degree = g + M.ring.poly_degree(f)
+    for h in (g, tgt_degree):
+        comp, index, red, pivots = _reference_component(M, h)
+        assert comp.dim == len(comp.labels) - len(red)
+        assert comp.basis_labels == [lab for lab, i in index.items() if i not in pivots]
+    src = M.component(g)
+    tgt, index, red, pivots = _reference_component(M, tgt_degree)
+    free = [i for i in range(len(index)) if i not in pivots]
+    columns = []
+    for j, m in src.basis_labels:
+        v = [Fraction(0)] * len(index)
+        for t, c in f.terms.items():
+            v[index[(j, mono_mul(m, t))]] += c
+        for row, p in zip(red, pivots):
+            v = [a - v[p] * b for a, b in zip(v, row)]
+        columns.append([v[i] for i in free])
+    rows = [[col[i] for col in columns] for i in range(len(free))]
+    assert M.multiplication_matrix(f, g) == Mat(rows, len(columns))
 
 
 def test_multiplication_composes():
