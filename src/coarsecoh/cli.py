@@ -135,9 +135,7 @@ def _cmd_gamma(s: Scenario, args):
     stages = _stages(data.stabilized_at, data.global_index)
     payload, _, _ = _table_report("gamma", data.table, s, {"n_cap": s.n_cap}, **stages)
     # the TSV shows each degree's stage in a third column
-    rows = [
-        (str(g), data.table.get(g), data.stabilized_at.get(g, 1)) for g in s.gwindow
-    ]
+    rows = [(str(g), data.table.get(g), data.stabilized_at[g]) for g in s.gwindow]
     comments = ["global_index: %d" % data.global_index]
     return _report("gamma", payload, comments, ["degree", "dim", "stabilized_at"], rows)
 
@@ -233,9 +231,8 @@ def _cmd_check_commute(s: Scenario, args):
         )
     rows = []
     for entry in report.entries:
-        route = entry.cert.route if entry.cert else "-"
         for (h, a), (_, b) in zip(entry.coarsened.rows(), entry.coarse.rows()):
-            rows.append((entry.i, h, a, b, "yes" if a == b else "NO", route))
+            rows.append((entry.i, h, a, b, "yes" if a == b else "NO", entry.cert.route))
     header = ["i", "degree", "coarsened", "coarse", "agree", "certificate"]
     return _report("check-commute", payload, comments, header, rows)
 

@@ -361,26 +361,17 @@ class PowerTower:
         ]
 
 
-@dataclass
-class LimitAtDegree:
-    """Colimit of Ext-type subquotients over a power tower at one degree."""
-
-    degree: Degree
-    stages: list[Subquotient]
-    limit: DirectedLimit
-
-    @property
-    def dim(self) -> int:
-        return self.limit.limit_dim
-
-
 def ext_limit_at_degree(
     tower: PowerTower,
     N: GradedModulePresentation,
     g: Degree,
     position: int,
+    what: str,
     include_boundary: bool = True,
-) -> LimitAtDegree:
+) -> tuple[list[Subquotient], DirectedLimit]:
+    """The stages of Ext-type subquotients at cochain position `position`
+    over the tower at degree g, and their certified colimit; raises
+    UnstabilizedError, labelled `what`, when the cap does not certify it."""
     stages = []
     for cx in tower.complexes:
         if position > cx.top:
@@ -399,15 +390,14 @@ def ext_limit_at_degree(
         ambient = tower.maps[n].maps[position].hom(N, g)
         cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
         transitions.append(Mat.from_columns(cols, dst_sq.dim))
-    return LimitAtDegree(
-        g, stages, DirectedLimit.of([sq.dim for sq in stages], transitions)
-    )
+    limit = DirectedLimit.of([sq.dim for sq in stages], transitions)
+    if not limit.stabilized:
+        raise UnstabilizedError(what, g, limit.dims)
+    return stages, limit
 
 
 @dataclass
 class StabilizationReport:
-    what: str
-    cap: int
     per_degree: dict = field(default_factory=dict)
 
     @property
@@ -466,12 +456,10 @@ def tower_ext_table(
         "R/a" if family == "quotient" else "a",
     )
     values = {}
-    report = StabilizationReport(what, tower.n_cap)
+    report = StabilizationReport()
     for g in window:
-        lim = ext_limit_at_degree(tower, N, g, position, include_boundary)
-        if not lim.limit.stabilized:
-            raise UnstabilizedError(what, g, lim.limit.dims)
-        values[g] = lim.dim
-        report.per_degree[g] = lim.limit.stabilized_at
+        _, lim = ext_limit_at_degree(tower, N, g, position, what, include_boundary)
+        values[g] = lim.limit_dim
+        report.per_degree[g] = lim.stabilized_at
     support = N.gen_degrees if family == "quotient" and i == 0 else None
     return HilbertTable(window, values, support_gens=support), report

@@ -18,9 +18,9 @@ principal ideal.  The bracket powers are cofinal with the powers
 (a^{s(n-1)+1} <= a^[n] <= a^n for s generators), so every colimit below is
 the one along a^n.
 
-The torsion submodule is computed a third way, as the increasing chain of
-kernels of multiplication by the generators g^n of a^[n], which gives
-honest element-level bases inside M_g.
+The torsion submodule is position 0 of the same tower: the increasing
+chain of kernels of the cochain differentials d^0, which multiply by the
+generators g^n of a^[n], gives honest element-level bases inside M_g.
 
 The ideal transform is the colimit over n of Ext^i(a^[n], -); its
 relationship to local cohomology in one degree higher is checked, not
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
 from .homres import (
+    CochainSpaces,
     PowerTower,
     colim_ext_table,
     ext_limit_at_degree,
@@ -181,30 +182,21 @@ def torsion_submodule(
     window: DegreeWindow,
     n_cap: int = 6,
 ) -> TorsionData:
-    """Elements killed by a power of the ideal, per degree, as the
-    increasing chain of kernels of multiplication by the generators g^n
-    of the bracket power a^[n].  Since a^{s(n-1)+1} <= a^[n] <= a^n for s
-    generators, an element is killed by some a^[n] exactly when it is
-    killed by some a^n; for a principal ideal the stages are the same."""
-    if n_cap < 2:
-        raise ValueError("the cap must allow at least two stages")
+    """Elements killed by a power of the ideal, per degree: position 0 of
+    the bracket-power tower, the increasing chain of kernels of the
+    cochain differentials d^0 : M_g -> (+)_j M_{g + n deg g_j}, which
+    multiply by the generators g_j^n of a^[n].  Since a^{s(n-1)+1} <= a^[n]
+    <= a^n for s generators, an element is killed by some a^[n] exactly
+    when it is killed by some a^n; for a principal ideal the stages are the
+    same."""
+    tower = PowerTower(ideal, n_cap, max_position=1)
     values = {}
     bases = {}
     stab = {}
-    powers = [
-        [Poly.monomial(mono) for mono in ideal.bracket_power(n).gens]
-        for n in range(1, n_cap + 1)
-    ]
     for g in window:
-        mg = M.dim(g)
-        kernels = []
-        for power in powers:
-            if not power:
-                kernels.append(Mat.identity(mg).columns())
-                continue
-            mults = [M.multiplication_matrix(p, g) for p in power]
-            stacked = Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i])
-            kernels.append(nullspace(stacked))
+        kernels = [
+            nullspace(CochainSpaces(cx, M, g).differential(0)) for cx in tower.complexes
+        ]
         dims = [len(k) for k in kernels]
         if dims[-2] != dims[-1]:
             raise UnstabilizedError("torsion submodule", g, dims)
@@ -333,23 +325,20 @@ def check_transform_sequence(
         tower = PowerTower(ideal, n_cap, max_position=bound + 2)
         for g in window:
             cech = CechAtDegree(gens, M, g, ray_cap)
-            row = _sequence_row_at_degree(ideal, M, g, tower, torsion, cech)
+            row = _sequence_row_at_degree(M, g, tower, torsion, cech)
             report.rows.append(row)
             if not row.all_ok():
                 report.witnesses.append(g)
             for i in range(1, bound + 1):
-                d_i = ext_limit_at_degree(tower, M, g, i + 1, True)
-                if not d_i.limit.stabilized:
-                    raise UnstabilizedError(
-                        "colim Ext^%d(a^n, module)" % i, g, d_i.limit.dims
-                    )
+                what = "colim Ext^%d(a^n, module)" % i
+                _, d_i = ext_limit_at_degree(tower, M, g, i + 1, what)
                 h_next = cech.cohomology_dim(i + 1)
                 entry = _higher_entry(report.higher, i)
                 entry["degrees_checked"] += 1
-                if d_i.dim != h_next:
+                if d_i.limit_dim != h_next:
                     entry["agree"] = False
                     entry["witnesses"].append(
-                        {"degree": str(g), "transform": d_i.dim, "h_next": h_next}
+                        {"degree": str(g), "transform": d_i.limit_dim, "h_next": h_next}
                     )
                     report.witnesses.append(g)
     except UnstabilizedError as err:
@@ -371,7 +360,6 @@ def _higher_entry(higher: list, i: int) -> dict:
 
 
 def _sequence_row_at_degree(
-    ideal: MonomialIdeal,
     M: GradedModulePresentation,
     g: Degree,
     tower: PowerTower,
@@ -379,59 +367,52 @@ def _sequence_row_at_degree(
     cech: CechAtDegree,
 ) -> DegreeRow:
     mg = M.dim(g)
-    d0_lim = ext_limit_at_degree(tower, M, g, 1, include_boundary=False)
-    if not d0_lim.limit.stabilized:
-        raise UnstabilizedError("colim Hom(a^n, module)", g, d0_lim.limit.dims)
-    h1_lim = ext_limit_at_degree(tower, M, g, 1, include_boundary=True)
-    if not h1_lim.limit.stabilized:
-        raise UnstabilizedError("colim Ext^1(R/a^n, module)", g, h1_lim.limit.dims)
-
-    last_stage_d0 = d0_lim.stages[-1]
-    last_stage_h1 = h1_lim.stages[-1]
-    last_power = tower.powers[-1]
+    d0_stages, d0_lim = ext_limit_at_degree(
+        tower, M, g, 1, "colim Hom(a^n, module)", include_boundary=False
+    )
+    h1_stages, h1_lim = ext_limit_at_degree(
+        tower, M, g, 1, "colim Ext^1(R/a^n, module)"
+    )
+    last_stage_d0 = d0_stages[-1]
+    last_stage_h1 = h1_stages[-1]
+    d0_dim, h1_dim = d0_lim.limit_dim, h1_lim.limit_dim
 
     # insertion: v in M_g goes to the hom sending each generator m of the
-    # top stage a^[n] to m*v; column b of the stacked multiplications is
-    # that hom for basis vector b, in the last-stage cochain coordinates
-    mults = [
-        M.multiplication_matrix(Poly.monomial(mono), g) for mono in last_power.gens
-    ]
-    stacked = Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i])
-    ins_cols = [
-        d0_lim.limit.express(last_stage_d0.express(col)) for col in stacked.columns()
-    ]
-    ins = Mat.from_columns(ins_cols, d0_lim.dim)
+    # top stage a^[n] to m*v, which is column v of that stage's d^0
+    top_d0 = CochainSpaces(tower.complexes[-1], M, g).differential(0)
+    ins_cols = [d0_lim.express(last_stage_d0.express(col)) for col in top_d0.columns()]
+    ins = Mat.from_columns(ins_cols, d0_dim)
 
     # residual: a transform class, given by a cocycle in the last stage,
     # maps to its cohomology class
     res_cols = []
-    for b in d0_lim.limit.basis:
+    for b in d0_lim.basis:
         ambient = last_stage_d0.lift(b)
         h1_stage_coords = last_stage_h1.express(ambient)
-        res_cols.append(h1_lim.limit.express(h1_stage_coords))
-    res = Mat.from_columns(res_cols, h1_lim.dim)
+        res_cols.append(h1_lim.express(h1_stage_coords))
+    res = Mat.from_columns(res_cols, h1_dim)
 
     gamma_basis = torsion.bases[g]
     kernel = nullspace(ins)
     kernel_matches = spans_equal(kernel, gamma_basis, mg)
-    residual_surjective = rank(res) == h1_lim.dim
+    residual_surjective = rank(res) == h1_dim
     comp = res.mul(ins)
     composite_zero = comp.is_zero()
-    exact_at_transform = rank(ins) == d0_lim.dim - rank(res)
+    exact_at_transform = rank(ins) == d0_dim - rank(res)
     gamma_dim = len(gamma_basis)
-    alternating = gamma_dim - mg + d0_lim.dim - h1_lim.dim == 0
+    alternating = gamma_dim - mg + d0_dim - h1_dim == 0
     h1_cech = cech.cohomology_dim(1)
 
     return DegreeRow(
         degree=g,
         gamma=gamma_dim,
         module=mg,
-        d0=d0_lim.dim,
-        h1=h1_lim.dim,
+        d0=d0_dim,
+        h1=h1_dim,
         kernel_matches_torsion=kernel_matches,
         residual_surjective=residual_surjective,
         composite_zero=composite_zero,
         exact_at_transform=exact_at_transform,
         alternating_sum_zero=alternating,
-        h1_routes_agree=h1_lim.dim == h1_cech,
+        h1_routes_agree=h1_dim == h1_cech,
     )

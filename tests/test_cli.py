@@ -225,6 +225,42 @@ gwindow { lo = (-1); hi = (2) }
     assert json.loads(out)["table"] == {"(-1)": 0, "(0)": 1, "(1)": 2, "(2)": 3}
 
 
+# K[x] on two generators in degree 0, e1 killed by x^4 and e2 by x: at (0)
+# the kernels of x^n have dimensions 1, 1, 1, 2, so under n_cap 3 the
+# plateau of e2 alone passes the last-two-stages rule, while `cech --i 0`
+# and `gamma --ncap 5` see both classes
+PLATEAU = """\
+group { free = 1; torsion = [] }
+ring { vars = [x]; degrees = [(1)]; certificate = (1) }
+ideal { gens = [x] }
+module { gens = [(0), (0)]; relations = [[x^4, 0], [0, x]] }
+gwindow { lo = (0); hi = (0) }
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the torsion rule accepts a nonzero plateau that a later stage leaves",
+)
+@pytest.mark.parametrize(
+    "argv", [["gamma"], ["lc", "--i", "0", "--route", "ext"]], ids=["gamma", "lc-ext"]
+)
+def test_torsion_under_a_short_cap_refuses_or_counts_the_late_class(
+    tmp_path, capsys, argv
+):
+    path = scn(tmp_path, PLATEAU)
+    code, out, _ = run(capsys, argv[:1] + [path] + argv[1:] + ["--ncap", "3", "--json"])
+    assert code == 3 or json.loads(out)["table"]["(0)"] == 2
+
+
+def test_the_late_torsion_class_is_seen_by_cech_and_a_deeper_cap(tmp_path, capsys):
+    path = scn(tmp_path, PLATEAU)
+    for argv in (["cech", path, "--i", "0"], ["gamma", path, "--ncap", "5"]):
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == 0, argv
+        assert json.loads(out)["table"] == {"(0)": 2}, argv
+
+
 def test_refusal_exits_4_and_flag_recovers(tmp_path, capsys):
     path = scn(tmp_path, FINE)
     code, out, _ = run(capsys, ["coarsen", path, "--json"])

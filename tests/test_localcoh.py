@@ -3,11 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsecoh.errors import UnstabilizedError
-from coarsecoh.grading import DegreeWindow
+from coarsecoh.grading import DegreeGroup, DegreeWindow
 from coarsecoh.homres import colim_ext_table
-from coarsecoh.linalg import nullspace, spans_equal
+from coarsecoh.linalg import Mat, nullspace, spans_equal
 from coarsecoh.localcoh import (
     CechAtDegree,
     cech_table,
@@ -16,7 +18,12 @@ from coarsecoh.localcoh import (
     local_cohomology,
     torsion_submodule,
 )
-from coarsecoh.ringcore import GradedModulePresentation, MonomialIdeal
+from coarsecoh.ringcore import (
+    GradedModulePresentation,
+    GradedPolynomialRing,
+    MonomialIdeal,
+    Poly,
+)
 
 from helpers import (
     Z1,
@@ -230,6 +237,58 @@ def test_h0_basis_is_the_torsion_basis():
     assert spans_equal(h0, gamma, M.dim(g))
     # and the class in M_1 is x, not y: basis order is (y, x)
     assert spans_equal(h0, [{1: Fraction(1)}], M.dim(g))
+
+
+@st.composite
+def monomial_quotients(draw):
+    """R/I with a monomial ideal a: 1-3 variables under the fine Z^n or the
+    standard Z grading, exponents of the generators of I and a at most 2
+    (either may have none), a window [-1,1]^r and a tower cap n_cap."""
+    n = draw(st.integers(1, 3))
+    r = n if draw(st.booleans()) else 1
+    G = DegreeGroup(r)
+    degrees = [G.degree([int(r == 1 or k == i) for k in range(r)]) for i in range(n)]
+    R = GradedPolynomialRing(G, ["x%d" % i for i in range(n)], degrees, (1,) * r)
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    ideal_of = lambda gens: MonomialIdeal(R, [tuple(e) for e in gens])
+    M = GradedModulePresentation.quotient_by_ideal(
+        ideal_of(draw(st.lists(exps, max_size=3)))
+    )
+    a = ideal_of(draw(st.lists(exps, max_size=3)))
+    window = DegreeWindow.box(G, (-1,) * r, (1,) * r)
+    return a, M, window, draw(st.integers(2, 7))
+
+
+def _stacked_multiplication_kernel(a, M, g, n):
+    """Kernel in M_g of multiplication by the generators of a^[n], stacked
+    in generator order; everything when a is zero."""
+    mg = M.dim(g)
+    mults = [
+        M.multiplication_matrix(Poly.monomial(mono), g)
+        for mono in a.bracket_power(n).gens
+    ]
+    if not mults:
+        return Mat.identity(mg).columns()
+    return nullspace(Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i]))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(monomial_quotients())
+def test_torsion_is_the_stacked_kernel_and_the_cech_h0(case):
+    a, M, window, n_cap = case
+    for g in window:
+        try:
+            torsion = torsion_submodule(a, M, DegreeWindow(window.group, [g]), n_cap)
+        except UnstabilizedError:
+            continue
+        assert torsion.bases[g] == _stacked_multiplication_kernel(a, M, g, n_cap)
+        try:
+            h0 = CechAtDegree(a.gens, M, g, ray_cap=8).cohomology_dim(0)
+        except UnstabilizedError:
+            continue
+        assert torsion.table.get(g) == h0
+    report = check_transform_sequence(a, M, window, n_cap=n_cap, ray_cap=8)
+    assert report.verdict != "FAILS", report.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
