@@ -35,7 +35,7 @@ from .localcoh import (
     local_cohomology,
     torsion_submodule,
 )
-from .monoidx import build_witness_hom, counterexample_report
+from .monoidx import counterexample_report
 from .scenario import Scenario, cap_problem, parse_scenario
 
 EXIT_OK = 0
@@ -273,7 +273,7 @@ def _cmd_counterexample(s: Scenario, args):
     ]
     rows = [
         (c.k, str(c.shift), str(c.ideal.threshold), repr(c.probe), repr(c.probe_image))
-        for c in build_witness_hom(report.level).components
+        for c in report.hom.components
     ]
     header = ["k", "degree", "threshold", "probe", "probe_image"]
     return _report("counterexample", payload, comments, header, rows)
@@ -286,11 +286,14 @@ def _cmd_counterexample(s: Scenario, args):
 
 def _i_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        values = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(
             "expected a comma-separated list of integers, got %r" % text
         )
+    return values
 
 
 def _cap(name: str):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import CoarseningRefusal, UnstabilizedError
 from .grading import Degree, DegreeWindow, GroupEpimorphism
-from .homres import GradedHomSpace, PowerTower, tower_ext_table
+from .homres import N_CAP, GradedHomSpace, PowerTower, tower_ext_table
 from .linalg import Mat, rank, spans_equal
 from .localcoh import torsion_submodule
 from .ringcore import (
@@ -256,7 +256,7 @@ def check_gamma_identity(
     psi: GroupEpimorphism,
     gwindow: DegreeWindow,
     hwindow: DegreeWindow,
-    n_cap: int = 6,
+    n_cap: int = N_CAP,
     coarse_certificate: tuple[int, ...] | None = None,
 ) -> GammaIdentityReport:
     """Compare the coarsened torsion submodule with the torsion submodule
@@ -427,7 +427,7 @@ def check_commutation(
     degrees_i,
     gwindow: DegreeWindow,
     hwindow: DegreeWindow,
-    n_cap: int = 6,
+    n_cap: int = N_CAP,
     assume_support_covered: bool = False,
     coarse_certificate: tuple[int, ...] | None = None,
 ) -> CommutationReport:

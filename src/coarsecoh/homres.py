@@ -14,9 +14,10 @@ generator of a), which equals a^n for a principal ideal.  For s
 generators a^{s(n-1)+1} <= a^[n] <= a^n, so the bracket powers are
 cofinal with the ordinary ones and have the same colimits; unlike a^n,
 a^[n] keeps the s generators of a, in the same order, and its resolution
-keeps 2^s summands.  The comparison map from stage n+1 to stage n is
-then the closed form  e_S -> (lcm(g_S^{n+1}) / lcm(g_S^n)) e_S  with sign
-+1, and its chain property is still verified symbolically at
+keeps 2^s summands.  Summand S of stage n is shifted by n deg lcm(g_S),
+and since lcm(g_S^{n+1}) / lcm(g_S^n) = lcm(g_S), the comparison map from
+stage n+1 to stage n is  e_S -> lcm(g_S) e_S  with sign +1 at every
+stage; its chain property is still verified symbolically at
 construction.
 
 Every map of free modules here is a FreeMap with sparse polynomial
@@ -40,7 +41,6 @@ from .ringcore import (
     HilbertTable,
     MonomialIdeal,
     Poly,
-    mono_divides,
     mono_lcm,
     mono_quotient,
 )
@@ -183,45 +183,6 @@ class ChainMap:
                 raise ValueError("chain property fails at position %d" % p)
 
 
-def comparison_chain_map(
-    source_cx: FreeComplex,
-    target_cx: FreeComplex,
-    source_ideal: MonomialIdeal,
-    target_ideal: MonomialIdeal,
-) -> ChainMap:
-    """Chain map between the resolutions of paired ideals source <= target,
-    lifting the surjection R/source -> R/target of quotients.
-
-    The ideals must have equally many generators, generator i of the
-    target dividing generator i of the source, as for consecutive bracket
-    powers a^[n+1] <= a^[n].  The map is then  e_S -> (lcm(source_S) /
-    lcm(target_S)) e_S  with sign +1: both ways round the square send e_S
-    to  sum_t (-1)^t lcm(source_S) / lcm(target_{S minus t}) e_{S minus t}.
-    """
-    ring = source_ideal.ring
-    src, dst = source_ideal.gens, target_ideal.gens
-    if len(src) != len(dst):
-        raise ValueError(
-            "the ideals have %d and %d generators; the comparison map pairs "
-            "them one to one" % (len(src), len(dst))
-        )
-    for m, h in zip(src, dst):
-        if not mono_divides(h, m):
-            raise ValueError(
-                "generator %s of the target ideal does not divide its partner %s "
-                "in the source ideal" % (ring.monomial_str(h), ring.monomial_str(m))
-            )
-    columns = []
-    for p in range(min(source_cx.top, target_cx.top) + 1):
-        index = {T: i for i, T in enumerate(target_cx.basis[p])}
-        cols = []
-        for S in source_cx.basis[p]:
-            q = mono_quotient(_lcm_of(ring, src, S), _lcm_of(ring, dst, S))
-            cols.append({index[S]: Poly.monomial(q)})
-        columns.append(cols)
-    return ChainMap(source_cx, target_cx, columns)
-
-
 class CochainSpaces:
     """Degree-g cochain data Hom(F_., N)_g for a free complex."""
 
@@ -326,37 +287,40 @@ def graded_ext(
     return HilbertTable(window, values, support_gens=support)
 
 
+N_CAP = 6  # default number of tower stages
+
+
 class PowerTower:
     """The tower a = a^[1] >= a^[2] >= ... >= a^[n_cap] of bracket powers
     a^[n] = (g^n : g a minimal generator of a), with the resolutions of the
-    stages (truncated above max_position) and the comparison chain maps
+    stages truncated above max_position and the comparison chain maps
     between consecutive stages.
 
     For a principal ideal a^[n] = a^n.  In general the bracket powers are
     cofinal with the powers, so colimits along this tower are the colimits
-    along a^n.  Every stage keeps the 2^s Taylor summands of a; summand S
-    of stage n is shifted by n * deg lcm(g_S), and the map from stage n+1
-    to stage n sends e_S to (lcm(g_S^{n+1}) / lcm(g_S^n)) e_S."""
+    along a^n.  Every stage keeps the 2^s Taylor summands of a, indexed by
+    the same subsets S; summand S of stage n is shifted by n deg lcm(g_S),
+    and the map from stage n+1 to stage n sends e_S to lcm(g_S) e_S: both
+    ways round the square send e_S to
+    sum_t (-1)^t lcm(g_S)^{n+1} / lcm(g_{S minus t})^n e_{S minus t}."""
 
-    def __init__(self, ideal: MonomialIdeal, n_cap: int, max_position: int | None):
+    def __init__(self, ideal: MonomialIdeal, n_cap: int, max_position: int):
         if n_cap < 2:
             raise ValueError("the cap must allow at least two stages")
-        self.ideal = ideal
-        self.n_cap = n_cap
         self.max_position = max_position
-        self.powers = [ideal.bracket_power(n) for n in range(1, n_cap + 1)]
         self.complexes = [
-            taylor_complex(a, max_position) for a in self.powers
+            taylor_complex(ideal.bracket_power(n), max_position)
+            for n in range(1, n_cap + 1)
+        ]
+        ring, gens = ideal.ring, ideal.gens
+        columns = [
+            [{k: Poly.monomial(_lcm_of(ring, gens, S))} for k, S in enumerate(subs)]
+            for subs in self.complexes[0].basis
         ]
         # maps[n] : complex of a^[n+2] -> complex of a^[n+1] (stage n+1 to
         # n+2 in one-based stage numbering is contravariant on Hom)
         self.maps = [
-            comparison_chain_map(
-                self.complexes[n + 1],
-                self.complexes[n],
-                self.powers[n + 1],
-                self.powers[n],
-            )
+            ChainMap(self.complexes[n + 1], self.complexes[n], columns)
             for n in range(n_cap - 1)
         ]
 
@@ -372,24 +336,20 @@ def ext_limit_at_degree(
     """The stages of Ext-type subquotients at cochain position `position`
     over the tower at degree g, and their certified colimit; raises
     UnstabilizedError, labelled `what`, when the cap does not certify it."""
-    stages = []
-    for cx in tower.complexes:
-        if position > cx.top:
-            stages.append(Subquotient(0, [], []))
-        else:
-            stages.append(
-                ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
-            )
-    transitions = []
-    for n in range(tower.n_cap - 1):
-        src_sq = stages[n]
-        dst_sq = stages[n + 1]
-        if position > tower.complexes[n].top or position > tower.complexes[n + 1].top:
-            transitions.append(Mat.zero(dst_sq.dim, src_sq.dim))
-            continue
-        ambient = tower.maps[n].maps[position].hom(N, g)
-        cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
-        transitions.append(Mat.from_columns(cols, dst_sq.dim))
+    if position > tower.complexes[0].top:  # every stage has the same top
+        stages = [Subquotient(0, [], []) for _ in tower.complexes]
+        transitions = [Mat.zero(0, 0) for _ in tower.maps]
+    else:
+        stages = [
+            ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
+            for cx in tower.complexes
+        ]
+        transitions = []
+        for n, cm in enumerate(tower.maps):
+            src_sq, dst_sq = stages[n], stages[n + 1]
+            ambient = cm.maps[position].hom(N, g)
+            cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
+            transitions.append(Mat.from_columns(cols, dst_sq.dim))
     limit = DirectedLimit.of([sq.dim for sq in stages], transitions)
     if not limit.stabilized:
         raise UnstabilizedError(what, g, limit.dims)
@@ -448,7 +408,7 @@ def tower_ext_table(
     it between several i; the tower must reach cochain position i+1 (i+2
     for family "ideal")."""
     position = _tower_position(i, family)
-    if tower.max_position is not None and tower.max_position < position + 1:
+    if tower.max_position < position + 1:
         raise ValueError("the tower stops below cochain position %d" % (position + 1))
     include_boundary = family == "quotient" or i >= 1
     what = "colim Ext^%d(%s^n, module)" % (

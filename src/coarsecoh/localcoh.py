@@ -28,8 +28,11 @@ assumed, and the check deliberately pairs the tower-built transform with
 the localization-built cohomology so the two sides come from different
 machinery.
 
-Stabilization everywhere uses the end-anchored two-consecutive-images
-criterion of linalg.DirectedLimit; degrees that fail it under the
+Localization rays and Ext towers stabilize by the end-anchored
+two-consecutive-images criterion of linalg.DirectedLimit.  The torsion
+chain does not: it is an increasing chain of kernels inside M_g, accepted
+when its last two kernels have the same dimension (README, design rule
+2, says what that leaves uncertified).  Degrees that fail under the
 configured cap raise UnstabilizedError carrying the dimension trajectory.
 """
 
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
 from .homres import (
+    N_CAP,
     CochainSpaces,
     PowerTower,
     colim_ext_table,
@@ -55,6 +59,9 @@ from .ringcore import (
     Poly,
     mono_mul,
 )
+
+
+RAY_CAP = 8  # default length of a Cech localization ray
 
 
 class CechAtDegree:
@@ -149,7 +156,7 @@ def cech_table(
     i: int,
     M: GradedModulePresentation,
     window: DegreeWindow,
-    ray_cap: int = 8,
+    ray_cap: int = RAY_CAP,
 ) -> HilbertTable:
     if i < 0:
         raise ValueError("negative cohomological index")
@@ -180,7 +187,7 @@ def torsion_submodule(
     ideal: MonomialIdeal,
     M: GradedModulePresentation,
     window: DegreeWindow,
-    n_cap: int = 6,
+    n_cap: int = N_CAP,
 ) -> TorsionData:
     """Elements killed by a power of the ideal, per degree: position 0 of
     the bracket-power tower, the increasing chain of kernels of the
@@ -214,8 +221,8 @@ def local_cohomology(
     M: GradedModulePresentation,
     window: DegreeWindow,
     route: str = "cech",
-    n_cap: int = 6,
-    ray_cap: int = 8,
+    n_cap: int = N_CAP,
+    ray_cap: int = RAY_CAP,
 ) -> HilbertTable:
     """Degreewise local cohomology with support in the ideal, by either
     route ("cech" or "ext")."""
@@ -234,7 +241,7 @@ def ideal_transform(
     i: int,
     M: GradedModulePresentation,
     window: DegreeWindow,
-    n_cap: int = 6,
+    n_cap: int = N_CAP,
 ) -> HilbertTable:
     """Degreewise colimit over n of Ext^i(a^[n], M), which is the one of
     Ext^i(a^n, M)."""
@@ -314,8 +321,8 @@ def check_transform_sequence(
     ideal: MonomialIdeal,
     M: GradedModulePresentation,
     window: DegreeWindow,
-    n_cap: int = 6,
-    ray_cap: int = 8,
+    n_cap: int = N_CAP,
+    ray_cap: int = RAY_CAP,
 ) -> TransformSequenceReport:
     report = TransformSequenceReport(window, n_cap, ray_cap)
     gens = ideal.gens

@@ -37,6 +37,8 @@ from fractions import Fraction
 
 from .errors import HomogeneityError, ScenarioError
 from .grading import Degree, DegreeGroup, DegreeWindow, GroupEpimorphism
+from .homres import N_CAP
+from .localcoh import RAY_CAP
 from .ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -81,7 +83,7 @@ class Scenario:
     """Validated contents of a scenario file.
 
     Only ``group`` and ``caps`` are always present (caps fall back to
-    n_cap = 6, ray_cap = 8); every other field is None when its block is
+    N_CAP and RAY_CAP); every other field is None when its block is
     absent, and each command checks for what it needs via require().
     """
 
@@ -94,8 +96,8 @@ class Scenario:
     coarse_certificate: tuple | None = None
     gwindow: DegreeWindow | None = None
     hwindow: DegreeWindow | None = None
-    n_cap: int = 6
-    ray_cap: int = 8
+    n_cap: int = N_CAP
+    ray_cap: int = RAY_CAP
 
     def require(self, *names: str) -> None:
         for name in names:

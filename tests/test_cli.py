@@ -377,6 +377,18 @@ def test_cap_rule_is_enforced_at_parse_time(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "UNSTABILIZED"
 
 
+def test_an_empty_index_list_is_a_usage_error(tmp_path, capsys):
+    # with no index there is nothing to compare, so no COMMUTES verdict
+    path = scn(tmp_path, FINE)
+    for spelling in ("", ","):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-commute", path, "--i", spelling])
+        assert exc.value.code == 1, spelling
+        captured = capsys.readouterr()
+        assert captured.out == "", spelling
+        assert "comma-separated list of integers" in captured.err, spelling
+
+
 def test_negative_index_is_refused_by_both_routes(tmp_path, capsys):
     path = scn(tmp_path, FINE)
     for argv in (

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsecoh.errors import UnstabilizedError
-from coarsecoh.grading import DegreeWindow
+from coarsecoh.grading import DegreeGroup, DegreeWindow
 from coarsecoh.homres import (
     ChainMap,
     CochainSpaces,
@@ -11,7 +15,6 @@ from coarsecoh.homres import (
     FreeMap,
     PowerTower,
     colim_ext_table,
-    comparison_chain_map,
     ext_subquotient,
     graded_ext,
     graded_hom,
@@ -22,6 +25,7 @@ from coarsecoh.homres import (
 from coarsecoh.linalg import Mat, nullspace, rank
 from coarsecoh.ringcore import (
     GradedModulePresentation,
+    GradedPolynomialRing,
     MonomialIdeal,
     Poly,
 )
@@ -107,9 +111,7 @@ def test_taylor_resolution_exact_for_powers():
 def test_comparison_map_multiplies_by_the_lcm_quotient():
     # (x^2) -> (x): the position 1 entry is x^2 / x = x, with sign +1
     R = ring_x()
-    a1 = MonomialIdeal(R, [R.mono(x=1)])
-    a2 = MonomialIdeal(R, [R.mono(x=2)])
-    cm = comparison_chain_map(taylor_complex(a2), taylor_complex(a1), a2, a1)
+    cm = PowerTower(MonomialIdeal(R, [R.mono(x=1)]), 2, max_position=1).maps[0]
     assert cm.maps[0].columns == [{0: Poly.monomial((0,))}]
     assert cm.maps[1].columns == [{0: Poly.monomial((1,))}]
 
@@ -118,9 +120,7 @@ def test_comparison_map_on_powers_of_two_variables():
     # (x,y)^[3] -> (x,y)^[2]: e_S goes to lcm(g_S^3)/lcm(g_S^2) e_S, and the
     # construction verifies the chain property symbolically
     R = std_ring_xy()
-    m = maximal_ideal(R)
-    a3, a2 = m.bracket_power(3), m.bracket_power(2)
-    cm = comparison_chain_map(taylor_complex(a3), taylor_complex(a2), a3, a2)
+    cm = PowerTower(maximal_ideal(R), 3, max_position=2).maps[1]
     # generators in lex order: y^k, then x^k
     assert cm.maps[1].columns == [
         {0: Poly.monomial((0, 1))},
@@ -129,20 +129,44 @@ def test_comparison_map_on_powers_of_two_variables():
     assert cm.maps[2].columns == [{0: Poly.monomial((1, 1))}]
 
 
-def test_comparison_map_needs_paired_generators():
-    # m^3 has four generators and m^2 three: no pairing, so no closed form
-    R = std_ring_xy()
-    m = maximal_ideal(R)
-    with pytest.raises(ValueError, match="one to one"):
-        comparison_chain_map(
-            taylor_complex(m.power(3)), taylor_complex(m.power(2)),
-            m.power(3), m.power(2),
-        )
-    # equal counts, but y^2 does not divide x^3
-    a = MonomialIdeal(R, [R.mono(x=3), R.mono(x=1, y=1)])
-    b = MonomialIdeal(R, [R.mono(y=2), R.mono(x=1)])
-    with pytest.raises(ValueError, match="does not divide its partner"):
-        comparison_chain_map(taylor_complex(a), taylor_complex(b), a, b)
+@st.composite
+def towers(draw):
+    """A bracket-power tower of a random monomial ideal: 1-3 variables under
+    the fine Z^n or the standard Z grading, 1-4 generators with exponents at
+    most 3, n_cap 2-5, resolved up to a position between 1 and s+1."""
+    n = draw(st.integers(1, 3))
+    r = n if draw(st.booleans()) else 1
+    G = DegreeGroup(r)
+    degrees = [G.degree([int(r == 1 or k == i) for k in range(r)]) for i in range(n)]
+    R = GradedPolynomialRing(G, ["x%d" % i for i in range(n)], degrees, (1,) * r)
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    a = MonomialIdeal(R, draw(st.lists(exps, min_size=1, max_size=4)))
+    max_position = draw(st.integers(1, len(a.gens) + 1))
+    return a, draw(st.integers(2, 5)), max_position
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(towers())
+def test_every_stage_multiplies_e_S_by_the_lcm_of_g_S(case):
+    # building the tower runs the chain check at every stage; each of its
+    # maps sends e_S to lcm(g_S) e_S, and stage n shifts e_S by n deg lcm(g_S)
+    a, n_cap, max_position = case
+    R = a.ring
+    tower = PowerTower(a, n_cap, max_position)
+    s = len(a.gens)
+    subsets = [list(combinations(range(s), p)) for p in range(min(s, max_position) + 1)]
+
+    def lcm(S):
+        return tuple(max([0, *(a.gens[i][v] for i in S)]) for v in range(R.nvars))
+
+    lcms = [[lcm(S) for S in subs] for subs in subsets]
+    for n, cx in enumerate(tower.complexes, 1):
+        assert cx.basis == subsets
+        assert cx.shifts == [[R.monomial_degree(m).scale(n) for m in ms] for ms in lcms]
+    for cm in tower.maps:
+        assert [f.columns for f in cm.maps] == [
+            [{k: Poly.monomial(m)} for k, m in enumerate(ms)] for ms in lcms
+        ]
 
 
 def test_entry_of_the_wrong_degree_is_refused():
