@@ -49,7 +49,6 @@ from .homres import (
     StabilizationReport,
     colim_ext_table,
     graded_ext,
-    graded_hom,
     hom_table,
     taylor_complex,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "counterexample_report",
     "derive_coarse_certificate",
     "graded_ext",
-    "graded_hom",
     "hom_comparison",
     "hom_table",
     "ideal_transform",

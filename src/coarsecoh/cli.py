@@ -32,7 +32,6 @@ from .homres import colim_ext_table, graded_ext, hom_table
 from .localcoh import (
     cech_table,
     check_transform_sequence,
-    local_cohomology,
     torsion_submodule,
 )
 from .monoidx import counterexample_report
@@ -157,16 +156,14 @@ def _cmd_lc(s: Scenario, args):
         "ray_cap": s.ray_cap,
     }
     comments = ["i: %d" % args.i, "route: " + args.route]
-    if args.route == "ext" and args.i > 0:
+    if args.route == "ext":
         table, stab = colim_ext_table(
             args.i, s.ideal, s.module, s.gwindow, s.n_cap, family="quotient"
         )
         comments.append("global_index: %d" % stab.global_index)
         stages = _stages(stab.per_degree, stab.global_index)
         return _table_report("lc", table, s, parameters, comments, **stages)
-    table = local_cohomology(
-        s.ideal, args.i, s.module, s.gwindow, args.route, s.n_cap, s.ray_cap
-    )
+    table = cech_table(s.ideal, args.i, s.module, s.gwindow, s.ray_cap)
     return _table_report("lc", table, s, parameters, comments)
 
 

@@ -127,9 +127,6 @@ class FreeComplex:
     def top(self) -> int:
         return len(self.basis) - 1
 
-    def rank(self, p: int) -> int:
-        return len(self.basis[p]) if 0 <= p <= self.top else 0
-
 
 def _lcm_of(ring, gens, S):
     """lcm of the generators indexed by S; 1 for the empty subset."""
@@ -261,10 +258,6 @@ class GradedHomSpace:
             out.append({i - ofs: x for i, x in vec.items() if ofs <= i < ofs + d})
             ofs += d
         return out
-
-
-def graded_hom(M, N, g: Degree) -> GradedHomSpace:
-    return GradedHomSpace(M, N, g)
 
 
 def hom_table(M, N, window: DegreeWindow) -> HilbertTable:

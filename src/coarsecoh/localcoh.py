@@ -12,15 +12,15 @@ Two independent routes are implemented and kept separate on purpose.
   with explicit comparison maps between the resolutions of consecutive
   bracket powers (see homres).
 
-Stage n of both the tower and the torsion chain is the bracket power
-a^[n] = (g^n : g a minimal generator of a), which equals a^n for a
-principal ideal.  The bracket powers are cofinal with the powers
-(a^{s(n-1)+1} <= a^[n] <= a^n for s generators), so every colimit below is
-the one along a^n.
+Stage n of the tower is the bracket power a^[n] = (g^n : g a minimal
+generator of a), which equals a^n for a principal ideal.  The bracket
+powers are cofinal with the powers (a^{s(n-1)+1} <= a^[n] <= a^n for s
+generators), so every colimit below is the one along a^n.
 
-The torsion submodule is position 0 of the same tower: the increasing
-chain of kernels of the cochain differentials d^0, which multiply by the
-generators g^n of a^[n], gives honest element-level bases inside M_g.
+The torsion submodule is H^0, position 0 of the same tower: the
+increasing chain of kernels of the cochain differentials d^0, which
+multiply by the generators g^n of a^[n], gives honest element-level bases
+inside M_g.
 
 The ideal transform is the colimit over n of Ext^i(a^[n], -); its
 relationship to local cohomology in one degree higher is checked, not
@@ -28,12 +28,11 @@ assumed, and the check deliberately pairs the tower-built transform with
 the localization-built cohomology so the two sides come from different
 machinery.
 
-Localization rays and Ext towers stabilize by the end-anchored
-two-consecutive-images criterion of linalg.DirectedLimit.  The torsion
-chain does not: it is an increasing chain of kernels inside M_g, accepted
-when its last two kernels have the same dimension (README, design rule
-2, says what that leaves uncertified).  Degrees that fail under the
-configured cap raise UnstabilizedError carrying the dimension trajectory.
+Localization rays and tower limits, torsion included, stabilize by the
+end-anchored two-consecutive-images criterion of linalg.DirectedLimit
+(README, design rule 2, says what that leaves uncertified).  Degrees that
+fail under the configured cap raise UnstabilizedError carrying the
+dimension trajectory.
 """
 
 from __future__ import annotations
@@ -190,27 +189,23 @@ def torsion_submodule(
     n_cap: int = N_CAP,
 ) -> TorsionData:
     """Elements killed by a power of the ideal, per degree: position 0 of
-    the bracket-power tower, the increasing chain of kernels of the
-    cochain differentials d^0 : M_g -> (+)_j M_{g + n deg g_j}, which
-    multiply by the generators g_j^n of a^[n].  Since a^{s(n-1)+1} <= a^[n]
-    <= a^n for s generators, an element is killed by some a^[n] exactly
-    when it is killed by some a^n; for a principal ideal the stages are the
-    same."""
+    the bracket-power tower, whose stages are the kernels of the cochain
+    differentials d^0 : M_g -> (+)_j M_{g + n deg g_j} (multiplication by
+    the generators g_j^n of a^[n]) and whose maps are the inclusions.  It
+    is certified like every other tower limit, in ext_limit_at_degree; a
+    certified increasing chain ends on its limit, so the basis in M_g is
+    the last stage's kernel basis.  Since a^{s(n-1)+1} <= a^[n] <= a^n for
+    s generators, an element is killed by some a^[n] exactly when it is
+    killed by some a^n."""
     tower = PowerTower(ideal, n_cap, max_position=1)
     values = {}
     bases = {}
     stab = {}
     for g in window:
-        kernels = [
-            nullspace(CochainSpaces(cx, M, g).differential(0)) for cx in tower.complexes
-        ]
-        dims = [len(k) for k in kernels]
-        if dims[-2] != dims[-1]:
-            raise UnstabilizedError("torsion submodule", g, dims)
-        n_star = next(n for n in range(n_cap) if dims[n] == dims[-1])
-        values[g] = dims[-1]
-        bases[g] = kernels[-1]
-        stab[g] = n_star + 1
+        stages, lim = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
+        values[g] = lim.limit_dim
+        bases[g] = stages[-1].reps
+        stab[g] = lim.stabilized_at
     table = HilbertTable(window, values, support_gens=M.gen_degrees)
     return TorsionData(table, bases, stab)
 
@@ -229,8 +224,6 @@ def local_cohomology(
     if route == "cech":
         return cech_table(ideal, i, M, window, ray_cap)
     if route == "ext":
-        if i == 0:
-            return torsion_submodule(ideal, M, window, n_cap).table
         table, _ = colim_ext_table(i, ideal, M, window, n_cap, family="quotient")
         return table
     raise ValueError("unknown route %r" % route)
@@ -328,11 +321,10 @@ def check_transform_sequence(
     gens = ideal.gens
     bound = len(gens)
     try:
-        torsion = torsion_submodule(ideal, M, window, n_cap)
         tower = PowerTower(ideal, n_cap, max_position=bound + 2)
         for g in window:
             cech = CechAtDegree(gens, M, g, ray_cap)
-            row = _sequence_row_at_degree(M, g, tower, torsion, cech)
+            row = _sequence_row_at_degree(M, g, tower, cech)
             report.rows.append(row)
             if not row.all_ok():
                 report.witnesses.append(g)
@@ -370,10 +362,10 @@ def _sequence_row_at_degree(
     M: GradedModulePresentation,
     g: Degree,
     tower: PowerTower,
-    torsion: TorsionData,
     cech: CechAtDegree,
 ) -> DegreeRow:
     mg = M.dim(g)
+    gamma_stages, _ = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
     d0_stages, d0_lim = ext_limit_at_degree(
         tower, M, g, 1, "colim Hom(a^n, module)", include_boundary=False
     )
@@ -399,7 +391,7 @@ def _sequence_row_at_degree(
         res_cols.append(h1_lim.express(h1_stage_coords))
     res = Mat.from_columns(res_cols, h1_dim)
 
-    gamma_basis = torsion.bases[g]
+    gamma_basis = gamma_stages[-1].reps
     kernel = nullspace(ins)
     kernel_matches = spans_equal(kernel, gamma_basis, mg)
     residual_surjective = rank(res) == h1_dim

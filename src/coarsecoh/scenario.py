@@ -63,8 +63,8 @@ _BLOCKS = (
 )
 
 
-# The least caps the limit processes can run with: a power tower and the
-# torsion chain compare two stages, a localization ray needs one step.
+# The least caps the limit processes can run with: a power tower (torsion
+# is its position 0) compares two stages, a localization ray needs one step.
 CAP_FLOORS = {"n_cap": 2, "ray_cap": 1}
 
 

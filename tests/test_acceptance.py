@@ -314,7 +314,8 @@ def test_criterion_6_gamma_identity():
         assert repm.ok and all(r.fine_total == r.coarse_dim == 0 for r in repm.rows)
 
         # reinforcement with nonzero torsion: the square of the maximal
-        # ideal leaves dimensions 1, 2 at levels 0, 1
+        # ideal leaves dimensions 1, 2 at levels 0, 1; the torsion chain at
+        # (0,0) first grows at a^[2], so it takes five stages to certify
         T = quotient_module(R, {"x": 2}, {"x": 1, "y": 1}, {"y": 2})
         rept = check_gamma_identity(
             maximal_ideal(R),
@@ -322,7 +323,7 @@ def test_criterion_6_gamma_identity():
             sum_map(),
             window2((0, 0), (1, 1)),
             window1(0, 2),
-            n_cap=4,
+            n_cap=5,
             coarse_certificate=(1,),
         )
         assert rept.ok

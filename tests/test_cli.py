@@ -117,6 +117,18 @@ def test_gamma_reports_stabilization(tmp_path, capsys):
     assert payload["stabilized_at"]["(0)"] == 3
 
 
+def test_lc_ext_at_i_0_reports_the_stages_of_gamma(tmp_path, capsys):
+    path = scn(tmp_path, TORSION)
+    code, out, _ = run(capsys, ["gamma", path, "--json"])
+    assert code == 0
+    gamma = json.loads(out)
+    code, out, _ = run(capsys, ["lc", path, "--i", "0", "--route", "ext", "--json"])
+    assert code == 0
+    lc = json.loads(out)
+    for key in ("table", "stabilized_at", "global_index"):
+        assert lc[key] == gamma[key], key
+
+
 def test_ext_power_flag(tmp_path, capsys):
     code, out, _ = run(
         capsys, ["ext", scn(tmp_path, TORSION), "--i", "0", "--n", "2", "--json"]
@@ -226,22 +238,21 @@ gwindow { lo = (-1); hi = (2) }
 
 
 # K[x] on two generators in degree 0, e1 killed by x^4 and e2 by x: at (0)
-# the kernels of x^n have dimensions 1, 1, 1, 2, so under n_cap 3 the
-# plateau of e2 alone passes the last-two-stages rule, while `cech --i 0`
-# and `gamma --ncap 5` see both classes
+# the kernels of x^n have dimensions 1, 1, 1, 2, 2, ..., so a cap that
+# ends on the plateau of e2 alone must refuse, while `cech --i 0` and a
+# cap that certifies the later plateau see both classes; psi is the
+# identity, so `check-commute --i 0` reads the same tower limit
 PLATEAU = """\
 group { free = 1; torsion = [] }
 ring { vars = [x]; degrees = [(1)]; certificate = (1) }
 ideal { gens = [x] }
 module { gens = [(0), (0)]; relations = [[x^4, 0], [0, x]] }
+psi { free = 1; torsion = []; images = [(1)] }
 gwindow { lo = (0); hi = (0) }
+hwindow { lo = (0); hi = (0) }
 """
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the torsion rule accepts a nonzero plateau that a later stage leaves",
-)
 @pytest.mark.parametrize(
     "argv", [["gamma"], ["lc", "--i", "0", "--route", "ext"]], ids=["gamma", "lc-ext"]
 )
@@ -250,15 +261,32 @@ def test_torsion_under_a_short_cap_refuses_or_counts_the_late_class(
 ):
     path = scn(tmp_path, PLATEAU)
     code, out, _ = run(capsys, argv[:1] + [path] + argv[1:] + ["--ncap", "3", "--json"])
-    assert code == 3 or json.loads(out)["table"]["(0)"] == 2
+    assert code == 3
+    assert json.loads(out)["unstable"]["trajectory"] == [1, 1, 1]
 
 
 def test_the_late_torsion_class_is_seen_by_cech_and_a_deeper_cap(tmp_path, capsys):
     path = scn(tmp_path, PLATEAU)
-    for argv in (["cech", path, "--i", "0"], ["gamma", path, "--ncap", "5"]):
+    for argv in (["cech", path, "--i", "0"], ["gamma", path, "--ncap", "7"]):
         code, out, _ = run(capsys, argv + ["--json"])
         assert code == 0, argv
         assert json.loads(out)["table"] == {"(0)": 2}, argv
+
+
+@pytest.mark.parametrize("n_cap", range(3, 8))
+def test_gamma_and_check_commute_at_i_0_read_one_limit(tmp_path, capsys, n_cap):
+    path = scn(tmp_path, PLATEAU)
+    cap = ["--ncap", str(n_cap), "--json"]
+    code_g, out, _ = run(capsys, ["gamma", path] + cap)
+    gamma = json.loads(out)
+    code_c, out, _ = run(capsys, ["check-commute", path, "--i", "0"] + cap)
+    commute = json.loads(out)
+    assert code_g == code_c == (0 if n_cap == 7 else 3)
+    if code_g == 0:
+        assert commute["verdict"] == "COMMUTES_ON_WINDOW"
+        assert commute["entries"][0]["coarse"] == gamma["table"] == {"(0)": 2}
+    else:
+        assert commute["unstable"]["trajectory"] == gamma["unstable"]["trajectory"]
 
 
 def test_refusal_exits_4_and_flag_recovers(tmp_path, capsys):

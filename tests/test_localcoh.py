@@ -30,6 +30,7 @@ from helpers import (
     Z2,
     fine_ring_xy,
     maximal_ideal,
+    quotient_module,
     ring_x,
     std_ring_xy,
     window1,
@@ -310,6 +311,24 @@ def test_ext_tower_unstabilized_under_tight_cap():
     with pytest.raises(UnstabilizedError) as err:
         colim_ext_table(1, maximal_ideal(R), M, window1(-1, -1), n_cap=3)
     assert err.value.trajectory == [0, 2, 2]
+
+
+def test_torsion_refuses_a_plateau_too_short_to_certify():
+    # in K[x,y]/(x^2,xy,y^2) the class of 1 is killed from a^[2] on: four
+    # stages see 0, 1, 1, 1, a plateau too short to certify; five do
+    R = fine_ring_xy()
+    T = quotient_module(R, {"x": 2}, {"x": 1, "y": 1}, {"y": 2})
+    w = window2((0, 0), (1, 1))
+    with pytest.raises(UnstabilizedError) as err:
+        torsion_submodule(maximal_ideal(R), T, w, n_cap=4)
+    assert err.value.payload() == {
+        "what": "torsion submodule",
+        "degree": "(0,0)",
+        "trajectory": [0, 1, 1, 1],
+    }
+    data = torsion_submodule(maximal_ideal(R), T, w, n_cap=5)
+    assert data.table.get(Z2.degree((0, 0))) == 1
+    assert data.stabilized_at[Z2.degree((0, 0))] == 2
 
 
 # ---------------------------------------------------------------------------

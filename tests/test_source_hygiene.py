@@ -1,10 +1,13 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and reads each
+private name it defines.
 
-A name imported and never read is a leftover of deleted code.  The check
-parses each module with the standard library's ast: a name counts as used
-when it is read anywhere in the module, annotations included, or listed
-in the module's __all__.  The package's __init__ imports to re-export and
-is left out.
+A name imported and never read, or a module-level `_private` function,
+class or assignment that its own module never reads, is a leftover of
+deleted code.  The checks parse each module with the standard library's
+ast: a name counts as used when it is read anywhere in the module,
+annotations included, or (for imports) listed in the module's __all__.
+The package's __init__ imports to re-export and is left out of the import
+check.
 """
 
 from __future__ import annotations
@@ -63,3 +66,49 @@ def test_the_check_sees_an_import_left_behind():
         "    return mono_lcm(a, a)\n"
     )
     assert unused_imports(source) == ["line 1: mono_divides", "line 2: itertools"]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level `_name` functions, classes and assignment targets that
+    the module never reads; dunder names are left out."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    defined[t.id] = node.lineno
+    read = {
+        n.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        "line %d: %s" % (line, name)
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def test_no_module_defines_a_private_name_it_never_reads():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: unread_private_names(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_check_sees_a_private_helper_left_behind():
+    source = (
+        "__all__ = ['f']\n"
+        "_CAP = 3\n"
+        "_cache: dict = {}\n"
+        "class _Old: pass\n"
+        "def _helper(): return _CAP\n"
+        "def f():\n"
+        "    _cache = {}\n"
+        "    return _helper()\n"
+    )
+    assert unread_private_names(source) == ["line 3: _cache", "line 4: _Old"]
