@@ -318,25 +318,41 @@ class PowerTower:
         ]
 
 
+def ext_stages(
+    tower: PowerTower,
+    N: GradedModulePresentation,
+    g: Degree,
+    position: int,
+    include_boundary: bool = True,
+) -> list[Subquotient]:
+    """The Ext-type subquotient at cochain position `position` of every
+    stage of the tower at degree g."""
+    if position > tower.complexes[0].top:  # every stage has the same top
+        return [Subquotient(0, [], []) for _ in tower.complexes]
+    return [
+        ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
+        for cx in tower.complexes
+    ]
+
+
 def ext_limit_at_degree(
     tower: PowerTower,
     N: GradedModulePresentation,
     g: Degree,
     position: int,
     what: str,
-    include_boundary: bool = True,
+    stages: list[Subquotient] | None = None,
 ) -> tuple[list[Subquotient], DirectedLimit]:
     """The stages of Ext-type subquotients at cochain position `position`
     over the tower at degree g, and their certified colimit; raises
-    UnstabilizedError, labelled `what`, when the cap does not certify it."""
-    if position > tower.complexes[0].top:  # every stage has the same top
-        stages = [Subquotient(0, [], []) for _ in tower.complexes]
+    UnstabilizedError, labelled `what`, when the cap does not certify it.
+    The stages are ext_stages with boundaries unless the caller passes
+    its own, built by ext_stages at this position or derived from them."""
+    if stages is None:
+        stages = ext_stages(tower, N, g, position)
+    if position > tower.complexes[0].top:
         transitions = [Mat.zero(0, 0) for _ in tower.maps]
     else:
-        stages = [
-            ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
-            for cx in tower.complexes
-        ]
         transitions = []
         for n, cm in enumerate(tower.maps):
             src_sq, dst_sq = stages[n], stages[n + 1]
@@ -411,7 +427,8 @@ def tower_ext_table(
     values = {}
     report = StabilizationReport()
     for g in window:
-        _, lim = ext_limit_at_degree(tower, N, g, position, what, include_boundary)
+        stages = ext_stages(tower, N, g, position, include_boundary)
+        _, lim = ext_limit_at_degree(tower, N, g, position, what, stages)
         values[g] = lim.limit_dim
         report.per_degree[g] = lim.stabilized_at
     support = N.gen_degrees if family == "quotient" and i == 0 else None

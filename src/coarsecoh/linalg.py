@@ -361,13 +361,18 @@ class Subquotient:
 
     def __init__(self, n: int, cocycles, boundaries):
         self.n = n
+        self._cocycles = list(cocycles)
         self._boundaries = RowSpan(n, boundaries)
         self._classes = _Coordinates(n)
         self.reps: list[dict] = []
         bnd = self._boundaries._tails
-        for v in cocycles:
+        for v in self._cocycles:
             if self._classes.add(_reduce(bnd, dict(v))):
                 self.reps.append(v)
+
+    def cocycles_only(self) -> "Subquotient":
+        """The span of the same cocycles, with no boundaries."""
+        return Subquotient(self.n, self._cocycles, [])
 
     @property
     def dim(self) -> int:
@@ -424,6 +429,11 @@ class DirectedLimit:
     V_m; stability makes that image independent of the stage chosen from
     n* up to m-2, which is what lets callers push vectors forward from any
     certified stage and express them in the `basis`.
+
+    A composite V_n -> V_k is built, as (V_{n+1} -> V_k) o (V_n -> V_{n+1}),
+    and ranked only when the rule reads its rank: the scan stops at its
+    first unstable stage, and the rest of the rule reads only the ranks it
+    names, so most of the m(m-1)/2 composites are never formed.
     """
 
     dims: list[int]
@@ -451,41 +461,47 @@ class DirectedLimit:
             return lim
         if m < 4:
             return lim
-        # comp[n][k]: composite V_{n+1} -> V_{k+1} in 0-based indexing
-        comp: list[dict[int, Mat]] = []
-        ranks: list[dict[int, int]] = []
-        for n in range(m):
-            row = {n: Mat.identity(dims[n])}
-            for k in range(n + 1, m):
-                row[k] = transitions[k - 1].mul(row[k - 1])
-            comp.append(row)
-            ranks.append({k: rank(mat) for k, mat in row.items()})
-        stable = [
-            ranks[n][m - 1] == ranks[n + 1][m - 1] == ranks[n][m - 2]
-            for n in range(m - 3)
-        ]
+        # composites and their ranks in 0-based indexing, built on demand:
+        # comps[n, k] is V_{n+1} -> V_{k+1}, made as comps[n+1, k] o T_n
+        comps = {(k, k + 1): t for k, t in enumerate(transitions)}
+        ranks: dict[tuple[int, int], int] = {}
+
+        def comp(n: int, k: int) -> Mat:
+            j = n
+            while (j, k) not in comps:
+                j += 1
+            mat = comps[j, k]
+            for j in range(j - 1, n - 1, -1):
+                mat = comps[j, k] = mat.mul(transitions[j])
+            return mat
+
+        def r(n: int, k: int) -> int:
+            if (n, k) not in ranks:
+                ranks[n, k] = rank(comp(n, k))
+            return ranks[n, k]
+
         n_star = None
         for n in range(m - 4, -1, -1):
-            if stable[n]:
+            if r(n, m - 1) == r(n + 1, m - 1) == r(n, m - 2):
                 n_star = n
             else:
                 break
         if n_star is None:
             return lim
-        v = ranks[n_star][m - 1]
+        v = r(n_star, m - 1)
         death = next(
             j
             for j in range(1, m)
-            if all(ranks[n][n + j] == ranks[n][m - 1] for n in range(m - j))
+            if all(r(n, n + j) == r(n, m - 1) for n in range(m - j))
         )
         for n in (m - 3, m - 2):
-            if n + death <= m - 1 and ranks[n][n + death] != v:
+            if n + death <= m - 1 and r(n, n + death) != v:
                 return lim
-        if dims[m - 1] - ranks[m - 2][m - 1] > dims[m - 2] - ranks[m - 3][m - 2]:
+        if dims[m - 1] - r(m - 2, m - 1) > dims[m - 2] - r(m - 3, m - 2):
             if v > 0 or dims[m - 2] == 0:
                 return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
-        basis, _ = column_space_basis(comp[n_star][m - 1])
+        basis, _ = column_space_basis(comp(n_star, m - 1))
         lim.basis = basis
         lim.limit_dim = len(basis)
         return lim

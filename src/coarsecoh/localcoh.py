@@ -48,6 +48,7 @@ from .homres import (
     PowerTower,
     colim_ext_table,
     ext_limit_at_degree,
+    ext_stages,
 )
 from .linalg import DirectedLimit, Mat, nullspace, rank, spans_equal
 from .ringcore import (
@@ -65,7 +66,12 @@ RAY_CAP = 8  # default length of a Cech localization ray
 
 class CechAtDegree:
     """The alternating-sign complex over subsets of the generators,
-    evaluated at one degree on stabilized localization models."""
+    evaluated at one degree on stabilized localization models.
+
+    Only the cohomological positions asked for are built: H^i reads the
+    rays of the subsets of sizes i-1, i and i+1 and the differentials
+    d^{i-1} and d^i, so only a ray that some asked position reads can be
+    refused.  The default asks for every position."""
 
     def __init__(
         self,
@@ -73,6 +79,7 @@ class CechAtDegree:
         M: GradedModulePresentation,
         g: Degree,
         ray_cap: int,
+        positions=None,
     ):
         self.gens = tuple(gens)
         self.M = M
@@ -80,12 +87,18 @@ class CechAtDegree:
         self.ray_cap = ray_cap
         ring = M.ring
         s = len(self.gens)
-        self.subsets: list[tuple[int, ...]] = []
-        for p in range(s + 1):
-            self.subsets.extend(itertools.combinations(range(s), p))
+        self.positions = frozenset(
+            i for i in (range(s + 1) if positions is None else positions)
+            if 0 <= i <= s
+        )
+        diffs = {p for i in self.positions for p in (i - 1, i) if p >= 0}
+        sizes = sorted({q for p in diffs for q in (p, p + 1) if q <= s})
+        self._by_size: dict[int, list[tuple[int, ...]]] = {
+            p: list(itertools.combinations(range(s), p)) for p in sizes
+        }
         self.models: dict[tuple[int, ...], DirectedLimit] = {}
         self.ray_ends: dict[tuple[int, ...], Degree] = {}  # S -> g + cap deg f_S
-        for S in self.subsets:
+        for S in itertools.chain.from_iterable(self._by_size.values()):
             f_S = ring.one()
             for i in S:
                 f_S = mono_mul(f_S, self.gens[i])
@@ -103,20 +116,19 @@ class CechAtDegree:
                     "localization at %s" % ring.monomial_str(f_S), g, dims
                 )
             self.models[S] = lim
-        self._by_size: dict[int, list[tuple[int, ...]]] = {}
-        for S in self.subsets:
-            self._by_size.setdefault(len(S), []).append(S)
-        self.matrices: dict[int, Mat] = {}
-        for p in range(s + 1):
-            self.matrices[p] = self._differential(p)
-        for p in range(s):
-            comp = self.matrices[p + 1].mul(self.matrices[p])
-            if not comp.is_zero():
-                raise AssertionError("localization complex differential squared is nonzero")
+        self.matrices: dict[int, Mat] = {
+            p: self._differential(p) for p in sorted(diffs)
+        }
+        for p, d_p in self.matrices.items():
+            d_next = self.matrices.get(p + 1)
+            if d_next is not None and not d_next.mul(d_p).is_zero():
+                raise AssertionError(
+                    "localization complex differential squared is nonzero"
+                )
 
     def _differential(self, p: int) -> Mat:
         cap = self.ray_cap
-        srcs = self._by_size.get(p, [])
+        srcs = self._by_size[p]
         dsts = self._by_size.get(p + 1, [])
         col_dims = [self.models[S].limit_dim for S in srcs]
         row_dims = [self.models[T].limit_dim for T in dsts]
@@ -142,8 +154,13 @@ class CechAtDegree:
         return Mat.block(row_dims, col_dims, block)
 
     def cohomology_dim(self, i: int) -> int:
+        """dim H^i; 0 outside positions 0..s, where the complex has no
+        terms.  A position inside that range that was not asked for raises
+        ValueError: its differentials were never built."""
         if i < 0 or i > len(self.gens):
             return 0
+        if i not in self.positions:
+            raise ValueError("Cech position %d was not built" % i)
         d_i = self.matrices[i]
         nullity = d_i.ncols - rank(d_i)
         boundary_rank = rank(self.matrices[i - 1]) if i >= 1 else 0
@@ -166,7 +183,7 @@ def cech_table(
     )
     values = {}
     for g in window:
-        values[g] = CechAtDegree(gens, M, g, ray_cap).cohomology_dim(i)
+        values[g] = CechAtDegree(gens, M, g, ray_cap, (i,)).cohomology_dim(i)
     support = M.gen_degrees if i == 0 else None
     return HilbertTable(window, values, support_gens=support)
 
@@ -323,7 +340,7 @@ def check_transform_sequence(
     try:
         tower = PowerTower(ideal, n_cap, max_position=bound + 2)
         for g in window:
-            cech = CechAtDegree(gens, M, g, ray_cap)
+            cech = CechAtDegree(gens, M, g, ray_cap)  # H^1..H^s read every ray
             row = _sequence_row_at_degree(M, g, tower, cech)
             report.rows.append(row)
             if not row.all_ok():
@@ -366,11 +383,14 @@ def _sequence_row_at_degree(
 ) -> DegreeRow:
     mg = M.dim(g)
     gamma_stages, _ = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
-    d0_stages, d0_lim = ext_limit_at_degree(
-        tower, M, g, 1, "colim Hom(a^n, module)", include_boundary=False
+    # both position-1 towers come from one kernel of d^1 per stage
+    h1_stages = ext_stages(tower, M, g, 1)
+    d0_stages = [sq.cocycles_only() for sq in h1_stages]
+    _, d0_lim = ext_limit_at_degree(
+        tower, M, g, 1, "colim Hom(a^n, module)", stages=d0_stages
     )
-    h1_stages, h1_lim = ext_limit_at_degree(
-        tower, M, g, 1, "colim Ext^1(R/a^n, module)"
+    _, h1_lim = ext_limit_at_degree(
+        tower, M, g, 1, "colim Ext^1(R/a^n, module)", stages=h1_stages
     )
     last_stage_d0 = d0_stages[-1]
     last_stage_h1 = h1_stages[-1]

@@ -165,6 +165,11 @@ class GradedPolynomialRing:
             [tuple(d.torsion[k] for d in self.var_degrees)
              for k in range(len(group.torsion_orders))],
         )
+        # free coordinates on which no variable has a negative degree: a
+        # degree negative on one of them has no monomials
+        self._nonneg_coords = tuple(
+            k for k, row in enumerate(self._degree_rows[0]) if min(row, default=0) >= 0
+        )
         self._mono_cache: dict[Degree, tuple[Monomial, ...]] = {}
 
     @property
@@ -210,12 +215,15 @@ class GradedPolynomialRing:
         """All monomials of exact degree g, in lexicographic exponent order.
 
         Recurrence: mons(h) = {x_i * m : m in mons(h - deg x_i)}, mons(0) = {1},
-        and no other degree of weight <= 0 has monomials.  Variables weigh > 0,
-        so finitely many degrees lie below g; an explicit stack fills them in
-        and the cache keeps each of them as well as g."""
+        and no other degree of weight <= 0 has monomials, nor has a degree
+        that is negative on a free coordinate where every variable is >= 0;
+        the recurrence stops at both without descending.  Variables weigh
+        > 0, so finitely many degrees lie below g; an explicit stack fills
+        them in and the cache keeps each of them as well as g."""
         if g.group != self.group:
             raise ValueError("degree outside the grading group")
         cache = self._mono_cache
+        nonneg = self._nonneg_coords
         stack = [(g, None)]
         while stack:
             h, below = stack.pop()
@@ -225,7 +233,7 @@ class GradedPolynomialRing:
                 cache[h] = tuple(sorted({m[:i] + (m[i] + 1,) + m[i + 1:]
                                          for i, b in enumerate(below)
                                          for m in cache[b]}))
-            elif self._scaled_weight(h) <= 0:
+            elif self._scaled_weight(h) <= 0 or any(h.free[k] < 0 for k in nonneg):
                 cache[h] = (self.one(),) if h.is_zero() else ()
             else:
                 below = [h - d for d in self.var_degrees]

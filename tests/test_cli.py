@@ -198,6 +198,27 @@ def test_unstabilized_exits_3(tmp_path, capsys):
     assert payload["unstable"]["trajectory"] == [0, 1]
 
 
+def test_cech_refuses_only_from_the_rays_its_position_reads(tmp_path, capsys):
+    # at (-2,-2) with ray_cap 3 the ray of xy sees [0, 0, 1, 1], too late to
+    # certify; H^1 and H^2 read it and refuse, H^0 reads only the rays of
+    # 1, x and y, and the complex has no position 3
+    corner = scn(tmp_path, FINE.replace(
+        "gwindow { lo = (0,0); hi = (3,3) }",
+        "gwindow { lo = (-2,-2); hi = (-2,-2) }",
+    ))
+    for i, expected in (("0", 0), ("1", 3), ("2", 3), ("3", 0)):
+        code, out, _ = run(
+            capsys, ["cech", corner, "--i", i, "--raycap", "3", "--json"]
+        )
+        assert code == expected, i
+        payload = json.loads(out)
+        if code == 3:
+            assert payload["unstable"]["what"] == "localization at x*y"
+            assert payload["unstable"]["trajectory"] == [0, 0, 1, 1]
+        else:
+            assert payload["table"] == {"(-2,-2)": 0}
+
+
 def test_growth_at_the_last_tower_stage_exits_3(tmp_path, capsys):
     # at (-6) only the sixth stage of the x^n tower sees the Laurent line:
     # both tower commands must refuse instead of reporting 0

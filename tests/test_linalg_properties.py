@@ -1,6 +1,8 @@
 """The sparse kernel of coarsecoh.linalg against sympy on random rational
 matrices: shapes up to 12 x 12, densities from 0 to 1, with duplicated
-(rescaled) and zero rows mixed in.  sympy's exact rref is the reference."""
+(rescaled) and zero rows mixed in.  sympy's exact rref is the reference.
+DirectedLimit, which ranks composites on demand, is checked against the
+rule that ranks every composite of the chain, kept here as reference."""
 
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsecoh.linalg import (
+    DirectedLimit,
     Mat,
     RowSpan,
     Subquotient,
+    column_space_basis,
     nullspace,
     rank,
     rref,
@@ -185,3 +189,101 @@ def test_overlong_vectors_are_refused_not_misread():
     sq = Subquotient(2, [{0: Fraction(1)}], [])
     with pytest.raises(ValueError):
         sq.express({2: Fraction(1)})
+
+
+def eager_limit(dims, transitions):
+    """The stabilization rule of DirectedLimit.of computed from every
+    composite V_n -> V_k and every rank of the chain; returns
+    (stabilized_at, limit_dim, basis)."""
+    m = len(dims)
+    if all(d == 0 for d in dims):
+        return 1, 0, []
+    if m < 4:
+        return None, 0, []
+    comp, ranks = [], []
+    for n in range(m):
+        row = {n: Mat.identity(dims[n])}
+        for k in range(n + 1, m):
+            row[k] = transitions[k - 1].mul(row[k - 1])
+        comp.append(row)
+        ranks.append({k: rank(mat) for k, mat in row.items()})
+    stable = [
+        ranks[n][m - 1] == ranks[n + 1][m - 1] == ranks[n][m - 2]
+        for n in range(m - 3)
+    ]
+    n_star = None
+    for n in range(m - 4, -1, -1):
+        if not stable[n]:
+            break
+        n_star = n
+    if n_star is None:
+        return None, 0, []
+    v = ranks[n_star][m - 1]
+    death = next(
+        j
+        for j in range(1, m)
+        if all(ranks[n][n + j] == ranks[n][m - 1] for n in range(m - j))
+    )
+    for n in (m - 3, m - 2):
+        if n + death <= m - 1 and ranks[n][n + death] != v:
+            return None, 0, []
+    if dims[m - 1] - ranks[m - 2][m - 1] > dims[m - 2] - ranks[m - 3][m - 2]:
+        if v > 0 or dims[m - 2] == 0:
+            return None, 0, []
+    basis, _ = column_space_basis(comp[n_star][m - 1])
+    return n_star + 1, len(basis), basis
+
+
+def random_rows(rnd, nrows, ncols, density):
+    return [
+        [rnd.choice(NONZERO) if rnd.random() < density else Fraction(0)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+@st.composite
+def chains(draw):
+    """A chain of 1-9 stages of dimension at most 4: random maps at a drawn
+    density between stages of random or of equal dimensions, zero maps,
+    one nilpotent map repeated, or injections into stages that grow and
+    may settle (the identity on top of random rows)."""
+    kind = draw(st.sampled_from(["random", "equal", "zero", "nilpotent", "growing"]))
+    density = draw(st.floats(0, 1))
+    rnd = draw(seeds)
+    m = rnd.randint(1, 9)
+    if kind == "nilpotent":
+        d = rnd.randint(1, 4)
+        t = Mat([[rnd.choice(VALUES) if j < i else 0 for j in range(d)]
+                 for i in range(d)], d)
+        return [d] * m, [t] * (m - 1)
+    if kind == "growing":
+        settle = rnd.randint(1, m)  # the stages from here on keep their size
+        dims = [rnd.randint(0, 2)]
+        for k in range(1, m):
+            dims.append(dims[-1] + (k < settle and rnd.randint(0, 1)))
+        transitions = [
+            Mat([[int(i == j) for j in range(a)] for i in range(a)]
+                + random_rows(rnd, b - a, a, density), a)
+            for a, b in zip(dims, dims[1:])
+        ]
+        return dims, transitions
+    if kind == "equal":
+        dims = [rnd.randint(1, 4)] * m
+    else:
+        dims = [rnd.randint(0, 4) for _ in range(m)]
+    if kind == "zero":
+        return dims, [Mat.zero(b, a) for a, b in zip(dims, dims[1:])]
+    return dims, [
+        Mat(random_rows(rnd, b, a, density), a) for a, b in zip(dims, dims[1:])
+    ]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(chains())
+def test_directed_limit_reads_the_ranks_of_the_eager_rule(chain):
+    dims, transitions = chain
+    lim = DirectedLimit.of(dims, transitions)
+    assert (lim.stabilized_at, lim.limit_dim, lim.basis) == eager_limit(
+        dims, transitions
+    )

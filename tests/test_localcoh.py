@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarsecoh.errors import UnstabilizedError
@@ -241,11 +241,12 @@ def test_h0_basis_is_the_torsion_basis():
 
 
 @st.composite
-def monomial_quotients(draw):
+def monomial_quotients(draw, min_gens=0):
     """R/I with a monomial ideal a: 1-3 variables under the fine Z^n or the
     standard Z grading, exponents of the generators of I and a at most 2
-    (either may have none), a window [-1,1]^r and a tower cap n_cap."""
-    n = draw(st.integers(1, 3))
+    (I may have none, a at least min_gens minimal ones), a window
+    [-1,1]^r and a tower cap n_cap."""
+    n = draw(st.integers(max(1, min_gens), 3))
     r = n if draw(st.booleans()) else 1
     G = DegreeGroup(r)
     degrees = [G.degree([int(r == 1 or k == i) for k in range(r)]) for i in range(n)]
@@ -255,7 +256,8 @@ def monomial_quotients(draw):
     M = GradedModulePresentation.quotient_by_ideal(
         ideal_of(draw(st.lists(exps, max_size=3)))
     )
-    a = ideal_of(draw(st.lists(exps, max_size=3)))
+    a = ideal_of(draw(st.lists(exps, min_size=min_gens, max_size=3)))
+    assume(len(a.gens) >= min_gens)
     window = DegreeWindow.box(G, (-1,) * r, (1,) * r)
     return a, M, window, draw(st.integers(2, 7))
 
@@ -284,12 +286,39 @@ def test_torsion_is_the_stacked_kernel_and_the_cech_h0(case):
             continue
         assert torsion.bases[g] == _stacked_multiplication_kernel(a, M, g, n_cap)
         try:
-            h0 = CechAtDegree(a.gens, M, g, ray_cap=8).cohomology_dim(0)
+            h0 = CechAtDegree(a.gens, M, g, 8, positions=(0,)).cohomology_dim(0)
         except UnstabilizedError:
             continue
         assert torsion.table.get(g) == h0
     report = check_transform_sequence(a, M, window, n_cap=n_cap, ray_cap=8)
     assert report.verdict != "FAILS", report.to_json_dict()
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(monomial_quotients(min_gens=2), st.data())
+def test_cech_built_at_one_position_agrees_with_the_full_build(case, data):
+    a, M, window, _ = case
+    g = data.draw(st.sampled_from(list(window)))
+    try:
+        full = CechAtDegree(a.gens, M, g, ray_cap=5)
+    except UnstabilizedError:
+        return
+    for i in range(len(a.gens) + 2):
+        one = CechAtDegree(a.gens, M, g, ray_cap=5, positions=(i,))
+        assert one.cohomology_dim(i) == full.cohomology_dim(i)
+
+
+def test_cech_position_not_built_raises():
+    R = fine_ring_xy()
+    F = GradedModulePresentation.free(R, [Z2.zero()])
+    g = Z2.degree((-1, -1))
+    cech = CechAtDegree(maximal_ideal(R).gens, F, g, ray_cap=8, positions=(2,))
+    assert cech.cohomology_dim(2) == 1
+    assert () not in cech.models  # H^2 never reads the ray of M itself
+    for i in (0, 1):
+        with pytest.raises(ValueError):
+            cech.cohomology_dim(i)
+    assert cech.cohomology_dim(3) == 0  # the complex stops at position 2
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,18 @@ def test_monomials_of_a_high_degree_need_no_deep_recursion():
     assert R.monomials_of_degree(Z1.degree((5000,))) == ((5000,),)
 
 
+def test_a_high_fine_degree_caches_no_empty_region():
+    # every variable is >= 0 on every coordinate, so a degree with a
+    # negative coordinate is empty at once: the recurrence visits the box
+    # [0,40]^3 and at most its three faces shifted to -1, not the
+    # 302,621 positive-weight degrees below (40,40,40)
+    G = DegreeGroup(3)
+    units = [G.degree(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    R = GradedPolynomialRing(G, "xyz", units, (1, 1, 1))
+    assert R.monomials_of_degree(G.degree((40, 40, 40))) == ((40, 40, 40),)
+    assert len(R._mono_cache) <= 41**3 + 3 * 41**2
+
+
 def test_ideal_minimalization_and_powers():
     R = std_ring_xy()
     a = MonomialIdeal(R, [R.mono(x=2), R.mono(x=3)])
