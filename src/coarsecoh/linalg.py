@@ -1,29 +1,28 @@
 """Exact sparse linear algebra over the rationals.
 
 A vector is a dict ``{index: Fraction}`` that holds its nonzero entries
-only: a missing key is a zero, and no routine ever stores a zero.  This
-is the one vector format of the package: component coordinates, matrix
-rows and columns, kernel bases, subquotient representatives and limit
-coordinates all use it, and a vector's length is carried by the matrix
-or space it belongs to.  Only two entry points take dense sequences, for
-literal matrices: ``Mat(rows, ncols)`` and ``rref``, which also returns
-dense rows.  Entries of a dense sequence are converted to ``Fraction``
-there.
+only: a missing key is a zero, and no routine ever stores a zero.  It is
+the one vector format of the package (component coordinates, matrix rows
+and columns, kernel bases, subquotient representatives, limit
+coordinates); its length is carried by its matrix or space.  Only
+``Mat(rows, ncols)`` and ``rref`` take dense sequences, for literal
+matrices, and convert their entries to ``Fraction``.
 
-There is one elimination routine.  A ``RowSpan`` keeps its rows in
-reduced row echelon form, each row stored without its leading 1
-(``_reduce`` clears the pivot columns of a vector, ``_insert`` adds a
-vector as a new pivot row and clears its pivot column from the others).
-``rref``, ``rank``, ``nullspace``, ``Subquotient`` and the coordinates of
-``DirectedLimit`` bases are all built on it.
+There is one elimination kernel; it runs on primitive integer rows, is
+exact and uses no modulus.  A ``RowSpan`` keeps one row ``d e_p + tail``
+per pivot column p, with d > 0, content 1 and zeros at the other pivot
+columns: its reduced row echelon form scaled to integers.  ``Fraction``
+is only the format of the vectors going in (numerators over the lcm of
+their denominators) and out (``Fraction(x, d)``).  ``rref``, ``rank``,
+``nullspace``, ``Subquotient`` and ``DirectedLimit`` are built on it.
 
-The reduced row echelon form of a list of rows depends only on the space
-they span, not on the order of elimination.  So the rows, the pivot
-columns, the kernel basis (one vector per free column, in column order),
-the choice of representatives in a subquotient (the first vectors that
-are independent modulo the boundaries) and every coordinate vector are
-determined by the input alone: every rank, kernel and basis in the
-package is deterministic for identical input.
+The reduced row echelon form of a list of rows, and so its primitive
+integer form, depends only on their span, not on the order of
+elimination.  So the rows, the pivot columns, the kernel basis (one
+vector per free column, in column order), the representatives of a
+subquotient (the first vectors independent modulo the boundaries) and
+every coordinate vector are determined by the input alone: every rank,
+kernel and basis in the package is deterministic.
 
 A matrix acts on column vectors.  ``Mat`` carries the column count
 explicitly so maps with zero rows or zero columns keep their shape.
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -48,10 +48,30 @@ def _sparse(v) -> dict:
 
 
 def _dense(row: dict, n: int) -> list[Fraction]:
-    out = [Q0] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
+    return [row.get(j, Q0) for j in range(n)]
+
+
+def _ints(v: dict) -> tuple[dict, int]:
+    """(w, s): s the lcm of the denominators of v, w the new vector s v."""
+    s = lcm(*[x.denominator for x in v.values()])
+    if s == 1:
+        return {k: x.numerator for k, x in v.items()}, 1
+    return {k: x.numerator * (s // x.denominator) for k, x in v.items()}, s
+
+
+def _fracs(w: dict, s: int) -> dict:
+    """The vector w / s of an integer vector w, as Fractions."""
+    return {k: Fraction(x, s) for k, x in w.items()}
+
+
+def _primitive(a: int, t: dict) -> int:
+    """Divide t in place, and a, by their content signed like a; return a."""
+    g = gcd(a, *t.values())
+    g = g if a > 0 else -g
+    if g != 1:
+        for k in t:
+            t[k] //= g
+    return a // g
 
 
 def _check_length(v: dict, n: int) -> None:
@@ -73,34 +93,6 @@ def _addmul(v: dict, c: Fraction, w: dict) -> None:
                 v[k] = y
             else:
                 del v[k]
-
-
-def _reduce(tails: dict, v: dict) -> dict:
-    """Clear every pivot column of the reduced rows from v, in place.
-
-    ``tails`` maps each pivot column to its row without the leading 1.
-    The rows are fully reduced, so clearing one pivot column never brings
-    another one back and one pass suffices."""
-    for p in [p for p in v if p in tails]:
-        _addmul(v, -v.pop(p), tails[p])
-    return v
-
-
-def _insert(tails: dict, v: dict) -> None:
-    """Add v, nonzero and reduced against tails, as a new pivot row.
-
-    Its pivot is its leftmost column, so the rows stay in reduced row
-    echelon form."""
-    lead = min(v)
-    c = v.pop(lead)
-    if c != Q1:
-        inv = Q1 / c
-        v = {k: x * inv for k, x in v.items()}
-    for t in tails.values():
-        c = t.pop(lead, None)
-        if c is not None:
-            _addmul(t, -c, v)
-    tails[lead] = v
 
 
 class Mat:
@@ -128,8 +120,7 @@ class Mat:
     @staticmethod
     def _of(rows: list[dict], ncols: int) -> "Mat":
         m = object.__new__(Mat)
-        m.rows = rows
-        m.ncols = ncols
+        m.rows, m.ncols = rows, ncols
         return m
 
     @property
@@ -219,28 +210,63 @@ class Mat:
 
 
 class RowSpan:
-    """Incrementally built row span of Q^n with membership tests, kept in
-    reduced row echelon form."""
+    """Incrementally built row span of Q^n with membership tests: pivot
+    column p holds the primitive integer row ``_d[p] e_p + _tails[p]``,
+    and ``_occ[k]`` the pivots whose tails hold column k."""
 
     def __init__(self, n: int, rows=()):
         self.n = n
+        self._d: dict[int, int] = {}
         self._tails: dict[int, dict] = {}
-        self._add_all(dict(r) for r in rows)
+        self._occ: dict[int, set] = {}
+        self._add_all(_ints(r)[0] for r in rows)
 
     def _add_all(self, rows) -> None:
-        """Add sparse rows, which it may change.  The span does not depend
-        on the order, so rows with the rightmost leading entry go first: a
-        row whose leading column lies left of every pivot so far has no
-        pivot row to clear."""
+        """Add integer rows, which it consumes, rightmost leading entry first:
+        the span does not depend on the order, and a row that leads left of
+        every pivot so far has no pivot row to clear."""
         for r in sorted(filter(None, rows), key=min, reverse=True):
-            self._add(r)
+            self._reduce(r)
+            if r:
+                self._insert(r)
 
-    def _add(self, v: dict) -> bool:
-        v = _reduce(self._tails, v)
-        if not v:
-            return False
-        _insert(self._tails, v)
-        return True
+    def _reduce(self, w: dict) -> int:
+        """Scale the integer vector w by the lcm of the pivot values it hits,
+        returned, and clear those pivots in place: each row is zero at the
+        other pivots, so one pass suffices."""
+        d, tails = self._d, self._tails
+        hits = [p for p in w if p in tails]
+        if not hits:
+            return 1
+        s = lcm(*[d[p] for p in hits])
+        if s != 1:
+            for k in w:
+                w[k] *= s
+        for p in hits:
+            _addmul(w, -(w.pop(p) // d[p]), tails[p])
+        return s
+
+    def _insert(self, w: dict) -> None:
+        """Add the integer vector w, nonzero and reduced, as the row of its
+        leftmost column: the rows that ``_occ`` says hold that column are
+        cross-multiplied with w and divided by their content."""
+        lead = min(w)
+        a = _primitive(w.pop(lead), w)
+        d, tails, occ = self._d, self._tails, self._occ
+        for k in w:
+            occ.setdefault(k, set()).add(lead)
+        for p in occ.pop(lead, ()):
+            c = tails[p].pop(lead)
+            t = tails[p] = {k: x * a for k, x in tails[p].items()}
+            added = w.keys() - t.keys()
+            _addmul(t, -c, w)
+            for k in added:
+                occ[k].add(p)
+            for k in w.keys() - t.keys():
+                occ[k].discard(p)
+            d[p] = _primitive(d[p] * a, t)
+        d[lead] = a
+        tails[lead] = w
 
     @property
     def dim(self) -> int:
@@ -251,102 +277,86 @@ class RowSpan:
         return sorted(self._tails)
 
     def residue(self, v: dict) -> dict:
-        """v with the pivot columns of the span cleared."""
-        return _reduce(self._tails, dict(v))
+        """v with the pivot columns of the span cleared; v itself when it
+        has none."""
+        if not any(p in self._tails for p in v):
+            return v
+        w, s = _ints(v)
+        return _fracs(w, s * self._reduce(w))
 
     def contains(self, v: dict) -> bool:
-        return not _reduce(self._tails, dict(v))
+        return not self.residue(v)
 
     def add(self, v: dict) -> bool:
         """Add v to the span; True when the dimension grew."""
-        return self._add(dict(v))
+        dim = self.dim
+        self._add_all([_ints(v)[0]])
+        return self.dim > dim
 
 
-class _Coordinates:
-    """Coordinates with respect to independent vectors b_0, b_1, ... of Q^n.
+class _Coordinates(RowSpan):
+    """Coordinates with respect to independent vectors b_0, b_1, ... of Q^n:
+    b_i enters the span as b_i + e_(n+i), so every row x + t of the span
+    satisfies x = sum t_i b_i.  Reducing w leaves, when w lies in the span
+    of the b_i, nothing below column n and minus its coordinates from
+    column n on.  Both methods read an integer w and scale s as w / s."""
 
-    Vector b_i enters the span as b_i + e_(n+i), so every row x + t of
-    the span satisfies x = sum t_i b_i.  Reducing w leaves, when w lies
-    in the span of the b_i, nothing below column n and minus the
-    coordinates of w from column n on."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.size = 0
-        self._tails: dict[int, dict] = {}
-
-    def _reduce(self, v: dict) -> dict:
-        _check_length(v, self.n)
-        return _reduce(self._tails, v)
-
-    def add(self, v: dict) -> bool:
-        """Take v as the next vector unless it depends on the earlier
-        ones; True when it was taken.  v is consumed."""
+    def take(self, w: dict, s: int) -> bool:
+        """Take w / s as the next vector unless it depends on the earlier
+        ones; True when it was taken."""
         n = self.n
-        v = self._reduce(v)
-        if not any(k < n for k in v):
+        _check_length(w, n)
+        s *= self._reduce(w)
+        if not any(k < n for k in w):
             return False
-        v[n + self.size] = Q1
-        self.size += 1
-        _insert(self._tails, v)
+        w[n + self.dim] = s
+        self._insert(w)
         return True
 
-    def of(self, v: dict) -> dict | None:
-        """Coordinates of v, or None if v is outside the span.  v is
-        consumed."""
+    def of(self, w: dict, s: int) -> dict | None:
+        """Coordinates of w / s, or None if it is outside the span."""
         n = self.n
-        v = self._reduce(v)
-        if any(k < n for k in v):
+        _check_length(w, n)
+        s *= self._reduce(w)
+        if any(k < n for k in w):
             return None
-        return {k - n: -x for k, x in v.items()}
+        return {k - n: Fraction(-x, s) for k, x in w.items()}
 
 
 def rref(rows, ncols: int):
-    """Reduced row echelon form.
-
-    Returns (reduced_nonzero_rows, pivot_columns), the rows in pivot
-    order."""
-    span = RowSpan(ncols)
-    span._add_all(_sparse(r) for r in rows)
-    red = []
-    for p in span.pivots:
-        row = _dense(span._tails[p], ncols)
-        row[p] = Q1
-        red.append(row)
+    """Reduced row echelon form: (reduced_nonzero_rows, pivot_columns),
+    the rows in pivot order."""
+    span = RowSpan(ncols, map(_sparse, rows))
+    d, tails = span._d, span._tails
+    red = [_dense({p: Q1} | _fracs(tails[p], d[p]), ncols) for p in span.pivots]
     return red, span.pivots
 
 
-def _span_of_rows(mat: Mat) -> RowSpan:
-    """Row span of mat: every elimination of a matrix goes through here."""
-    span = RowSpan(mat.ncols)
-    span._add_all(dict(r) for r in mat.rows)
-    return span
-
-
 def rank(mat: Mat) -> int:
-    return _span_of_rows(mat).dim
+    return RowSpan(mat.ncols, mat.rows).dim
 
 
 def spans_equal(vecs_a, vecs_b, n: int) -> bool:
     """Do two lists of vectors of Q^n span the same subspace?  They do
-    exactly when their reduced row echelon forms agree."""
-    return RowSpan(n, vecs_a)._tails == RowSpan(n, vecs_b)._tails
+    exactly when their integer echelon forms agree."""
+    a, b = RowSpan(n, vecs_a), RowSpan(n, vecs_b)
+    return a._d == b._d and a._tails == b._tails
 
 
 def nullspace(mat: Mat) -> list[dict]:
     """Basis of the kernel, one vector per free column, in column order."""
-    tails = _span_of_rows(mat)._tails
+    span = RowSpan(mat.ncols, mat.rows)
+    d, tails = span._d, span._tails
     basis = {f: {f: Q1} for f in range(mat.ncols) if f not in tails}
     for p, t in tails.items():
         for f, x in t.items():
-            basis[f][p] = -x
+            basis[f][p] = Fraction(-x, d[p])
     return list(basis.values())
 
 
 def column_space_basis(mat: Mat) -> tuple[list[dict], list[int]]:
     """Independent columns of mat (the pivot columns), with their indices."""
-    pivots = _span_of_rows(mat).pivots
-    cols = mat.columns()
+    pivots, cols = RowSpan(mat.ncols, mat.rows).pivots, mat.columns()
     return [cols[j] for j in pivots], pivots
 
 
@@ -365,10 +375,14 @@ class Subquotient:
         self._boundaries = RowSpan(n, boundaries)
         self._classes = _Coordinates(n)
         self.reps: list[dict] = []
-        bnd = self._boundaries._tails
         for v in self._cocycles:
-            if self._classes.add(_reduce(bnd, dict(v))):
+            if self._classes.take(*self._modulo_boundaries(v)):
                 self.reps.append(v)
+
+    def _modulo_boundaries(self, v: dict) -> tuple[dict, int]:
+        """(w, s) with w / s the vector v with the boundary pivots cleared."""
+        w, s = _ints(v)
+        return w, s * self._boundaries._reduce(w)
 
     def cocycles_only(self) -> "Subquotient":
         """The span of the same cocycles, with no boundaries."""
@@ -380,7 +394,7 @@ class Subquotient:
 
     def express(self, v: dict) -> dict:
         """Coordinates of the class of v in the chosen basis."""
-        coeffs = self._classes.of(_reduce(self._boundaries._tails, dict(v)))
+        coeffs = self._classes.of(*self._modulo_boundaries(v))
         if coeffs is None:
             raise ValueError("vector lies outside the subquotient")
         return coeffs
@@ -399,41 +413,34 @@ class DirectedLimit:
     The chain is a finite window onto an infinite system, so stabilization
     is certified from ranks of long composites rather than single steps.
     Write r[n][k] for the rank of the composite V_n -> V_k.  Stage n
-    (with n <= m-3) is called stable when
+    (n <= m-3) is stable when r[n][m] == r[n+1][m] == r[n][m-1]: the rank
+    of the composite to the end of the window changes neither when the
+    start advances nor when the anchor is pulled back a step.
+    `stabilized_at` is the smallest stage from which every later checkable
+    stage is stable (the scan is anchored at the deepest checkable stage,
+    so growth near the cap disqualifies the whole chain).
 
-        r[n][m] == r[n+1][m] == r[n][m-1],
+    The certified rank v then gets a tail guard: with J the smallest
+    composite length whose ranks already agree with the ranks to the end,
+    every late stage with J steps of room must reach rank v as well, or
+    the window ends on unexplained elements and the chain is refused.  The
+    last stage has no room, so it gets its own guard: when it gains more
+    elements (its dimension minus the rank of the map into it) than the
+    stage before it, the growth is only taken for more of a dying chain's
+    dying, that is when v == 0 and the stage before the last is not empty.
+    So 0 -> 0 -> 0 -> K and K -> K -> K -> K^2 (identities, then an
+    inclusion) are refused, while K -> K^2 -> K^3 -> K^4 with zero maps
+    certifies 0.  Chains whose maps become isomorphisms, chains killed by
+    nilpotents (single-step ranks stay positive but composites die) and
+    mixtures of the two certify; strictly growing chains and chains whose
+    last stages pick up new elements do not.
 
-    that is, the rank of the composite to the end of the window changes
-    neither when the starting stage advances nor when the anchor is pulled
-    back a step.  `stabilized_at` is the smallest stage from which every
-    later checkable stage is stable (the scan is anchored at the deepest
-    checkable stage, so growth near the cap disqualifies the whole chain).
-    The certified rank v then gets a tail guard: let J be the smallest
-    composite length whose ranks already agree with the ranks to the end;
-    every late stage that still has J steps of room must reach rank v as
-    well, otherwise the window ends on unexplained elements and the chain
-    is refused.  The last stage has no room at all, so it gets a guard of
-    its own: when it gains more elements (its dimension minus the rank of
-    the map into it) than the stage before it, the growth is only taken
-    for more of a dying chain's dying, that is when v == 0 and the stage
-    before the last is not empty.  So 0 -> 0 -> 0 -> K and
-    K -> K -> K -> K^2 (identities, then an inclusion) are refused rather
-    than read off from the stages before the growth, while
-    K -> K^2 -> K^3 -> K^4 with zero maps certifies 0.  Chains whose maps
-    eventually become isomorphisms, chains killed by nilpotents
-    (single-step ranks stay positive but composites die), and mixtures of
-    the two all certify; strictly growing chains and chains whose last
-    stages pick up new elements do not.
-
-    The limit is modelled by the image of the composite V_n* -> V_m inside
-    V_m; stability makes that image independent of the stage chosen from
-    n* up to m-2, which is what lets callers push vectors forward from any
-    certified stage and express them in the `basis`.
-
-    A composite V_n -> V_k is built, as (V_{n+1} -> V_k) o (V_n -> V_{n+1}),
-    and ranked only when the rule reads its rank: the scan stops at its
-    first unstable stage, and the rest of the rule reads only the ranks it
-    names, so most of the m(m-1)/2 composites are never formed.
+    The limit is the image of the composite V_n* -> V_m inside V_m; by
+    stability it is the same for every stage from n* to m-2, so callers
+    may push vectors forward from any certified stage and express them in
+    the `basis`.  A composite V_n -> V_k is built, as
+    (V_{n+1} -> V_k) o (V_n -> V_{n+1}), and ranked only when the rule
+    reads its rank, so most of the m(m-1)/2 composites are never formed.
     """
 
     dims: list[int]
@@ -441,14 +448,12 @@ class DirectedLimit:
     stabilized_at: int | None = None
     limit_dim: int = 0
     basis: list[dict] = field(default_factory=list)
-    _coords: _Coordinates | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _coords: _Coordinates | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @staticmethod
     def of(dims, transitions) -> "DirectedLimit":
-        dims = list(dims)
-        transitions = list(transitions)
+        dims, transitions = list(dims), list(transitions)
         m = len(dims)
         if len(transitions) != m - 1:
             raise ValueError("need one transition per consecutive pair")
@@ -482,18 +487,14 @@ class DirectedLimit:
 
         n_star = None
         for n in range(m - 4, -1, -1):
-            if r(n, m - 1) == r(n + 1, m - 1) == r(n, m - 2):
-                n_star = n
-            else:
+            if not r(n, m - 1) == r(n + 1, m - 1) == r(n, m - 2):
                 break
+            n_star = n
         if n_star is None:
             return lim
         v = r(n_star, m - 1)
-        death = next(
-            j
-            for j in range(1, m)
-            if all(r(n, n + j) == r(n, m - 1) for n in range(m - j))
-        )
+        death = next(j for j in range(1, m)
+                     if all(r(n, n + j) == r(n, m - 1) for n in range(m - j)))
         for n in (m - 3, m - 2):
             if n + death <= m - 1 and r(n, n + death) != v:
                 return lim
@@ -501,9 +502,8 @@ class DirectedLimit:
             if v > 0 or dims[m - 2] == 0:
                 return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
-        basis, _ = column_space_basis(comp(n_star, m - 1))
-        lim.basis = basis
-        lim.limit_dim = len(basis)
+        lim.basis, _ = column_space_basis(comp(n_star, m - 1))
+        lim.limit_dim = len(lim.basis)
         return lim
 
     @property
@@ -517,8 +517,8 @@ class DirectedLimit:
         if self._coords is None:
             self._coords = _Coordinates(self.dims[-1])
             for b in self.basis:
-                self._coords.add(dict(b))
-        coeffs = self._coords.of(dict(v_end))
+                self._coords.take(*_ints(b))
+        coeffs = self._coords.of(*_ints(v_end))
         if coeffs is None:
             raise ValueError("vector lies outside the limit model")
         return coeffs

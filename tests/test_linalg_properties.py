@@ -1,6 +1,9 @@
 """The sparse kernel of coarsecoh.linalg against sympy on random rational
 matrices: shapes up to 12 x 12, densities from 0 to 1, with duplicated
-(rescaled) and zero rows mixed in.  sympy's exact rref is the reference.
+(rescaled) and zero rows mixed in, and entries either small (p/q with
+|p| <= 4, q <= 3) or large (numerators up to 10^9 over primes up to 101,
+which make the integer kernel's lcm scaling and content removal work).
+sympy's exact rref is the reference.
 DirectedLimit, which ranks composites on demand, is checked against the
 rule that ranks every composite of the chain, kept here as reference."""
 
@@ -33,25 +36,35 @@ PROPERTY = settings(max_examples=100, deadline=None, database=None)
 seeds = st.integers(0, 2**32).map(random.Random)
 VALUES = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)]
 NONZERO = [x for x in VALUES if x]
+PRIMES = [p for p in range(2, 102) if all(p % q for q in range(2, p))]
+
+
+def large_value(rnd):
+    """A nonzero rational with a numerator up to 10^9 in absolute value
+    over 1 or a prime up to 101."""
+    return Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 10**9),
+                    rnd.choice([1] + PRIMES))
 
 
 @st.composite
 def rows_of(draw, ncols, max_rows=MAX):
     """Random rows of length ncols at a drawn density, with rescaled
-    duplicates and zero rows inserted at random places."""
+    duplicates and zero rows inserted at random places; the entries come
+    from the small or from the large pool."""
     nrows = draw(st.integers(0, max_rows))
     density = draw(st.floats(0, 1))
     rnd = draw(seeds)
+    large = draw(st.booleans())
+    value = (lambda: large_value(rnd)) if large else (lambda: rnd.choice(NONZERO))
     rows = [
-        [rnd.choice(NONZERO) if rnd.random() < density else Fraction(0)
-         for _ in range(ncols)]
+        [value() if rnd.random() < density else Fraction(0) for _ in range(ncols)]
         for _ in range(nrows)
     ]
     for _ in range(draw(st.integers(0, 4))):
         if len(rows) >= max_rows:
             break
         if rows and rnd.random() < 0.5:
-            scale = rnd.choice(NONZERO)
+            scale = value()
             new = [scale * x for x in rnd.choice(rows)]
         else:
             new = [Fraction(0)] * ncols
@@ -287,3 +300,74 @@ def test_directed_limit_reads_the_ranks_of_the_eager_rule(chain):
     assert (lim.stabilized_at, lim.limit_dim, lim.basis) == eager_limit(
         dims, transitions
     )
+
+
+def fraction_vector(v):
+    """Does the sparse vector v hold only nonzero Fraction values?"""
+    return all(type(x) is Fraction and x for x in v.values())
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_every_returned_vector_holds_nonzero_fractions(case, data):
+    rows, n = case
+    red, _ = rref(rows, n)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert all(map(fraction_vector, nullspace(Mat(rows, n))))
+    span = RowSpan(n, map(sparse, rows))
+    for w in data.draw(rows_of(n, max_rows=2)):
+        assert fraction_vector(span.residue(sparse(w)))
+    rnd = data.draw(seeds)
+    boundaries = [combination(rnd, rows, n) for _ in range(rnd.randrange(4))]
+    sq = Subquotient(n, map(sparse, rows), map(sparse, boundaries))
+    assert all(map(fraction_vector, sq.reps))
+    coords = sq.express(sparse(combination(rnd, rows, n)))
+    assert fraction_vector(coords)
+    assert fraction_vector(sq.lift(coords))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(chains())
+def test_limit_basis_and_coordinates_hold_nonzero_fractions(chain):
+    lim = DirectedLimit.of(*chain)
+    assert all(map(fraction_vector, lim.basis))
+    if lim.stabilized:
+        for i, b in enumerate(lim.basis):
+            assert lim.express(b) == {i: Fraction(1)}
+        total = {}
+        for b in lim.basis:
+            for k, x in b.items():
+                total[k] = total.get(k, 0) + 3 * x
+        coords = lim.express({k: x for k, x in total.items() if x})
+        assert fraction_vector(coords)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_spans_equal_ignores_scaling_a_row(case, data):
+    rows, n = case
+    if not rows:
+        return
+    rnd = data.draw(seeds)
+    k = rnd.randrange(len(rows))
+    scale = large_value(rnd) if rnd.random() < 0.5 else rnd.choice(NONZERO)
+    scaled = rows[:k] + [[scale * x for x in rows[k]]] + rows[k + 1:]
+    assert spans_equal(map(sparse, rows), map(sparse, scaled), n)
+    other = data.draw(rows_of(n))
+    assert spans_equal(map(sparse, rows), map(sparse, other), n) == spans_equal(
+        map(sparse, scaled), map(sparse, other), n
+    )
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_residue_clears_the_pivots_and_differs_by_a_span_vector(case, data):
+    rows, n = case
+    span = RowSpan(n, map(sparse, rows))
+    for w in data.draw(rows_of(n, max_rows=3)):
+        v = sparse(w)
+        res = span.residue(v)
+        assert not set(res) & set(span.pivots)
+        diff = [a - b for a, b in zip(w, dense(res, n))]
+        assert span.contains(sparse(diff))
+        assert sym_rank(rows + [diff], n) == sym_rank(rows, n)

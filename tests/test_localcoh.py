@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsecoh.errors import UnstabilizedError
@@ -243,21 +243,35 @@ def test_h0_basis_is_the_torsion_basis():
 @st.composite
 def monomial_quotients(draw, min_gens=0):
     """R/I with a monomial ideal a: 1-3 variables under the fine Z^n or the
-    standard Z grading, exponents of the generators of I and a at most 2
-    (I may have none, a at least min_gens minimal ones), a window
-    [-1,1]^r and a tower cap n_cap."""
-    n = draw(st.integers(max(1, min_gens), 3))
+    standard Z grading, exponents of the generators of I and a at most 2,
+    a window [-1,1]^r and a tower cap n_cap.
+
+    The number of minimal generators of a is drawn first, uniformly from
+    min_gens..3, so 2-3 generators come up as often as 0-1.  Two or more
+    form a staircase: the exponent of one variable falls strictly while
+    that of another rises strictly, so none divides another."""
+    count = draw(st.integers(min_gens, 3))
+    n = draw(st.integers(2 if count >= 2 else 1, 3))
     r = n if draw(st.booleans()) else 1
     G = DegreeGroup(r)
     degrees = [G.degree([int(r == 1 or k == i) for k in range(r)]) for i in range(n)]
     R = GradedPolynomialRing(G, ["x%d" % i for i in range(n)], degrees, (1,) * r)
-    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n)
     ideal_of = lambda gens: MonomialIdeal(R, [tuple(e) for e in gens])
     M = GradedModulePresentation.quotient_by_ideal(
-        ideal_of(draw(st.lists(exps, max_size=3)))
+        ideal_of(draw(st.lists(exponents.filter(any), max_size=3)))
     )
-    a = ideal_of(draw(st.lists(exps, min_size=min_gens, max_size=3)))
-    assume(len(a.gens) >= min_gens)
+    if count < 2:
+        gens = draw(st.lists(exponents.filter(any), min_size=count, max_size=count))
+    else:
+        u, v = draw(st.permutations(range(n)))[:2]
+        steps = st.sets(st.integers(0, 2), min_size=count, max_size=count)
+        falls, rises = sorted(draw(steps), reverse=True), sorted(draw(steps))
+        gens = [draw(exponents) for _ in range(count)]
+        for e, f, g in zip(gens, falls, rises):
+            e[u], e[v] = f, g
+    a = ideal_of(gens)
+    assert len(a.gens) == count
     window = DegreeWindow.box(G, (-1,) * r, (1,) * r)
     return a, M, window, draw(st.integers(2, 7))
 
