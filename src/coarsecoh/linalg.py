@@ -1,12 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
 A vector is a dict ``{index: Fraction}`` that holds its nonzero entries
-only: a missing key is a zero, and no routine ever stores a zero.  It is
-the one vector format of the package (component coordinates, matrix rows
-and columns, kernel bases, subquotient representatives, limit
-coordinates); its length is carried by its matrix or space.  Only
-``Mat(rows, ncols)`` and ``rref`` take dense sequences, for literal
-matrices, and convert their entries to ``Fraction``.
+only: a missing key is a zero, and no routine ever stores a zero.  This
+is the one vector format of the package: component coordinates, matrix
+rows and columns, kernel bases, subquotient representatives and limit
+coordinates all use it, and a vector's length is carried by the matrix
+or space it belongs to.  Only two entry points take dense sequences, for
+literal matrices: ``Mat(rows, ncols)`` and ``rref``, which also returns
+dense rows.  Entries of a dense sequence are converted to ``Fraction``
+there.
 
 There is one elimination kernel; it runs on primitive integer rows, is
 exact and uses no modulus.  A ``RowSpan`` keeps one row ``d e_p + tail``
@@ -17,12 +19,13 @@ their denominators) and out (``Fraction(x, d)``).  ``rref``, ``rank``,
 ``nullspace``, ``Subquotient`` and ``DirectedLimit`` are built on it.
 
 The reduced row echelon form of a list of rows, and so its primitive
-integer form, depends only on their span, not on the order of
+integer form, depends only on the space they span, not on the order of
 elimination.  So the rows, the pivot columns, the kernel basis (one
-vector per free column, in column order), the representatives of a
-subquotient (the first vectors independent modulo the boundaries) and
-every coordinate vector are determined by the input alone: every rank,
-kernel and basis in the package is deterministic.
+vector per free column, in column order), the choice of representatives
+in a subquotient (the first vectors that are independent modulo the
+boundaries) and every coordinate vector are determined by the input
+alone: every rank, kernel and basis in the package is deterministic for
+identical input.
 
 A matrix acts on column vectors.  ``Mat`` carries the column count
 explicitly so maps with zero rows or zero columns keep their shape.
@@ -48,7 +51,10 @@ def _sparse(v) -> dict:
 
 
 def _dense(row: dict, n: int) -> list[Fraction]:
-    return [row.get(j, Q0) for j in range(n)]
+    out = [Q0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def _ints(v: dict) -> tuple[dict, int]:
@@ -120,7 +126,8 @@ class Mat:
     @staticmethod
     def _of(rows: list[dict], ncols: int) -> "Mat":
         m = object.__new__(Mat)
-        m.rows, m.ncols = rows, ncols
+        m.rows = rows
+        m.ncols = ncols
         return m
 
     @property
@@ -211,14 +218,12 @@ class Mat:
 
 class RowSpan:
     """Incrementally built row span of Q^n with membership tests: pivot
-    column p holds the primitive integer row ``_d[p] e_p + _tails[p]``,
-    and ``_occ[k]`` the pivots whose tails hold column k."""
+    column p holds the primitive integer row ``_d[p] e_p + _tails[p]``."""
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self._d: dict[int, int] = {}
         self._tails: dict[int, dict] = {}
-        self._occ: dict[int, set] = {}
         self._add_all(_ints(r)[0] for r in rows)
 
     def _add_all(self, rows) -> None:
@@ -248,23 +253,17 @@ class RowSpan:
 
     def _insert(self, w: dict) -> None:
         """Add the integer vector w, nonzero and reduced, as the row of its
-        leftmost column: the rows that ``_occ`` says hold that column are
-        cross-multiplied with w and divided by their content."""
+        leftmost column: every row holding that column is cross-multiplied
+        with w and divided by its content."""
         lead = min(w)
         a = _primitive(w.pop(lead), w)
-        d, tails, occ = self._d, self._tails, self._occ
-        for k in w:
-            occ.setdefault(k, set()).add(lead)
-        for p in occ.pop(lead, ()):
-            c = tails[p].pop(lead)
-            t = tails[p] = {k: x * a for k, x in tails[p].items()}
-            added = w.keys() - t.keys()
-            _addmul(t, -c, w)
-            for k in added:
-                occ[k].add(p)
-            for k in w.keys() - t.keys():
-                occ[k].discard(p)
-            d[p] = _primitive(d[p] * a, t)
+        d, tails = self._d, self._tails
+        for p, t in tails.items():
+            c = t.pop(lead, None)
+            if c is not None:
+                t = tails[p] = {k: x * a for k, x in t.items()}
+                _addmul(t, -c, w)
+                d[p] = _primitive(d[p] * a, t)
         d[lead] = a
         tails[lead] = w
 
@@ -324,11 +323,16 @@ class _Coordinates(RowSpan):
 
 
 def rref(rows, ncols: int):
-    """Reduced row echelon form: (reduced_nonzero_rows, pivot_columns),
-    the rows in pivot order."""
+    """Reduced row echelon form.
+
+    Returns (reduced_nonzero_rows, pivot_columns), the rows in pivot
+    order."""
     span = RowSpan(ncols, map(_sparse, rows))
-    d, tails = span._d, span._tails
-    red = [_dense({p: Q1} | _fracs(tails[p], d[p]), ncols) for p in span.pivots]
+    red = []
+    for p in span.pivots:
+        row = _dense(_fracs(span._tails[p], span._d[p]), ncols)
+        row[p] = Q1
+        red.append(row)
     return red, span.pivots
 
 
@@ -356,7 +360,8 @@ def nullspace(mat: Mat) -> list[dict]:
 
 def column_space_basis(mat: Mat) -> tuple[list[dict], list[int]]:
     """Independent columns of mat (the pivot columns), with their indices."""
-    pivots, cols = RowSpan(mat.ncols, mat.rows).pivots, mat.columns()
+    pivots = RowSpan(mat.ncols, mat.rows).pivots
+    cols = mat.columns()
     return [cols[j] for j in pivots], pivots
 
 
@@ -413,34 +418,41 @@ class DirectedLimit:
     The chain is a finite window onto an infinite system, so stabilization
     is certified from ranks of long composites rather than single steps.
     Write r[n][k] for the rank of the composite V_n -> V_k.  Stage n
-    (n <= m-3) is stable when r[n][m] == r[n+1][m] == r[n][m-1]: the rank
-    of the composite to the end of the window changes neither when the
-    start advances nor when the anchor is pulled back a step.
-    `stabilized_at` is the smallest stage from which every later checkable
-    stage is stable (the scan is anchored at the deepest checkable stage,
-    so growth near the cap disqualifies the whole chain).
+    (with n <= m-3) is called stable when
 
-    The certified rank v then gets a tail guard: with J the smallest
-    composite length whose ranks already agree with the ranks to the end,
-    every late stage with J steps of room must reach rank v as well, or
-    the window ends on unexplained elements and the chain is refused.  The
-    last stage has no room, so it gets its own guard: when it gains more
-    elements (its dimension minus the rank of the map into it) than the
-    stage before it, the growth is only taken for more of a dying chain's
-    dying, that is when v == 0 and the stage before the last is not empty.
-    So 0 -> 0 -> 0 -> K and K -> K -> K -> K^2 (identities, then an
-    inclusion) are refused, while K -> K^2 -> K^3 -> K^4 with zero maps
-    certifies 0.  Chains whose maps become isomorphisms, chains killed by
-    nilpotents (single-step ranks stay positive but composites die) and
-    mixtures of the two certify; strictly growing chains and chains whose
-    last stages pick up new elements do not.
+        r[n][m] == r[n+1][m] == r[n][m-1],
 
-    The limit is the image of the composite V_n* -> V_m inside V_m; by
-    stability it is the same for every stage from n* to m-2, so callers
-    may push vectors forward from any certified stage and express them in
-    the `basis`.  A composite V_n -> V_k is built, as
-    (V_{n+1} -> V_k) o (V_n -> V_{n+1}), and ranked only when the rule
-    reads its rank, so most of the m(m-1)/2 composites are never formed.
+    that is, the rank of the composite to the end of the window changes
+    neither when the starting stage advances nor when the anchor is pulled
+    back a step.  `stabilized_at` is the smallest stage from which every
+    later checkable stage is stable (the scan is anchored at the deepest
+    checkable stage, so growth near the cap disqualifies the whole chain).
+    The certified rank v then gets a tail guard: let J be the smallest
+    composite length whose ranks already agree with the ranks to the end;
+    every late stage that still has J steps of room must reach rank v as
+    well, otherwise the window ends on unexplained elements and the chain
+    is refused.  The last stage has no room at all, so it gets a guard of
+    its own: when it gains more elements (its dimension minus the rank of
+    the map into it) than the stage before it, the growth is only taken
+    for more of a dying chain's dying, that is when v == 0 and the stage
+    before the last is not empty.  So 0 -> 0 -> 0 -> K and
+    K -> K -> K -> K^2 (identities, then an inclusion) are refused rather
+    than read off from the stages before the growth, while
+    K -> K^2 -> K^3 -> K^4 with zero maps certifies 0.  Chains whose maps
+    eventually become isomorphisms, chains killed by nilpotents
+    (single-step ranks stay positive but composites die), and mixtures of
+    the two all certify; strictly growing chains and chains whose last
+    stages pick up new elements do not.
+
+    The limit is modelled by the image of the composite V_n* -> V_m inside
+    V_m; stability makes that image independent of the stage chosen from
+    n* up to m-2, which is what lets callers push vectors forward from any
+    certified stage and express them in the `basis`.
+
+    A composite V_n -> V_k is built, as (V_{n+1} -> V_k) o (V_n -> V_{n+1}),
+    and ranked only when the rule reads its rank: the scan stops at its
+    first unstable stage, and the rest of the rule reads only the ranks it
+    names, so most of the m(m-1)/2 composites are never formed.
     """
 
     dims: list[int]
@@ -448,12 +460,14 @@ class DirectedLimit:
     stabilized_at: int | None = None
     limit_dim: int = 0
     basis: list[dict] = field(default_factory=list)
-    _coords: _Coordinates | None = field(default=None, init=False,
-                                         repr=False, compare=False)
+    _coords: _Coordinates | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def of(dims, transitions) -> "DirectedLimit":
-        dims, transitions = list(dims), list(transitions)
+        dims = list(dims)
+        transitions = list(transitions)
         m = len(dims)
         if len(transitions) != m - 1:
             raise ValueError("need one transition per consecutive pair")
@@ -487,14 +501,18 @@ class DirectedLimit:
 
         n_star = None
         for n in range(m - 4, -1, -1):
-            if not r(n, m - 1) == r(n + 1, m - 1) == r(n, m - 2):
+            if r(n, m - 1) == r(n + 1, m - 1) == r(n, m - 2):
+                n_star = n
+            else:
                 break
-            n_star = n
         if n_star is None:
             return lim
         v = r(n_star, m - 1)
-        death = next(j for j in range(1, m)
-                     if all(r(n, n + j) == r(n, m - 1) for n in range(m - j)))
+        death = next(
+            j
+            for j in range(1, m)
+            if all(r(n, n + j) == r(n, m - 1) for n in range(m - j))
+        )
         for n in (m - 3, m - 2):
             if n + death <= m - 1 and r(n, n + death) != v:
                 return lim
@@ -502,8 +520,9 @@ class DirectedLimit:
             if v > 0 or dims[m - 2] == 0:
                 return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
-        lim.basis, _ = column_space_basis(comp(n_star, m - 1))
-        lim.limit_dim = len(lim.basis)
+        basis, _ = column_space_basis(comp(n_star, m - 1))
+        lim.basis = basis
+        lim.limit_dim = len(basis)
         return lim
 
     @property
