@@ -16,6 +16,7 @@ implicitly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mod, sub
@@ -165,6 +166,11 @@ class Degree:
         return "(%s)" % f
 
 
+# The most degrees DegreeWindow.box enumerates; a larger box is refused
+# before any degree is built.
+BOX_CELL_CAP = 100_000
+
+
 class DegreeWindow:
     """Finite, explicitly enumerated set of degrees, iterated in sorted order.
 
@@ -191,6 +197,13 @@ class DegreeWindow:
             raise ValueError("box bounds must match the free rank")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("empty box")
+        cells = math.prod(b - a + 1 for a, b in zip(lo, hi))
+        cells *= math.prod(group.torsion_orders)
+        if cells > BOX_CELL_CAP:
+            raise ValueError(
+                "the box has %d cells, more than the %d a window may have"
+                % (cells, BOX_CELL_CAP)
+            )
         ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
         degs = [
             group.degree(f, t)

@@ -23,6 +23,15 @@ first.  Relation rows list one polynomial per module generator; the row's
 degree is inferred from its first nonzero entry, and an entry that
 disagrees is reported by relation and generator index.
 
+The block table ``_BLOCKS`` is the one place a block's keys, dependencies
+and rendering live: each entry names the block, the Scenario field it
+fills, its required and optional keys, the block it needs, and the
+functions that build and render it.  parse_scenario and
+serialize_scenario both walk that table in its order.  One lexer cuts the
+text into tokens with offsets; blocks, entries, list and tuple items and
+polynomial terms are all cut from that one token list, and scalar values
+convert their raw text with int or Fraction.
+
 Parsing is total-or-error: the first violated rule raises ScenarioError
 carrying the line and column of the offending text.  serialize_scenario
 renders the validated form canonically, and reparsing that text yields an
@@ -32,6 +41,7 @@ equal scenario.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,19 +58,6 @@ from .ringcore import (
 )
 
 __all__ = ["Scenario", "parse_scenario", "serialize_scenario"]
-
-_BLOCKS = (
-    "group",
-    "ring",
-    "ideal",
-    "module",
-    "module2",
-    "psi",
-    "coarse",
-    "gwindow",
-    "hwindow",
-    "caps",
-)
 
 
 # The least caps the limit processes can run with: a power tower (torsion
@@ -102,7 +99,7 @@ class Scenario:
     def require(self, *names: str) -> None:
         for name in names:
             if getattr(self, name) is None:
-                block = {"coarse_certificate": "coarse"}.get(name, name)
+                block = next(b.name for b in _BLOCKS if b.field == name)
                 raise ScenarioError(
                     "this command needs a %s block in the scenario" % block
                 )
@@ -114,132 +111,89 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Low-level scanning.
+# The lexer and the spans cut from it.
 # ---------------------------------------------------------------------------
 
+# Numbers (p or p/q), names, and every other non-space character on its own.
+# Brackets, separators and operators are therefore always single tokens.
+_TOKEN = re.compile(r"(?P<num>\d+/\d+|\d+)|(?P<name>[A-Za-z_]\w*)|\S")
+_COMMENT = re.compile(r"#.*")
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    line = text.count("\n", 0, offset) + 1
-    col = offset - text.rfind("\n", 0, offset)
-    return line, col
+
+def _lex(text: str) -> tuple[str, list[re.Match]]:
+    """The text with comments blanked (offsets unchanged) and its tokens."""
+    clean = _COMMENT.sub(lambda m: " " * len(m[0]), text)
+    return clean, list(_TOKEN.finditer(clean))
 
 
 def _fail(text: str, offset: int, message: str):
-    line, col = _position(text, offset)
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
     raise ScenarioError(message, line, col)
 
 
-def _strip_comments(text: str) -> str:
-    out = []
-    for chunk in text.split("\n"):
-        cut = chunk.find("#")
-        if cut >= 0:
-            chunk = chunk[:cut] + " " * (len(chunk) - cut)
-        out.append(chunk)
-    return "\n".join(out)
+class _Span:
+    """Tokens ``toks[lo:hi]``, lying in ``text[start:end]``; errors about
+    the span point at ``start``."""
 
+    __slots__ = ("text", "toks", "lo", "hi", "start", "end")
 
-_HEADER = re.compile(r"[A-Za-z_]\w*")
+    def __init__(self, text: str, toks: list, lo: int, hi: int, start: int, end: int):
+        self.text = text
+        self.toks = toks
+        self.lo = lo
+        self.hi = hi
+        self.start = start
+        self.end = end
 
+    @property
+    def raw(self) -> str:
+        if self.lo == self.hi:
+            return ""
+        return self.text[self.toks[self.lo].start() : self.toks[self.hi - 1].end()]
 
-def _scan_blocks(text: str, clean: str) -> dict[str, tuple[str, int]]:
-    """Map block name to (inner text, inner offset), or die pointing at
-    the first malformed spot."""
-    blocks: dict[str, tuple[str, int]] = {}
-    pos = 0
-    n = len(clean)
-    while True:
-        while pos < n and clean[pos].isspace():
-            pos += 1
-        if pos >= n:
-            return blocks
-        m = _HEADER.match(clean, pos)
-        if not m:
-            _fail(text, pos, "expected a block name")
-        name = m.group(0)
-        if name not in _BLOCKS:
-            _fail(
-                text,
-                pos,
-                "unknown block %r (expected one of: %s)"
-                % (name, ", ".join(_BLOCKS)),
-            )
-        if name in blocks:
-            _fail(text, pos, "duplicate %s block" % name)
-        pos = m.end()
-        while pos < n and clean[pos].isspace():
-            pos += 1
-        if pos >= n or clean[pos] != "{":
-            _fail(text, pos if pos < n else n - 1, "expected '{' after block name")
-        close = clean.find("}", pos)
-        if close < 0:
-            _fail(text, pos, "unclosed block %s" % name)
-        blocks[name] = (clean[pos + 1 : close], pos + 1)
-        pos = close + 1
+    @property
+    def is_name(self) -> bool:
+        return self.hi - self.lo == 1 and self.toks[self.lo].lastgroup == "name"
 
+    def fail(self, message: str, offset: int | None = None):
+        _fail(self.text, self.start if offset is None else offset, message)
 
-def _split_top(raw: str, base: int, sep: str) -> list[tuple[str, int]]:
-    """Split on a separator at zero paren/bracket depth, keeping offsets."""
-    pieces = []
-    depth = 0
-    start = 0
-    for k, ch in enumerate(raw):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                _fail_raw(base + k, "unbalanced %r" % ch)
-        elif ch == sep and depth == 0:
-            pieces.append((raw[start:k], base + start))
-            start = k + 1
-    pieces.append((raw[start:], base + start))
-    return pieces
+    def trim(self) -> "_Span":
+        """The span pointing at its first token (its end when empty)."""
+        lo, hi, end = self.lo, self.hi, self.end
+        first = self.toks[lo].start() if lo < hi else end
+        return _Span(self.text, self.toks, lo, hi, first, end)
 
+    def split(self, sep: str) -> list["_Span"]:
+        """Cut at the `sep` tokens outside brackets."""
+        text, toks, lo, hi, start = self.text, self.toks, self.lo, self.hi, self.start
+        pieces = []
+        depth = 0
+        for k in range(lo, hi):
+            tok = toks[k]
+            word = tok[0]
+            if word == sep and depth == 0:
+                pieces.append(_Span(text, toks, lo, k, start, tok.start()))
+                lo, start = k + 1, tok.end()
+            elif word in ("(", "["):
+                depth += 1
+            elif word in (")", "]"):
+                depth -= 1
+                if depth < 0:
+                    self.fail("unbalanced %r" % word, tok.start())
+        pieces.append(_Span(text, toks, lo, hi, start, self.end))
+        return pieces
 
-_SOURCE = ""  # module-level backing for error positions inside helpers
-
-
-def _fail_raw(offset: int, message: str):
-    _fail(_SOURCE, offset, message)
-
-
-def _entries(raw: str, base: int) -> list[tuple[str, str, int]]:
-    out = []
-    for piece, off in _split_top(raw, base, ";"):
-        if not piece.strip():
-            continue
-        eq = piece.find("=")
-        if eq < 0:
-            _fail_raw(off, "expected 'key = value'")
-        key = piece[:eq].strip()
-        if not _HEADER.fullmatch(key):
-            _fail_raw(off, "bad key %r" % key.strip())
-        value = piece[eq + 1 :]
-        pad = len(value) - len(value.lstrip())
-        out.append((key, value.strip(), off + eq + 1 + pad))
-    return out
-
-
-def _block_dict(name: str, raw: str, base: int, allowed: tuple[str, ...]):
-    entries = {}
-    for key, value, off in _entries(raw, base):
-        if key not in allowed:
-            _fail_raw(
-                off,
-                "unknown key %r in %s block (expected: %s)"
-                % (key, name, ", ".join(allowed)),
-            )
-        if key in entries:
-            _fail_raw(off, "duplicate key %r in %s block" % (key, name))
-        entries[key] = (value, off)
-    return entries
-
-
-def _need(entries: dict, name: str, key: str, base: int):
-    if key not in entries:
-        _fail_raw(base, "%s block is missing %r" % (name, key))
-    return entries[key]
+    def inside(self, opener: str, closer: str, what: str) -> "_Span":
+        """The span between this span's outer brackets."""
+        raw = self.raw
+        if not (raw.startswith(opener) and raw.endswith(closer)):
+            self.fail("expected a %s, got %r" % (what, raw))
+        first, last = self.toks[self.lo], self.toks[self.hi - 1]
+        return _Span(
+            self.text, self.toks, self.lo + 1, self.hi - 1, first.end(), last.start()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -247,87 +201,72 @@ def _need(entries: dict, name: str, key: str, base: int):
 # ---------------------------------------------------------------------------
 
 
-def _int(raw: str, off: int) -> int:
+def _int(v: _Span) -> int:
     try:
-        return int(raw)
+        return int(v.raw)
     except ValueError:
-        _fail_raw(off, "expected an integer, got %r" % raw)
+        v.fail("expected an integer, got %r" % v.raw)
 
 
-def _rational(raw: str, off: int) -> Fraction:
+def _rational(v: _Span) -> Fraction:
     try:
-        return Fraction(raw)
+        return Fraction(v.raw)
     except (ValueError, ZeroDivisionError):
-        _fail_raw(off, "expected a rational number, got %r" % raw)
+        v.fail("expected a rational number, got %r" % v.raw)
 
 
-def _list_items(raw: str, off: int) -> list[tuple[str, int]]:
-    if not (raw.startswith("[") and raw.endswith("]")):
-        _fail_raw(off, "expected a [...] list, got %r" % raw)
-    inner = raw[1:-1]
-    if not inner.strip():
+def _list_items(v: _Span) -> list[_Span]:
+    inner = v.inside("[", "]", "[...] list")
+    if inner.lo == inner.hi:
         return []
-    return [
-        (piece.strip(), p + (len(piece) - len(piece.lstrip())))
-        for piece, p in _split_top(inner, off + 1, ",")
-    ]
+    return [piece.trim() for piece in inner.split(",")]
 
 
-def _tuple_parts(raw: str, off: int, converter) -> tuple[tuple, tuple | None]:
-    if not (raw.startswith("(") and raw.endswith(")")):
-        _fail_raw(off, "expected a (...) tuple, got %r" % raw)
-    inner = raw[1:-1]
-    sides = _split_top(inner, off + 1, ";")
+def _tuple_parts(v: _Span, converter) -> tuple[tuple, tuple | None]:
+    sides = v.inside("(", ")", "(...) tuple").split(";")
     if len(sides) > 2:
-        _fail_raw(off, "a degree tuple has at most one ';'")
+        v.fail("a degree tuple has at most one ';'")
 
-    def side(text: str, base: int) -> tuple:
-        if not text.strip():
+    def side(s: _Span) -> tuple:
+        if s.lo == s.hi:
             return ()
-        return tuple(
-            converter(piece.strip(), p)
-            for piece, p in _split_top(text, base, ",")
-        )
+        return tuple(converter(piece) for piece in s.split(","))
 
-    free = side(*sides[0])
-    torsion = side(*sides[1]) if len(sides) == 2 else None
+    free = side(sides[0])
+    torsion = side(sides[1]) if len(sides) == 2 else None
     return free, torsion
 
 
-def _degree(raw: str, off: int, group: DegreeGroup) -> Degree:
-    free, torsion = _tuple_parts(raw, off, _int)
+def _degree(v: _Span, group: DegreeGroup) -> Degree:
+    free, torsion = _tuple_parts(v, _int)
     try:
         return group.degree(free, torsion or ())
     except ValueError as err:
-        _fail_raw(off, str(err))
+        v.fail(str(err))
 
 
-def _int_list(raw: str, off: int) -> list[int]:
-    return [_int(piece, p) for piece, p in _list_items(raw, off)]
+def _certificate(v: _Span) -> tuple:
+    free, torsion = _tuple_parts(v, _rational)
+    if torsion:
+        v.fail("the certificate uses only the free coordinates")
+    return free
 
 
 # Polynomial grammar: sign? term (('+'|'-') sign? term)*, where a term is
 # '*'-separated factors, each a rational number or a variable with an
 # optional '^' power.
-_POLY_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|[-+*^])")
-
-
-def _poly(raw: str, off: int, ring: GradedPolynomialRing) -> Poly:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(raw):
-        m = _POLY_TOKEN.match(raw, pos)
-        if not m:
-            if raw[pos:].strip():
-                _fail_raw(off + pos, "bad polynomial syntax at %r" % raw[pos:].strip())
-            break
-        tokens.append((m.group(1), off + m.start(1)))
-        pos = m.end()
+def _poly(v: _Span, ring: GradedPolynomialRing) -> Poly:
+    tokens = v.toks[v.lo : v.hi]
+    for k, tok in enumerate(tokens):
+        if not tok.lastgroup and tok[0] not in ("+", "-", "*", "^"):
+            after = tokens[k - 1].end() if k else v.start
+            rest = v.text[tok.start() : tokens[-1].end()]
+            v.fail("bad polynomial syntax at %r" % rest, after)
     if not tokens:
-        _fail_raw(off, "expected a polynomial")
+        v.fail("expected a polynomial")
     index = {name: k for k, name in enumerate(ring.var_names)}
     result = Poly.zero()
-    end = off + len(raw.rstrip())
+    end = tokens[-1].end()
     k = 0
 
     def term(sign: Fraction) -> Poly:
@@ -336,26 +275,29 @@ def _poly(raw: str, off: int, ring: GradedPolynomialRing) -> Poly:
         expo = [0] * ring.nvars
         while True:
             if k >= len(tokens):
-                _fail_raw(end, "expected a factor")
-            tok, at = tokens[k]
-            if tok in "+-*^":
-                _fail_raw(at, "expected a factor, got %r" % tok)
+                v.fail("expected a factor", end)
+            tok = tokens[k]
+            if not tok.lastgroup:
+                v.fail("expected a factor, got %r" % tok[0], tok.start())
             k += 1
-            if tok[0].isdigit():
-                coeff *= Fraction(tok)
+            if tok.lastgroup == "num":
+                try:
+                    coeff *= Fraction(tok[0])
+                except ZeroDivisionError:
+                    v.fail("zero denominator in coefficient %r" % tok[0], tok.start())
             else:
-                if tok not in index:
-                    _fail_raw(at, "unknown variable %r" % tok)
+                if tok[0] not in index:
+                    v.fail("unknown variable %r" % tok[0], tok.start())
                 power = 1
                 if k < len(tokens) and tokens[k][0] == "^":
                     k += 1
-                    if k >= len(tokens) or not tokens[k][0][0].isdigit():
-                        _fail_raw(at, "expected an exponent after '^'")
+                    if k >= len(tokens) or tokens[k].lastgroup != "num":
+                        v.fail("expected an exponent after '^'", tok.start())
                     if "/" in tokens[k][0]:
-                        _fail_raw(tokens[k][1], "exponents must be integers")
+                        v.fail("exponents must be integers", tokens[k].start())
                     power = int(tokens[k][0])
                     k += 1
-                expo[index[tok]] += power
+                expo[index[tok[0]]] += power
             if k < len(tokens) and tokens[k][0] == "*":
                 k += 1
                 continue
@@ -364,158 +306,229 @@ def _poly(raw: str, off: int, ring: GradedPolynomialRing) -> Poly:
     first = True
     while k < len(tokens):
         sign = Fraction(1)
-        tok, at = tokens[k]
-        if tok == "-":
+        tok = tokens[k]
+        if tok[0] == "-":
             sign = Fraction(-1)
             k += 1
-        elif tok == "+":
+        elif tok[0] == "+":
             if first:
-                _fail_raw(at, "a polynomial cannot start with '+'")
+                v.fail("a polynomial cannot start with '+'", tok.start())
             k += 1
             if k < len(tokens) and tokens[k][0] == "-":
                 sign = Fraction(-1)
                 k += 1
         elif not first:
-            _fail_raw(at, "expected '+' or '-' between terms")
+            v.fail("expected '+' or '-' between terms", tok.start())
         result = result + term(sign)
         first = False
     return result
 
 
 # ---------------------------------------------------------------------------
-# Block builders.
+# Block builders and renderers.  A builder takes the scenario built so far,
+# the block's span and its values in the table's key order (None for an
+# absent optional key); a renderer returns the value texts in that order.
 # ---------------------------------------------------------------------------
 
 
-def _build_group(entries: dict, base: int) -> DegreeGroup:
-    free_raw, free_off = _need(entries, "group", "free", base)
-    torsion_raw, torsion_off = _need(entries, "group", "torsion", base)
+def _group(free: _Span, torsion: _Span, where: _Span) -> DegreeGroup:
     try:
         return DegreeGroup(
-            _int(free_raw, free_off), tuple(_int_list(torsion_raw, torsion_off))
+            _int(free), tuple(_int(piece) for piece in _list_items(torsion))
         )
     except ValueError as err:
-        _fail_raw(base, str(err))
+        where.fail(str(err))
 
 
-def _build_ring(entries: dict, base: int, group: DegreeGroup) -> GradedPolynomialRing:
-    vars_raw, vars_off = _need(entries, "ring", "vars", base)
-    degs_raw, degs_off = _need(entries, "ring", "degrees", base)
-    cert_raw, cert_off = _need(entries, "ring", "certificate", base)
+def _build_ring(s: Scenario, where, vars_, degrees, certificate):
     names = []
-    for piece, off in _list_items(vars_raw, vars_off):
-        if not _HEADER.fullmatch(piece):
-            _fail_raw(off, "bad variable name %r" % piece)
-        names.append(piece)
-    degrees = [_degree(piece, off, group) for piece, off in _list_items(degs_raw, degs_off)]
-    cert_free, cert_torsion = _tuple_parts(cert_raw, cert_off, _rational)
-    if cert_torsion:
-        _fail_raw(cert_off, "the certificate uses only the free coordinates")
+    for piece in _list_items(vars_):
+        if not piece.is_name:
+            piece.fail("bad variable name %r" % piece.raw)
+        names.append(piece.raw)
+    degs = [_degree(piece, s.group) for piece in _list_items(degrees)]
+    cert = _certificate(certificate)
     try:
-        return GradedPolynomialRing(group, names, degrees, cert_free)
+        return GradedPolynomialRing(s.group, names, degs, cert)
     except ValueError as err:
-        _fail_raw(cert_off, str(err))
+        certificate.fail(str(err))
 
 
-def _monomial(raw: str, off: int, ring: GradedPolynomialRing):
-    p = _poly(raw, off, ring)
+def _monomial(v: _Span, ring: GradedPolynomialRing):
+    p = _poly(v, ring)
     terms = list(p.terms.items())
     if len(terms) != 1 or terms[0][1] != 1:
-        _fail_raw(off, "ideal generators must be plain monomials, got %r" % raw)
+        v.fail("ideal generators must be plain monomials, got %r" % v.raw)
     return terms[0][0]
 
 
-def _build_ideal(entries: dict, base: int, ring: GradedPolynomialRing) -> MonomialIdeal:
-    gens_raw, gens_off = _need(entries, "ideal", "gens", base)
-    gens = [
-        _monomial(piece, off, ring) for piece, off in _list_items(gens_raw, gens_off)
-    ]
-    return MonomialIdeal(ring, gens)
+def _build_ideal(s: Scenario, where, gens) -> MonomialIdeal:
+    gens = [_monomial(piece, s.ring) for piece in _list_items(gens)]
+    return MonomialIdeal(s.ring, gens)
 
 
-def _build_module(
-    name: str, entries: dict, base: int, ring: GradedPolynomialRing
-) -> GradedModulePresentation:
-    gens_raw, gens_off = _need(entries, name, "gens", base)
-    gen_degrees = [
-        _degree(piece, off, ring.group)
-        for piece, off in _list_items(gens_raw, gens_off)
-    ]
+def _build_module(s: Scenario, where, gens, relations) -> GradedModulePresentation:
+    ring = s.ring
+    gen_degrees = [_degree(piece, ring.group) for piece in _list_items(gens)]
     columns = []
-    rel_off = gens_off
-    if "relations" in entries:
-        rel_raw, rel_off = entries["relations"]
-        for r, (row_raw, row_off) in enumerate(_list_items(rel_raw, rel_off)):
-            row = _list_items(row_raw, row_off)
-            if len(row) != len(gen_degrees):
-                _fail_raw(
-                    row_off,
-                    "relation %d has %d entries but the module has %d generators"
-                    % (r, len(row), len(gen_degrees)),
-                )
-            polys = [_poly(piece, off, ring) for piece, off in row]
-            degree = None
-            for j, p in enumerate(polys):
-                if p.is_zero():
-                    continue
-                try:
-                    pd = ring.poly_degree(p)
-                except HomogeneityError:
-                    _fail_raw(
-                        row[j][1],
-                        "relation %d, entry %d is not homogeneous" % (r, j),
-                    )
-                if degree is None:
-                    degree = pd + gen_degrees[j]
-            if degree is None:
-                _fail_raw(row_off, "relation %d is identically zero" % r)
-            columns.append(
-                RelationColumn(
-                    degree, {j: p for j, p in enumerate(polys) if not p.is_zero()}
-                )
+    for r, row_span in enumerate(_list_items(relations) if relations else ()):
+        row = _list_items(row_span)
+        if len(row) != len(gen_degrees):
+            row_span.fail(
+                "relation %d has %d entries but the module has %d generators"
+                % (r, len(row), len(gen_degrees))
             )
+        polys = [_poly(piece, ring) for piece in row]
+        degree = None
+        for j, p in enumerate(polys):
+            if p.is_zero():
+                continue
+            try:
+                pd = ring.poly_degree(p)
+            except HomogeneityError:
+                row[j].fail("relation %d, entry %d is not homogeneous" % (r, j))
+            if degree is None:
+                degree = pd + gen_degrees[j]
+        if degree is None:
+            row_span.fail("relation %d is identically zero" % r)
+        columns.append(
+            RelationColumn(
+                degree, {j: p for j, p in enumerate(polys) if not p.is_zero()}
+            )
+        )
     try:
         return GradedModulePresentation(ring, gen_degrees, columns)
     except HomogeneityError as err:
-        _fail_raw(rel_off, str(err))
+        (relations or gens).fail(str(err))
 
 
-def _build_psi(entries: dict, base: int, source: DegreeGroup) -> GroupEpimorphism:
-    free_raw, free_off = _need(entries, "psi", "free", base)
-    torsion_raw, torsion_off = _need(entries, "psi", "torsion", base)
-    images_raw, images_off = _need(entries, "psi", "images", base)
+def _build_psi(s: Scenario, where, free, torsion, images) -> GroupEpimorphism:
+    target = _group(free, torsion, free)
+    degs = [_degree(piece, target) for piece in _list_items(images)]
     try:
-        target = DegreeGroup(
-            _int(free_raw, free_off), tuple(_int_list(torsion_raw, torsion_off))
-        )
+        psi = GroupEpimorphism(s.group, target, tuple(degs))
     except ValueError as err:
-        _fail_raw(free_off, str(err))
-    images = [
-        _degree(piece, off, target)
-        for piece, off in _list_items(images_raw, images_off)
-    ]
-    try:
-        psi = GroupEpimorphism(source, target, tuple(images))
-    except ValueError as err:
-        _fail_raw(images_off, str(err))
+        images.fail(str(err))
     if not psi.verify_surjective():
-        _fail_raw(images_off, "psi is not surjective onto the target group")
+        images.fail("psi is not surjective onto the target group")
     return psi
 
 
-def _build_window(
-    name: str, entries: dict, base: int, group: DegreeGroup
-) -> DegreeWindow:
-    lo_raw, lo_off = _need(entries, name, "lo", base)
-    hi_raw, hi_off = _need(entries, name, "hi", base)
-    lo_free, lo_torsion = _tuple_parts(lo_raw, lo_off, _int)
-    hi_free, hi_torsion = _tuple_parts(hi_raw, hi_off, _int)
+def _window(group: DegreeGroup, lo: _Span, hi: _Span) -> DegreeWindow:
+    lo_free, lo_torsion = _tuple_parts(lo, _int)
+    hi_free, hi_torsion = _tuple_parts(hi, _int)
     if lo_torsion or hi_torsion:
-        _fail_raw(lo_off, "window bounds use only the free coordinates")
+        lo.fail("window bounds use only the free coordinates")
     try:
         return DegreeWindow.box(group, lo_free, hi_free)
     except ValueError as err:
-        _fail_raw(lo_off, str(err))
+        lo.fail(str(err))
+
+
+def _build_caps(s: Scenario, where, *values) -> None:
+    for name, v in zip(CAP_FLOORS, values):
+        if v is not None:
+            setattr(s, name, _int(v))
+    for name in CAP_FLOORS:
+        problem = cap_problem(name, getattr(s, name))
+        if problem:
+            where.fail(problem)
+
+
+def _list_text(items) -> str:
+    return "[%s]" % ", ".join(str(x) for x in items)
+
+
+def _tuple_text(values) -> str:
+    return "(%s)" % ",".join(str(v) for v in values)
+
+
+def _group_texts(s: Scenario, g: DegreeGroup) -> tuple[str, str]:
+    return "%d" % g.free_rank, _list_text(g.torsion_orders)
+
+
+def _module_texts(s: Scenario, M: GradedModulePresentation) -> tuple[str, str]:
+    rows = [
+        _list_text(
+            s.ring.poly_str(col.entries.get(j, Poly.zero()))
+            for j in range(len(M.gen_degrees))
+        )
+        for col in M.relations
+    ]
+    return _list_text(M.gen_degrees), _list_text(rows)
+
+
+def _window_texts(s: Scenario, w: DegreeWindow) -> tuple[str, str]:
+    if w.free_box is None:
+        raise ValueError("only box windows can be serialized")
+    return _tuple_text(w.free_box[0]), _tuple_text(w.free_box[1])
+
+
+# ---------------------------------------------------------------------------
+# The block table, in parse and render order.
+# ---------------------------------------------------------------------------
+
+
+class _Block(namedtuple("_Block", "name field required optional needs build render")):
+    """A block: the Scenario field it fills (None for caps, whose keys are
+    fields), its keys, the block it needs, and its builder and renderer."""
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return self.required + self.optional
+
+
+_BLOCKS = (
+    _Block(
+        "group", "group", ("free", "torsion"), (), None,
+        lambda s, where, free, torsion: _group(free, torsion, where),
+        _group_texts,
+    ),
+    _Block(
+        "ring", "ring", ("vars", "degrees", "certificate"), (), None, _build_ring,
+        lambda s, ring: (
+            _list_text(ring.var_names),
+            _list_text(ring.var_degrees),
+            _tuple_text(ring.certificate),
+        ),
+    ),
+    _Block(
+        "ideal", "ideal", ("gens",), (), "ring", _build_ideal,
+        lambda s, ideal: (_list_text(s.ring.monomial_str(g) for g in ideal.gens),),
+    ),
+    _Block(
+        "module", "module", ("gens",), ("relations",), "ring",
+        _build_module, _module_texts,
+    ),
+    _Block(
+        "module2", "module2", ("gens",), ("relations",), "ring",
+        _build_module, _module_texts,
+    ),
+    _Block(
+        "psi", "psi", ("free", "torsion", "images"), (), None, _build_psi,
+        lambda s, psi: _group_texts(s, psi.target) + (_list_text(psi.images),),
+    ),
+    _Block(
+        "coarse", "coarse_certificate", ("certificate",), (), None,
+        lambda s, where, certificate: _certificate(certificate),
+        lambda s, cert: (_tuple_text(cert),),
+    ),
+    _Block(
+        "gwindow", "gwindow", ("lo", "hi"), (), None,
+        lambda s, where, lo, hi: _window(s.group, lo, hi),
+        _window_texts,
+    ),
+    _Block(
+        "hwindow", "hwindow", ("lo", "hi"), (), "psi",
+        lambda s, where, lo, hi: _window(s.psi.target, lo, hi),
+        _window_texts,
+    ),
+    _Block(
+        "caps", None, (), tuple(CAP_FLOORS), None, _build_caps,
+        lambda s, _: tuple("%d" % getattr(s, name) for name in CAP_FLOORS),
+    ),
+)
+_BLOCK_NAMES = tuple(b.name for b in _BLOCKS)
 
 
 # ---------------------------------------------------------------------------
@@ -523,155 +536,105 @@ def _build_window(
 # ---------------------------------------------------------------------------
 
 
-def parse_scenario(text: str) -> Scenario:
-    global _SOURCE
-    _SOURCE = text
-    clean = _strip_comments(text)
-    blocks = _scan_blocks(text, clean)
-    if "group" not in blocks:
-        raise ScenarioError("a scenario needs a group block")
-
-    def block(name: str, allowed: tuple[str, ...]):
-        if name not in blocks:
-            return None, 0
-        raw, base = blocks[name]
-        return _block_dict(name, raw, base, allowed), base
-
-    entries, base = block("group", ("free", "torsion"))
-    group = _build_group(entries, base)
-    scenario = Scenario(group)
-
-    entries, base = block("ring", ("vars", "degrees", "certificate"))
-    if entries is not None:
-        scenario.ring = _build_ring(entries, base, group)
-
-    entries, base = block("ideal", ("gens",))
-    if entries is not None:
-        if scenario.ring is None:
-            raise ScenarioError("an ideal block needs a ring block")
-        scenario.ideal = _build_ideal(entries, base, scenario.ring)
-
-    for name in ("module", "module2"):
-        entries, base = block(name, ("gens", "relations"))
-        if entries is not None:
-            if scenario.ring is None:
-                raise ScenarioError("a %s block needs a ring block" % name)
-            setattr(
-                scenario, name, _build_module(name, entries, base, scenario.ring)
+def _find_blocks(text: str, toks: list) -> dict[str, _Span]:
+    """Map block name to the span between its braces, or die pointing at
+    the first malformed spot."""
+    found: dict[str, _Span] = {}
+    k = 0
+    while k < len(toks):
+        head = toks[k]
+        if head.lastgroup != "name":
+            _fail(text, head.start(), "expected a block name")
+        name = head[0]
+        if name not in _BLOCK_NAMES:
+            _fail(
+                text,
+                head.start(),
+                "unknown block %r (expected one of: %s)"
+                % (name, ", ".join(_BLOCK_NAMES)),
             )
+        if name in found:
+            _fail(text, head.start(), "duplicate %s block" % name)
+        if k + 1 == len(toks) or toks[k + 1][0] != "{":
+            at = toks[k + 1].start() if k + 1 < len(toks) else len(text) - 1
+            _fail(text, at, "expected '{' after block name")
+        opener = toks[k + 1]
+        closers = (j for j in range(k + 2, len(toks)) if toks[j][0] == "}")
+        close = next(closers, None)
+        if close is None:
+            _fail(text, opener.start(), "unclosed block %s" % name)
+        closer = toks[close]
+        found[name] = _Span(text, toks, k + 2, close, opener.end(), closer.start())
+        k = close + 1
+    return found
 
-    entries, base = block("psi", ("free", "torsion", "images"))
-    if entries is not None:
-        scenario.psi = _build_psi(entries, base, group)
 
-    entries, base = block("coarse", ("certificate",))
-    if entries is not None:
-        cert_raw, cert_off = _need(entries, "coarse", "certificate", base)
-        free, torsion = _tuple_parts(cert_raw, cert_off, _rational)
-        if torsion:
-            _fail_raw(cert_off, "the certificate uses only the free coordinates")
-        scenario.coarse_certificate = free
-
-    entries, base = block("gwindow", ("lo", "hi"))
-    if entries is not None:
-        scenario.gwindow = _build_window("gwindow", entries, base, group)
-
-    entries, base = block("hwindow", ("lo", "hi"))
-    if entries is not None:
-        if scenario.psi is None:
-            raise ScenarioError("an hwindow block needs a psi block")
-        scenario.hwindow = _build_window(
-            "hwindow", entries, base, scenario.psi.target
+def _block_values(block: _Block, span: _Span) -> dict[str, _Span]:
+    """The block's `key = value` entries, by key."""
+    entries = []
+    for piece in span.split(";"):
+        if piece.lo == piece.hi:
+            continue
+        eq = next(
+            (k for k in range(piece.lo, piece.hi) if piece.toks[k][0] == "="), None
         )
+        if eq is None:
+            piece.fail("expected 'key = value'")
+        sign = piece.toks[eq]
+        key = _Span(piece.text, piece.toks, piece.lo, eq, piece.start, sign.start())
+        if not key.is_name:
+            piece.fail("bad key %r" % key.raw)
+        value = _Span(piece.text, piece.toks, eq + 1, piece.hi, sign.end(), piece.end)
+        entries.append((key.raw, value.trim()))
+    given: dict[str, _Span] = {}
+    for key, value in entries:
+        if key not in block.keys:
+            value.fail(
+                "unknown key %r in %s block (expected: %s)"
+                % (key, block.name, ", ".join(block.keys))
+            )
+        if key in given:
+            value.fail("duplicate key %r in %s block" % (key, block.name))
+        given[key] = value
+    return given
 
-    entries, base = block("caps", ("n_cap", "ray_cap"))
-    if entries is not None:
-        if "n_cap" in entries:
-            scenario.n_cap = _int(*entries["n_cap"])
-        if "ray_cap" in entries:
-            scenario.ray_cap = _int(*entries["ray_cap"])
-        for name in CAP_FLOORS:
-            problem = cap_problem(name, getattr(scenario, name))
-            if problem:
-                _fail_raw(base, problem)
 
+def parse_scenario(text: str) -> Scenario:
+    text, toks = _lex(text)
+    found = _find_blocks(text, toks)
+    # the first block, the grading group, is the one every scenario needs
+    if _BLOCKS[0].name not in found:
+        raise ScenarioError("a scenario needs a %s block" % _BLOCKS[0].name)
+    scenario = Scenario(None)  # filled in table order, the group first
+    for block in _BLOCKS:
+        span = found.get(block.name)
+        if span is None:
+            continue
+        given = _block_values(block, span)
+        if block.needs and block.needs not in found:
+            # 'an hwindow': the h is read as a letter
+            article = "an" if block.name[0] in "aeiouh" else "a"
+            raise ScenarioError(
+                "%s %s block needs a %s block" % (article, block.name, block.needs)
+            )
+        for key in block.required:
+            if key not in given:
+                span.fail("%s block is missing %r" % (block.name, key))
+        values = [given.get(key) for key in block.keys]
+        value = block.build(scenario, span, *values)
+        if block.field:
+            setattr(scenario, block.field, value)
     return scenario
-
-
-# ---------------------------------------------------------------------------
-# Canonical serialization.
-# ---------------------------------------------------------------------------
-
-
-def _render_free_tuple(values) -> str:
-    return "(%s)" % ",".join(str(v) for v in values)
 
 
 def serialize_scenario(s: Scenario) -> str:
     lines = []
-    lines.append(
-        "group { free = %d; torsion = [%s] }"
-        % (s.group.free_rank, ", ".join(str(m) for m in s.group.torsion_orders))
-    )
-    ring = s.ring
-    if ring is not None:
-        lines.append(
-            "ring { vars = [%s]; degrees = [%s]; certificate = %s }"
-            % (
-                ", ".join(ring.var_names),
-                ", ".join(str(d) for d in ring.var_degrees),
-                _render_free_tuple(ring.certificate),
-            )
-        )
-    if s.ideal is not None:
-        lines.append(
-            "ideal { gens = [%s] }"
-            % ", ".join(ring.monomial_str(g) for g in s.ideal.gens)
-        )
-    for name in ("module", "module2"):
-        M = getattr(s, name)
-        if M is None:
+    for block in _BLOCKS:
+        value = getattr(s, block.field) if block.field else s
+        if value is None:
             continue
-        rows = []
-        for col in M.relations:
-            entries = [
-                ring.poly_str(col.entries.get(j, Poly.zero()))
-                for j in range(len(M.gen_degrees))
-            ]
-            rows.append("[%s]" % ", ".join(entries))
+        pairs = zip(block.keys, block.render(s, value))
         lines.append(
-            "%s { gens = [%s]; relations = [%s] }"
-            % (
-                name,
-                ", ".join(str(d) for d in M.gen_degrees),
-                ", ".join(rows),
-            )
+            "%s { %s }" % (block.name, "; ".join("%s = %s" % kv for kv in pairs))
         )
-    if s.psi is not None:
-        t = s.psi.target
-        lines.append(
-            "psi { free = %d; torsion = [%s]; images = [%s] }"
-            % (
-                t.free_rank,
-                ", ".join(str(m) for m in t.torsion_orders),
-                ", ".join(str(d) for d in s.psi.images),
-            )
-        )
-    if s.coarse_certificate is not None:
-        lines.append(
-            "coarse { certificate = %s }"
-            % _render_free_tuple(s.coarse_certificate)
-        )
-    for name in ("gwindow", "hwindow"):
-        w = getattr(s, name)
-        if w is None:
-            continue
-        if w.free_box is None:
-            raise ValueError("only box windows can be serialized")
-        lo, hi = w.free_box
-        lines.append(
-            "%s { lo = %s; hi = %s }"
-            % (name, _render_free_tuple(lo), _render_free_tuple(hi))
-        )
-    lines.append("caps { n_cap = %d; ray_cap = %d }" % (s.n_cap, s.ray_cap))
     return "\n".join(lines) + "\n"

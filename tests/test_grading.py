@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsecoh.grading import Degree, DegreeGroup, DegreeWindow, GroupEpimorphism
+from coarsecoh.grading import (
+    BOX_CELL_CAP,
+    Degree,
+    DegreeGroup,
+    DegreeWindow,
+    GroupEpimorphism,
+)
 
 Z1 = DegreeGroup(1)
 Z2 = DegreeGroup(2)
@@ -117,6 +123,16 @@ def test_window_box_includes_all_torsion():
 def test_empty_box_rejected():
     with pytest.raises(ValueError):
         DegreeWindow.box(Z1, (1,), (0,))
+
+
+def test_box_over_the_cell_cap_is_refused_with_its_count():
+    # 50,001 free values times the two torsion classes: the count is taken
+    # from the bounds, so the refusal costs nothing
+    assert BOX_CELL_CAP == 100_000
+    with pytest.raises(ValueError, match="the box has 100002 cells"):
+        DegreeWindow.box(Z_Z2, (0,), (50_000,))
+    with pytest.raises(ValueError, match="the box has 10000000000 cells"):
+        DegreeWindow.box(Z2, (1, 1), (100_000, 100_000))
 
 
 def test_identity_epimorphism_total():

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coarsecoh.errors import ScenarioError
 from coarsecoh.scenario import parse_scenario, serialize_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FINE = """\
 # fine-graded plane with the coordinate-sum regrading
@@ -191,3 +197,90 @@ def test_column_points_into_the_line():
     text = "group { free = 1; torsion = [] }\nblob { }\n"
     e = _error(text)
     assert (e.line, e.col) == (2, 1)
+
+
+def test_zero_denominator_coefficient_is_a_scenario_error():
+    text = (
+        "group { free = 1; torsion = [] }\n"
+        "ring { vars = [x]; degrees = [(1)]; certificate = (1) }\n"
+        "module { gens = [(0)]; relations = [[1/0*x]] }\n"
+    )
+    e = _error(text)
+    assert (e.line, e.col) == (3, 38)
+    assert "zero denominator in coefficient '1/0'" in str(e)
+
+
+def test_oversized_window_is_refused_before_enumeration():
+    # one cell more than the cap of 100,000: refused from the bounds alone,
+    # at the window's lo, instead of enumerating 100,001 degrees
+    e = _error(
+        "group { free = 1; torsion = [] }\ngwindow { lo = (0); hi = (100000) }\n"
+    )
+    assert (e.line, e.col) == (2, 16)
+    assert "the box has 100001 cells, more than the 100000" in str(e)
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzz: every shipped and inline scenario, with a few edits drawn from
+# scenario characters and a handful of troublesome tokens, must either be
+# refused with a ScenarioError or round-trip exactly.
+# ---------------------------------------------------------------------------
+
+
+def _inline_scenarios() -> list[str]:
+    """The scenario texts written out in this module."""
+    tree = ast.parse(Path(__file__).read_text())
+    return sorted(
+        {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "{ " in node.value
+        }
+    )
+
+
+SEED_TEXTS = [
+    path.read_text()
+    for folder in ("scenarios", "tests/data", "perfbench/scenarios")
+    for path in sorted((ROOT / folder).glob("*.scn"))
+] + _inline_scenarios()
+EDIT_PIECES = sorted(set("".join(SEED_TEXTS))) + ["-1", "99999", "1/0"]
+EDIT = st.tuples(
+    st.sampled_from(("delete", "insert", "cut")),
+    st.integers(0, 10**4),
+    st.sampled_from(EDIT_PIECES),
+)
+
+
+def _edited(text: str, edits) -> str:
+    """Apply (kind, position, piece) edits: delete one character, insert the
+    piece, or cut the text off; positions wrap around the current length."""
+    for kind, where, piece in edits:
+        at = where % (len(text) + 1)
+        if kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif kind == "insert":
+            text = text[:at] + piece + text[at:]
+        else:
+            text = text[:at]
+    return text
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(SEED_TEXTS), st.lists(EDIT, min_size=1, max_size=4))
+# a coefficient with a zero denominator
+@example(FINE, [("insert", FINE.index("x^2*y"), "1/0")])
+# a window of about three million cells
+@example(FINE, [("insert", FINE.index("(-2,-2)") + 2, "99999")])
+def test_edited_scenarios_are_refused_or_round_trip(text, edits):
+    text = _edited(text, edits)
+    try:
+        first = parse_scenario(text)
+    except ScenarioError:
+        return
+    canonical = serialize_scenario(first)
+    second = parse_scenario(canonical)
+    assert second == first
+    assert serialize_scenario(second) == canonical

@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and reads each
-private name it defines.
+"""Every module of the package uses each name it imports, reads each
+private name it defines, and imports nothing outside the standard library.
 
 A name imported and never read, or a module-level `_private` function,
 class or assignment that its own module never reads, is a leftover of
@@ -7,12 +7,15 @@ deleted code.  The checks parse each module with the standard library's
 ast: a name counts as used when it is read anywhere in the module,
 annotations included, or (for imports) listed in the module's __all__.
 The package's __init__ imports to re-export and is left out of the import
-check.
+check.  The package promises no runtime dependency beyond the standard
+library, so every import in it must be relative, from __future__, or of a
+module in sys.stdlib_module_names.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsecoh"
@@ -112,3 +115,43 @@ def test_the_check_sees_a_private_helper_left_behind():
         "    return _helper()\n"
     )
     assert unread_private_names(source) == ["line 3: _cache", "line 4: _Old"]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "__future__" and top not in sys.stdlib_module_names:
+                found.append("line %d: %s" % (node.lineno, name))
+    return sorted(found)
+
+
+def test_the_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: non_stdlib_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_check_sees_a_third_party_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import sympy\n"
+        "from fractions import Fraction\n"
+        "from .ringcore import Poly\n"
+        "import os.path, numpy.linalg as la\n"
+        "from hypothesis.strategies import integers\n"
+    )
+    assert non_stdlib_imports(source) == [
+        "line 2: sympy",
+        "line 5: numpy.linalg",
+        "line 6: hypothesis.strategies",
+    ]
