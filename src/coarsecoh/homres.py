@@ -204,7 +204,11 @@ class CochainSpaces:
 def ext_subquotient(
     spaces: CochainSpaces, p: int, include_boundary: bool = True
 ) -> Subquotient:
-    """Cohomology (or plain cocycles) of the cochain complex at position p."""
+    """Cohomology (or plain cocycles) of the cochain complex at position p.
+    An empty cochain space has the zero subquotient, built without d^p or
+    d^{p-1}."""
+    if spaces.dim(p) == 0:
+        return Subquotient(0, [], [])
     d_p = spaces.differential(p)
     boundaries = []
     if include_boundary and p >= 1:
@@ -356,6 +360,9 @@ def ext_limit_at_degree(
         transitions = []
         for n, cm in enumerate(tower.maps):
             src_sq, dst_sq = stages[n], stages[n + 1]
+            if not (src_sq.dim and dst_sq.dim):
+                transitions.append(Mat.zero(dst_sq.dim, src_sq.dim))
+                continue
             ambient = cm.maps[position].hom(N, g)
             cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
             transitions.append(Mat.from_columns(cols, dst_sq.dim))

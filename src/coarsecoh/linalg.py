@@ -452,7 +452,9 @@ class DirectedLimit:
     A composite V_n -> V_k is built, as (V_{n+1} -> V_k) o (V_n -> V_{n+1}),
     and ranked only when the rule reads its rank: the scan stops at its
     first unstable stage, and the rest of the rule reads only the ranks it
-    names, so most of the m(m-1)/2 composites are never formed.
+    names, so most of the m(m-1)/2 composites are never formed.  A
+    composite through an empty stage has rank 0 and is never formed
+    either, nor is the composite of a limit of dimension 0.
     """
 
     dims: list[int]
@@ -496,7 +498,7 @@ class DirectedLimit:
 
         def r(n: int, k: int) -> int:
             if (n, k) not in ranks:
-                ranks[n, k] = rank(comp(n, k))
+                ranks[n, k] = rank(comp(n, k)) if all(dims[n : k + 1]) else 0
             return ranks[n, k]
 
         n_star = None
@@ -520,7 +522,7 @@ class DirectedLimit:
             if v > 0 or dims[m - 2] == 0:
                 return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
-        basis, _ = column_space_basis(comp(n_star, m - 1))
+        basis = column_space_basis(comp(n_star, m - 1))[0] if v else []
         lim.basis = basis
         lim.limit_dim = len(basis)
         return lim

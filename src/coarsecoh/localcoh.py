@@ -71,7 +71,11 @@ class CechAtDegree:
     Only the cohomological positions asked for are built: H^i reads the
     rays of the subsets of sizes i-1, i and i+1 and the differentials
     d^{i-1} and d^i, so only a ray that some asked position reads can be
-    refused.  The default asks for every position."""
+    refused.  The default asks for every position.
+
+    A ray step into or out of an empty component is the zero map of its
+    shape, written down without a multiplication matrix; a differential
+    block between empty limits is never asked for (Mat.block)."""
 
     def __init__(
         self,
@@ -109,7 +113,12 @@ class CechAtDegree:
             self.ray_ends[S] = ray[-1]
             dims = [M.dim(h) for h in ray]
             mono = Poly.monomial(f_S)
-            transitions = [M.multiplication_matrix(mono, h) for h in ray[:-1]]
+            transitions = [
+                M.multiplication_matrix(mono, h)
+                if dims[k] and dims[k + 1]
+                else Mat.zero(dims[k + 1], dims[k])
+                for k, h in enumerate(ray[:-1])
+            ]
             lim = DirectedLimit.of(dims, transitions)
             if not lim.stabilized:
                 raise UnstabilizedError(

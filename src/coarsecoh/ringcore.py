@@ -346,11 +346,12 @@ class ComponentSpace:
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
+        # with no labels every relation product is empty: build none
         rel_vectors = [
             self.product(m, col.entries)
             for col in module.relations
             for m in ring.monomials_of_degree(degree - col.degree)
-        ]
+        ] if n else []
         self.relations = RowSpan(n, rel_vectors)
         piv = set(self.relations.pivots)
         self.basis_positions = [i for i in range(n) if i not in piv]

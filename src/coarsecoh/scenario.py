@@ -332,10 +332,12 @@ def _poly(v: _Span, ring: GradedPolynomialRing) -> Poly:
 
 
 def _group(free: _Span, torsion: _Span, where: _Span) -> DegreeGroup:
+    # the values fail at their own positions; only DegreeGroup's refusal
+    # gets the block's
+    rank = _int(free)
+    orders = tuple(_int(piece) for piece in _list_items(torsion))
     try:
-        return DegreeGroup(
-            _int(free), tuple(_int(piece) for piece in _list_items(torsion))
-        )
+        return DegreeGroup(rank, orders)
     except ValueError as err:
         where.fail(str(err))
 

@@ -260,3 +260,35 @@ def test_directed_limit_too_short_to_judge():
     assert not DirectedLimit.of([1, 1], [Mat.identity(1)]).stabilized
     ids = [Mat.identity(1), Mat.identity(1)]
     assert not DirectedLimit.of([1, 1, 1], ids).stabilized
+
+
+_I, _Z = Mat.identity, Mat.zero
+
+
+@pytest.mark.parametrize(
+    "dims, transitions, stabilized_at, basis",
+    [
+        # K -> 0 -> K -> K -> K -> K, identities after the gap
+        ([1, 0, 1, 1, 1, 1], [_Z(0, 1), _Z(1, 0), _I(1), _I(1), _I(1)], 3, [{0: 1}]),
+        # K -> K -> 0 -> 0 -> 0 -> 0
+        ([1, 1, 0, 0, 0, 0], [_I(1), _Z(0, 1)] + [_Z(0, 0)] * 3, 1, []),
+        # K^2 -> K^2 -> 0 -> K -> K -> K -> K
+        ([2, 2, 0, 1, 1, 1, 1], [_I(2), _Z(0, 2), _Z(1, 0)] + [_I(1)] * 3, 4, [{0: 1}]),
+        # K -> K -> K -> 0 -> K^2 -> K^2 -> K^2 -> K^2, a swap after the gap
+        (
+            [1, 1, 1, 0, 2, 2, 2, 2],
+            [_I(1), _I(1), _Z(0, 1), _Z(2, 0), Mat([[0, 1], [1, 0]]), _I(2), _I(2)],
+            5,
+            [{1: 1}, {0: 1}],
+        ),
+    ],
+    ids=["gap-then-identities", "dies-into-zeros", "middle-gap", "swap-after-gap"],
+)
+def test_directed_limit_with_empty_interior_stages(
+    dims, transitions, stabilized_at, basis
+):
+    # a composite through an empty stage has rank 0 and is never formed
+    lim = DirectedLimit.of(dims, transitions)
+    assert lim.stabilized_at == stabilized_at
+    assert lim.limit_dim == len(basis)
+    assert lim.basis == basis

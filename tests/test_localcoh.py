@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from coarsecoh.ringcore import (
     MonomialIdeal,
     Poly,
 )
+from coarsecoh.scenario import parse_scenario
 
 from helpers import (
     Z1,
@@ -323,6 +325,44 @@ def test_cech_built_at_one_position_agrees_with_the_full_build(case, data):
     for i in range(len(a.gens) + 2):
         one = CechAtDegree(a.gens, M, g, ray_cap=5, positions=(i,))
         assert one.cohomology_dim(i) == full.cohomology_dim(i)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(monomial_quotients(), st.data())
+def test_multiplication_into_or_out_of_an_empty_component_is_zero(case, data):
+    # the Cech rays and the tower transitions write these maps down as
+    # Mat.zero of their shape instead of asking for them
+    a, M, window, _ = case
+    R = M.ring
+    f = Poly.monomial(data.draw(st.sampled_from(a.gens or (R.one(),))))
+    fd = R.poly_degree(f)
+    for g in window:
+        for h in (g, g - fd):
+            src, tgt = M.dim(h), M.dim(h + fd)
+            if src == 0 or tgt == 0:
+                assert M.multiplication_matrix(f, h) == Mat.zero(tgt, src)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _empty_sided(M):
+    return [k for k, mat in M._mult_cache.items() if not (mat.nrows and mat.ncols)]
+
+
+def test_cech_builds_no_map_into_or_out_of_an_empty_component():
+    s = parse_scenario((ROOT / "perfbench/scenarios/fine3q.scn").read_text())
+    cech_table(s.ideal, 2, s.module, s.gwindow, s.ray_cap)
+    assert s.module._mult_cache
+    assert _empty_sided(s.module) == []
+
+
+def test_ext_towers_build_no_map_into_or_out_of_an_empty_component():
+    s = parse_scenario((ROOT / "scenarios/mixed-plane.scn").read_text())
+    for i in (0, 1, 2):
+        colim_ext_table(i, s.ideal, s.module, s.gwindow, s.n_cap)
+    assert s.module._mult_cache
+    assert _empty_sided(s.module) == []
 
 
 def test_cech_position_not_built_raises():

@@ -199,6 +199,29 @@ def test_column_points_into_the_line():
     assert (e.line, e.col) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("group { free = x; torsion = [] }", (1, 16)),
+        (
+            "group { free = 1; torsion = [] }\n"
+            "ring { vars = [x]; degrees = [(1)]; certificate = (1) }\n"
+            "psi { free = y; torsion = []; images = [(1)] }\n",
+            (3, 14),
+        ),
+    ],
+    ids=["group", "psi"],
+)
+def test_bad_group_integer_names_one_position(text, where):
+    # the value's own position, not the block's pasted in front of it
+    e = _error(text)
+    assert (e.line, e.col) == where
+    bad = text[text.rindex("free = ") + 7]
+    assert str(e) == "line %d, column %d: expected an integer, got %r" % (
+        where + (bad,)
+    )
+
+
 def test_zero_denominator_coefficient_is_a_scenario_error():
     text = (
         "group { free = 1; torsion = [] }\n"
