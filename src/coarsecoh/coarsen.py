@@ -271,16 +271,13 @@ def check_gamma_identity(
     coarse = torsion_submodule(coarsen_ideal(ideal, Rc), Mc, hwindow, n_cap=n_cap)
     rows = []
     for h in hwindow:
-        comp_c = Mc.component(h)
-        pushed = []
-        total = 0
-        for g in psi.fiber(h, gwindow):
-            comp_f = M.component(g)
-            for vec in fine.bases[g]:
-                pushed.append(_push_component_vector(comp_f, comp_c, vec))
-                total += 1
-        agree = spans_equal(pushed, coarse.bases[h], comp_c.dim)
-        rows.append(GammaIdentityRow(h, total, len(coarse.bases[h]), agree))
+        pushed = [
+            _push_component_vector(M.component(g), Mc.component(h), vec)
+            for g in psi.fiber(h, gwindow)
+            for vec in fine.bases[g]
+        ]
+        agree = spans_equal(pushed, coarse.bases[h], Mc.dim(h))
+        rows.append(GammaIdentityRow(h, len(pushed), len(coarse.bases[h]), agree))
     return GammaIdentityReport(rows, all(r.spans_agree for r in rows))
 
 
@@ -320,16 +317,16 @@ def hom_comparison(
             fine = GradedHomSpace(M, N, g)
             total += fine.dim
             for k in range(fine.dim):
-                images = fine.generator_images(k)
                 vec = {}
                 ofs = 0
-                for j, dj in enumerate(M.gen_degrees):
-                    comp_f = N.component(g + dj)
-                    comp_c = Nc.component(h + psi.apply(dj))
-                    image = _push_component_vector(comp_f, comp_c, images[j])
-                    for i, x in image.items():
-                        vec[ofs + i] = x
-                    ofs += comp_c.dim
+                for j, image in enumerate(fine.generator_images(k)):
+                    if image:  # an empty block's components are never built
+                        dj = M.gen_degrees[j]
+                        comp_f = N.component(g + dj)
+                        comp_c = Nc.component(h + psi.apply(dj))
+                        image = _push_component_vector(comp_f, comp_c, image)
+                        vec.update((ofs + i, x) for i, x in image.items())
+                    ofs += coarse.block_dims[j]
                 pushed.append(vec)
         injective = rank(Mat.from_columns(pushed, ambient)) == total
         surjective = spans_equal(pushed, coarse.basis, ambient)

@@ -351,22 +351,20 @@ def ext_limit_at_degree(
     over the tower at degree g, and their certified colimit; raises
     UnstabilizedError, labelled `what`, when the cap does not certify it.
     The stages are ext_stages with boundaries unless the caller passes
-    its own, built by ext_stages at this position or derived from them."""
+    its own, built by ext_stages at this position or derived from them.
+    A tower step is built only when DirectedLimit asks for it: never into
+    or out of an empty stage, so never for a chain that is empty at every
+    stage, such as every position above the top of the complexes."""
     if stages is None:
         stages = ext_stages(tower, N, g, position)
-    if position > tower.complexes[0].top:
-        transitions = [Mat.zero(0, 0) for _ in tower.maps]
-    else:
-        transitions = []
-        for n, cm in enumerate(tower.maps):
-            src_sq, dst_sq = stages[n], stages[n + 1]
-            if not (src_sq.dim and dst_sq.dim):
-                transitions.append(Mat.zero(dst_sq.dim, src_sq.dim))
-                continue
-            ambient = cm.maps[position].hom(N, g)
-            cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
-            transitions.append(Mat.from_columns(cols, dst_sq.dim))
-    limit = DirectedLimit.of([sq.dim for sq in stages], transitions)
+
+    def step(n: int) -> Mat:
+        src_sq, dst_sq = stages[n], stages[n + 1]
+        ambient = tower.maps[n].maps[position].hom(N, g)
+        cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
+        return Mat.from_columns(cols, dst_sq.dim)
+
+    limit = DirectedLimit.of([sq.dim for sq in stages], step)
     if not limit.stabilized:
         raise UnstabilizedError(what, g, limit.dims)
     return stages, limit

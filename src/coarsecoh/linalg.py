@@ -449,16 +449,21 @@ class DirectedLimit:
     n* up to m-2, which is what lets callers push vectors forward from any
     certified stage and express them in the `basis`.
 
-    A composite V_n -> V_k is built, as (V_{n+1} -> V_k) o (V_n -> V_{n+1}),
-    and ranked only when the rule reads its rank: the scan stops at its
-    first unstable stage, and the rest of the rule reads only the ranks it
-    names, so most of the m(m-1)/2 composites are never formed.  A
-    composite through an empty stage has rank 0 and is never formed
-    either, nor is the composite of a limit of dimension 0.
+    The chain is given by its dimensions and a function `step`: step(k)
+    is the map V_{k+1} -> V_{k+2}, for k = 0..m-2.  The dimensions come
+    first, and a step is asked for only when the rule reads it.  A map into or out of an empty stage is zero, so a composite
+    through an empty stage has rank 0 and is never formed, and its steps
+    are never asked for.  In particular an all-zero chain needs no
+    transitions: it is certified 0 at stage 1 from its dimensions alone,
+    with no step asked for and no rank scanned.  A composite V_n -> V_k
+    is built as (V_{n+1} -> V_k) o (V_n -> V_{n+1}), and ranked only when
+    the rule reads its rank: the scan stops at its first unstable stage,
+    and the rest of the rule reads only the ranks it names, so most of
+    the m(m-1)/2 composites are never formed, nor is the composite of a
+    limit of dimension 0.
     """
 
     dims: list[int]
-    transitions: list[Mat]
     stabilized_at: int | None = None
     limit_dim: int = 0
     basis: list[dict] = field(default_factory=list)
@@ -467,33 +472,35 @@ class DirectedLimit:
     )
 
     @staticmethod
-    def of(dims, transitions) -> "DirectedLimit":
+    def of(dims, step) -> "DirectedLimit":
         dims = list(dims)
-        transitions = list(transitions)
         m = len(dims)
-        if len(transitions) != m - 1:
-            raise ValueError("need one transition per consecutive pair")
-        for k, t in enumerate(transitions):
-            if t.ncols != dims[k] or t.nrows != dims[k + 1]:
-                raise ValueError("transition %d has the wrong shape" % (k + 1))
-        lim = DirectedLimit(dims, transitions)
-        if all(d == 0 for d in dims):
+        lim = DirectedLimit(dims)
+        if not any(dims):
             lim.stabilized_at = 1
             return lim
         if m < 4:
             return lim
         # composites and their ranks in 0-based indexing, built on demand:
-        # comps[n, k] is V_{n+1} -> V_{k+1}, made as comps[n+1, k] o T_n
-        comps = {(k, k + 1): t for k, t in enumerate(transitions)}
+        # comps[n, k] is V_{n+1} -> V_{k+1}, made as comps[n+1, k] o T_n,
+        # and comps[k, k + 1] is the step T_k
+        comps: dict[tuple[int, int], Mat] = {}
         ranks: dict[tuple[int, int], int] = {}
+
+        def transition(k: int) -> Mat:
+            if (k, k + 1) not in comps:
+                t = comps[k, k + 1] = step(k)
+                if t.ncols != dims[k] or t.nrows != dims[k + 1]:
+                    raise ValueError("transition %d has the wrong shape" % (k + 1))
+            return comps[k, k + 1]
 
         def comp(n: int, k: int) -> Mat:
             j = n
-            while (j, k) not in comps:
+            while j < k - 1 and (j, k) not in comps:
                 j += 1
-            mat = comps[j, k]
+            mat = comps[j, k] if j < k - 1 else transition(j)
             for j in range(j - 1, n - 1, -1):
-                mat = comps[j, k] = mat.mul(transitions[j])
+                mat = comps[j, k] = mat.mul(transition(j))
             return mat
 
         def r(n: int, k: int) -> int:

@@ -73,9 +73,12 @@ class CechAtDegree:
     d^{i-1} and d^i, so only a ray that some asked position reads can be
     refused.  The default asks for every position.
 
-    A ray step into or out of an empty component is the zero map of its
-    shape, written down without a multiplication matrix; a differential
-    block between empty limits is never asked for (Mat.block)."""
+    Every ray is read dimensions first: DirectedLimit asks for the
+    multiplication matrix of a ray step only when both of its components
+    are nonempty and its rule reads the step, so a ray that is zero at
+    every stage is certified 0 at stage 1 with no transition built and no
+    rank scanned.  A differential block between empty limits is never
+    asked for either (Mat.block)."""
 
     def __init__(
         self,
@@ -113,13 +116,9 @@ class CechAtDegree:
             self.ray_ends[S] = ray[-1]
             dims = [M.dim(h) for h in ray]
             mono = Poly.monomial(f_S)
-            transitions = [
-                M.multiplication_matrix(mono, h)
-                if dims[k] and dims[k + 1]
-                else Mat.zero(dims[k + 1], dims[k])
-                for k, h in enumerate(ray[:-1])
-            ]
-            lim = DirectedLimit.of(dims, transitions)
+            lim = DirectedLimit.of(
+                dims, lambda k: M.multiplication_matrix(mono, ray[k])
+            )
             if not lim.stabilized:
                 raise UnstabilizedError(
                     "localization at %s" % ring.monomial_str(f_S), g, dims

@@ -359,6 +359,12 @@ def build_witness_hom(level: int) -> WitnessHom:
     beyond every threshold, each probe hits exactly the components whose
     threshold exceeds its exponent, which is a finite set.
     """
+    return _certified_witness_hom(level)[0]
+
+
+def _certified_witness_hom(level: int) -> tuple[WitnessHom, list[dict]]:
+    """build_witness_hom's map together with the local-finiteness table
+    that certified it, so a report need not probe the map again."""
     if level < 1:
         raise ValueError("level must be at least 1, got %s" % (level,))
     comps = []
@@ -370,12 +376,13 @@ def build_witness_hom(level: int) -> WitnessHom:
             raise ArithmeticError("probe died in component %s" % (k,))
         comps.append(WitnessComponent(k, Fraction(k), ideal, probe, image))
     hom = WitnessHom(level, tuple(comps))
-    for row in local_finiteness_table(hom):
+    probes = local_finiteness_table(hom)
+    for row in probes:
         if not row["ok"]:
             raise ArithmeticError(
                 "component bookkeeping broke at exponent %s" % row["exponent"]
             )
-    return hom
+    return hom, probes
 
 
 def local_finiteness_table(
@@ -497,7 +504,7 @@ def counterexample_report(level: int, seed: int = 0) -> CounterexampleReport:
     maximal graded ideal on random exponents, generation-gap witnesses
     for random finite candidate sets, and component linearity on random
     homogeneous pairs.  Deterministic for a fixed seed."""
-    hom = build_witness_hom(level)
+    hom, probes = _certified_witness_hom(level)
     rng = random.Random(seed)
     idem = [
         idempotency_witness(_random_positive_fraction(rng))
@@ -522,7 +529,7 @@ def counterexample_report(level: int, seed: int = 0) -> CounterexampleReport:
     return CounterexampleReport(
         level=level,
         support=hom.support_degrees(),
-        probes=local_finiteness_table(hom),
+        probes=probes,
         idempotency=idem,
         generation_gaps=gaps,
         linearity_ok=linearity_ok,

@@ -18,7 +18,11 @@ Conventions fixed here and used everywhere else:
 Components of a finitely presented module are computed as explicit
 quotient spaces: monomial basis of the free cover in that degree, modulo
 the row reduced relation image.  The chosen basis (unreduced monomial
-labels outside the pivot set) is deterministic.  Relation vectors,
+labels outside the pivot set) is deterministic.  Dimensions come first:
+a degree in which no generator has monomials is empty, and dim says so
+from the ring's monomial cache without building a component.  Every
+reader that needs only a dimension asks dim, so a ComponentSpace is
+built only for a degree that has labels.  Relation vectors,
 multiplication columns and component coordinates are sparse vectors
 ``{index: Fraction}`` (see linalg): a product m * p of a monomial and a
 polynomial is written straight into one, since its terms fall on
@@ -220,9 +224,11 @@ class GradedPolynomialRing:
         the recurrence stops at both without descending.  Variables weigh
         > 0, so finitely many degrees lie below g; an explicit stack fills
         them in and the cache keeps each of them as well as g."""
+        cache = self._mono_cache
+        if g in cache:  # only degrees of this group are ever cached
+            return cache[g]
         if g.group != self.group:
             raise ValueError("degree outside the grading group")
-        cache = self._mono_cache
         nonneg = self._nonneg_coords
         stack = [(g, None)]
         while stack:
@@ -436,6 +442,9 @@ class GradedModulePresentation:
         return GradedModulePresentation(ring, [ring.group.zero()], cols)
 
     def component(self, g: Degree) -> ComponentSpace:
+        """M_g with its basis and coordinates, built once per degree.  Only
+        callers that need vectors in M_g ask for it; the dimension alone
+        comes from dim, which builds nothing for an empty degree."""
         comp = self._components.get(g)
         if comp is None:
             comp = ComponentSpace(self, g)
@@ -443,12 +452,21 @@ class GradedModulePresentation:
         return comp
 
     def dim(self, g: Degree) -> int:
+        """dim M_g.  It is 0, with no component built or stored, when no
+        generator degree d_j leaves monomials of degree g - d_j; otherwise
+        it is the dimension of the component."""
+        comp = self._components.get(g)
+        if comp is not None:
+            return comp.dim
+        mons = self.ring.monomials_of_degree
+        if not any(mons(g - d) for d in self.gen_degrees):
+            return 0
         return self.component(g).dim
 
     def hilbert(self, window: DegreeWindow) -> "HilbertTable":
         return HilbertTable(
             window,
-            {g: self.component(g).dim for g in window},
+            {g: self.dim(g) for g in window},
             support_gens=self.gen_degrees,
         )
 
@@ -460,12 +478,12 @@ class GradedModulePresentation:
         if cached is not None:
             return cached
         fd = self.ring.poly_degree(f)
-        src = self.component(g)
         if fd is None:
             # multiplication by zero: conventionally a map to the zero space
-            out = Mat.zero(0, src.dim)
+            out = Mat.zero(0, self.dim(g))
             self._mult_cache[key] = out
             return out
+        src = self.component(g)
         tgt = self.component(g + fd)
         cols = [tgt.reduce(tgt.product(m, {j: f})) for j, m in src.basis_labels]
         mat = Mat.from_columns(cols, tgt.dim)

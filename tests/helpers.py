@@ -4,6 +4,7 @@ modules that the checks revolve around."""
 from __future__ import annotations
 
 from coarsecoh.grading import DegreeGroup, DegreeWindow, GroupEpimorphism
+from coarsecoh.linalg import DirectedLimit
 from coarsecoh.ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -76,3 +77,14 @@ def window1(lo, hi):
 
 def window2(lo, hi):
     return DegreeWindow.box(Z2, lo, hi)
+
+
+def chain_limit(dims, transitions):
+    """DirectedLimit.of on a chain given as a list of transitions; fails
+    the test if the rule asks for a step into or out of an empty stage."""
+
+    def step(k):
+        assert dims[k] and dims[k + 1], "step %d touches an empty stage" % (k + 1)
+        return transitions[k]
+
+    return DirectedLimit.of(dims, step)

@@ -17,6 +17,8 @@ from coarsecoh.linalg import (
     spans_equal,
 )
 
+from helpers import chain_limit
+
 
 def _rand_matrix(rng, m, n):
     return Mat(
@@ -150,19 +152,34 @@ def test_directed_limit_kernel_growth_pattern():
         Mat.identity(1),
         Mat.identity(1),
     ]
-    lim = DirectedLimit.of(dims, ts)
+    lim = chain_limit(dims, ts)
     assert lim.stabilized
     assert lim.stabilized_at == 3
     assert lim.limit_dim == 1
     v = {0: Fraction(1)}  # at stage 3
-    for t in lim.transitions[2:]:
+    for t in ts[2:]:
         v = t.apply(v)
     assert lim.express(v) == {0: 1}
 
 
 def test_directed_limit_all_zero():
-    lim = DirectedLimit.of([0, 0, 0], [Mat.zero(0, 0), Mat.zero(0, 0)])
+    lim = chain_limit([0, 0, 0], [Mat.zero(0, 0), Mat.zero(0, 0)])
     assert lim.stabilized and lim.limit_dim == 0 and lim.stabilized_at == 1
+
+
+def test_directed_limit_asks_for_no_step_of_an_all_zero_chain():
+    def step(k):
+        raise AssertionError("an all-zero chain asked for step %d" % k)
+
+    for m in (1, 3, 9):
+        lim = DirectedLimit.of([0] * m, step)
+        assert (lim.stabilized_at, lim.limit_dim, lim.basis) == (1, 0, [])
+
+
+def test_directed_limit_rejects_a_step_of_the_wrong_shape():
+    steps = [Mat.identity(1), Mat.zero(2, 1), Mat.identity(1)]
+    with pytest.raises(ValueError, match="transition 2"):
+        DirectedLimit.of([1, 1, 1, 1], steps.__getitem__)
 
 
 def test_directed_limit_unstabilized_growth():
@@ -174,7 +191,7 @@ def test_directed_limit_unstabilized_growth():
         for i in range(k):
             t.rows[i][i] = Fraction(1)
         ts.append(t)
-    lim = DirectedLimit.of(dims, ts)
+    lim = chain_limit(dims, ts)
     assert not lim.stabilized
 
 
@@ -185,9 +202,9 @@ def test_directed_limit_plateau_then_growth_needs_room():
     t_id = Mat.identity(1)
     grow = Mat([[1], [0]], 1)
     id2 = Mat.identity(2)
-    tight = DirectedLimit.of([1, 1, 1, 2, 2, 2], [t_id, t_id, grow, id2, id2])
+    tight = chain_limit([1, 1, 1, 2, 2, 2], [t_id, t_id, grow, id2, id2])
     assert not tight.stabilized
-    roomy = DirectedLimit.of(
+    roomy = chain_limit(
         [1, 1, 1, 2, 2, 2, 2, 2],
         [t_id, t_id, grow, id2, id2, id2, id2],
     )
@@ -200,7 +217,7 @@ def test_directed_limit_nilpotent_death():
     # single-step ranks stay 1 forever but every two-step composite is
     # zero, so the limit is zero even though no stage ever hits dimension 0
     t = Mat([[0, 0], [1, 0]], 2)
-    lim = DirectedLimit.of([2] * 6, [t] * 5)
+    lim = chain_limit([2] * 6, [t] * 5)
     assert lim.stabilized
     assert lim.stabilized_at == 1
     assert lim.limit_dim == 0
@@ -209,7 +226,7 @@ def test_directed_limit_nilpotent_death():
 def test_directed_limit_death_plus_survivor():
     # one basis line dies after two steps, another survives forever
     t = Mat([[0, 0, 0], [1, 0, 0], [0, 0, 1]], 3)
-    lim = DirectedLimit.of([3] * 7, [t] * 6)
+    lim = chain_limit([3] * 7, [t] * 6)
     assert lim.stabilized
     assert lim.stabilized_at == 1
     assert lim.limit_dim == 1
@@ -228,21 +245,21 @@ def test_directed_limit_late_arrival_is_refused():
     # an element; the window cannot tell whether it survives
     dims = [0, 0, 1, 1]
     ts = [Mat.zero(0, 0), Mat.zero(1, 0), Mat.identity(1)]
-    lim = DirectedLimit.of(dims, ts)
+    lim = chain_limit(dims, ts)
     assert not lim.stabilized
 
 
 def test_directed_limit_last_stage_arrival_is_refused():
     # only the last stage gains an element: no stage before it can vouch
     # for the zero the chain would otherwise certify
-    lim = DirectedLimit.of([0, 0, 0, 0, 1], [Mat.zero(0, 0)] * 3 + [Mat.zero(1, 0)])
+    lim = chain_limit([0, 0, 0, 0, 1], [Mat.zero(0, 0)] * 3 + [Mat.zero(1, 0)])
     assert not lim.stabilized
 
 
 def test_directed_limit_last_stage_growth_is_refused():
     # a plateau of rank 1 that grows at the very last stage
     ids = [Mat.identity(1), Mat.identity(1)]
-    lim = DirectedLimit.of([1, 1, 1, 2], ids + [Mat([[1], [0]], 1)])
+    lim = chain_limit([1, 1, 1, 2], ids + [Mat([[1], [0]], 1)])
     assert not lim.stabilized
 
 
@@ -251,15 +268,15 @@ def test_directed_limit_dying_chain_certifies_zero(dims):
     # zero maps: every stage gains new elements, the last one as many or
     # more than the one before, and everything dies in one step
     zeros = [Mat.zero(dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
-    lim = DirectedLimit.of(dims, zeros)
+    lim = chain_limit(dims, zeros)
     assert lim.stabilized
     assert lim.limit_dim == 0
 
 
 def test_directed_limit_too_short_to_judge():
-    assert not DirectedLimit.of([1, 1], [Mat.identity(1)]).stabilized
+    assert not chain_limit([1, 1], [Mat.identity(1)]).stabilized
     ids = [Mat.identity(1), Mat.identity(1)]
-    assert not DirectedLimit.of([1, 1, 1], ids).stabilized
+    assert not chain_limit([1, 1, 1], ids).stabilized
 
 
 _I, _Z = Mat.identity, Mat.zero
@@ -288,7 +305,7 @@ def test_directed_limit_with_empty_interior_stages(
     dims, transitions, stabilized_at, basis
 ):
     # a composite through an empty stage has rank 0 and is never formed
-    lim = DirectedLimit.of(dims, transitions)
+    lim = chain_limit(dims, transitions)
     assert lim.stabilized_at == stabilized_at
     assert lim.limit_dim == len(basis)
     assert lim.basis == basis

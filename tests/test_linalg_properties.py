@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsecoh.linalg import (
-    DirectedLimit,
     Mat,
     RowSpan,
     Subquotient,
@@ -28,6 +27,8 @@ from coarsecoh.linalg import (
     rref,
     spans_equal,
 )
+
+from helpers import chain_limit
 
 MAX = 12
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -296,7 +297,7 @@ def chains(draw):
 @given(chains())
 def test_directed_limit_reads_the_ranks_of_the_eager_rule(chain):
     dims, transitions = chain
-    lim = DirectedLimit.of(dims, transitions)
+    lim = chain_limit(dims, transitions)
     assert (lim.stabilized_at, lim.limit_dim, lim.basis) == eager_limit(
         dims, transitions
     )
@@ -329,7 +330,7 @@ def test_every_returned_vector_holds_nonzero_fractions(case, data):
 @settings(max_examples=100, deadline=None, database=None)
 @given(chains())
 def test_limit_basis_and_coordinates_hold_nonzero_fractions(chain):
-    lim = DirectedLimit.of(*chain)
+    lim = chain_limit(*chain)
     assert all(map(fraction_vector, lim.basis))
     if lim.stabilized:
         for i, b in enumerate(lim.basis):

@@ -330,8 +330,9 @@ def test_cech_built_at_one_position_agrees_with_the_full_build(case, data):
 @settings(max_examples=30, deadline=None, database=None)
 @given(monomial_quotients(), st.data())
 def test_multiplication_into_or_out_of_an_empty_component_is_zero(case, data):
-    # the Cech rays and the tower transitions write these maps down as
-    # Mat.zero of their shape instead of asking for them
+    # the Cech rays and the tower transitions never ask for these maps
+    # (DirectedLimit asks only for steps between nonempty stages); asked
+    # anyway, they are Mat.zero of their shape
     a, M, window, _ = case
     R = M.ring
     f = Poly.monomial(data.draw(st.sampled_from(a.gens or (R.one(),))))
@@ -350,6 +351,10 @@ def _empty_sided(M):
     return [k for k, mat in M._mult_cache.items() if not (mat.nrows and mat.ncols)]
 
 
+def _label_free(M):
+    return [g for g, comp in M._components.items() if not comp.labels]
+
+
 def test_cech_builds_no_map_into_or_out_of_an_empty_component():
     s = parse_scenario((ROOT / "perfbench/scenarios/fine3q.scn").read_text())
     cech_table(s.ideal, 2, s.module, s.gwindow, s.ray_cap)
@@ -363,6 +368,36 @@ def test_ext_towers_build_no_map_into_or_out_of_an_empty_component():
         colim_ext_table(i, s.ideal, s.module, s.gwindow, s.n_cap)
     assert s.module._mult_cache
     assert _empty_sided(s.module) == []
+    assert _label_free(s.module) == []
+
+
+@pytest.mark.parametrize(
+    "path, i",
+    [
+        ("perfbench/scenarios/fine3.scn", 3),
+        ("perfbench/scenarios/fine3q.scn", 1),
+        ("perfbench/scenarios/fine3q.scn", 2),
+    ],
+)
+def test_cech_builds_no_component_and_no_zero_map_for_an_empty_degree(
+    path, i, monkeypatch
+):
+    # most degrees of the fine Z^3 grading are empty, and most rays are
+    # zero at every stage: dim reads them without a component, and the
+    # ray's limit is certified from its dimensions without a transition
+    s = parse_scenario((ROOT / path).read_text())
+    zero_maps = []
+    real_zero = Mat.zero
+
+    def counting_zero(nrows, ncols):
+        zero_maps.append((nrows, ncols))
+        return real_zero(nrows, ncols)
+
+    monkeypatch.setattr(Mat, "zero", staticmethod(counting_zero))
+    cech_table(s.ideal, i, s.module, s.gwindow, s.ray_cap)
+    assert s.module._components
+    assert _label_free(s.module) == []
+    assert zero_maps == []
 
 
 def test_cech_position_not_built_raises():

@@ -187,3 +187,19 @@ def test_counterexample_report():
     assert blob["support_size"] == 4
     assert blob["external_claim"] == EXTERNAL_CLAIM
     assert counterexample_report(4, seed=1).to_json_dict() == blob
+
+
+def test_counterexample_report_probes_the_map_once(monkeypatch):
+    # build_witness_hom certifies the map on the probe set; the report
+    # reuses those rows instead of probing the map a second time
+    probed = []
+    real_apply = WitnessHom.apply
+
+    def counting_apply(self, u):
+        probed.append(u)
+        return real_apply(self, u)
+
+    monkeypatch.setattr(WitnessHom, "apply", counting_apply)
+    rep = counterexample_report(6, seed=2)
+    assert len(probed) == len(rep.probes) == 6 + 2
+    assert rep.probes == local_finiteness_table(rep.hom)

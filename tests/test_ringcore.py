@@ -379,6 +379,41 @@ def test_components_and_multiplication_match_sympy(case):
     assert M.multiplication_matrix(f, g) == Mat(rows, len(columns))
 
 
+def _reference_dim(M, h):
+    """dim M_h from the monomial labels and relation vectors alone, ranked
+    by sympy, without asking M for a component."""
+    ring = M.ring
+    labels = [(j, m) for j, d in enumerate(M.gen_degrees)
+              for m in ring.monomials_of_degree(h - d)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = []
+    for col in M.relations:
+        for m in ring.monomials_of_degree(h - col.degree):
+            v = [sympy.Rational(0)] * len(labels)
+            for j, p in col.entries.items():
+                for t, c in p.terms.items():
+                    v[index[(j, mono_mul(m, t))]] += sympy.Rational(c)
+            rows.append(v)
+    return len(labels) - (sympy.Matrix(rows).rank() if rows and labels else 0)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(presentations())
+def test_dim_builds_no_component_for_an_empty_degree(case):
+    # degrees whose free coordinate lies below every generator's have no
+    # monomial label; dim reads them as 0 and stores no component
+    M, g, f = case
+    G = M.ring.group
+    low = min(d.free[0] for d in M.gen_degrees)
+    empty = [G.degree([low - k], [t] * len(G.torsion_orders))
+             for k in (1, 2) for t in (0, 1)]
+    for h in [g, g + M.ring.poly_degree(f)] + empty:
+        assert M.dim(h) == _reference_dim(M, h)
+    assert all(M.dim(h) == 0 for h in empty)
+    assert all(comp.labels for comp in M._components.values())
+    assert not set(empty) & set(M._components)
+
+
 def test_multiplication_composes():
     R = std_ring_xy()
     M = GradedModulePresentation.quotient_by_ideal(
