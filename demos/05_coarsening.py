@@ -70,13 +70,18 @@ from coarsecoh import local_cohomology
 
 h1 = local_cohomology(scn2.ideal, 1, scn2.module, scn2.gwindow, route="ext", n_cap=scn2.n_cap)
 try:
-    coarsen_table(h1, scn2.psi, scn2.hwindow, fine_ring=scn2.ring)
+    coarsen_table(h1, scn2.psi, scn2.hwindow, fine_ring=scn2.ring, coarse_ring=Rc)
 except CoarseningRefusal as err:
     print("\nH^1 table, no certificate: refused")
     print("  %s" % err)
 
 summed1, cert1 = coarsen_table(
-    h1, scn2.psi, scn2.hwindow, fine_ring=scn2.ring, assume_support_covered=True
+    h1,
+    scn2.psi,
+    scn2.hwindow,
+    fine_ring=scn2.ring,
+    coarse_ring=Rc,
+    assume_support_covered=True,
 )
 print("with coverage assumed (route %s):" % cert1.route)
 print(" ", {str(h): summed1.get(h) for h in scn2.hwindow})

@@ -58,13 +58,11 @@ _VERDICT_EXIT = {
 
 
 def _window_str(window) -> str:
-    if window.free_box is not None:
-        lo, hi = window.free_box
-        return "(%s)..(%s)" % (
-            ",".join(str(v) for v in lo),
-            ",".join(str(v) for v in hi),
-        )
-    return "{%s}" % ", ".join(str(d) for d in window)
+    lo, hi = window.free_box  # every scenario window is a box
+    return "(%s)..(%s)" % (
+        ",".join(str(v) for v in lo),
+        ",".join(str(v) for v in hi),
+    )
 
 
 def _report(command, payload, comments, header, rows):

@@ -53,6 +53,8 @@ from .ringcore import (
     RelationColumn,
 )
 
+WEIGHT_GRID_LIMIT = 9**5  # weights tried: the whole grid up to coarse free rank 5
+
 
 def derive_coarse_certificate(
     ring: GradedPolynomialRing, psi: GroupEpimorphism
@@ -61,9 +63,10 @@ def derive_coarse_certificate(
     w . free(psi(deg x_i)) > 0 for every variable.
 
     Tries the sign pattern of the summed coarse variable degrees first,
-    then a grid over weights with entries up to 4 in absolute value,
-    smallest maximum entry first.  Raises when nothing works; the caller
-    should then supply an explicit certificate.
+    then the first WEIGHT_GRID_LIMIT weights of a lazily generated grid
+    with entries up to 4 in absolute value, smallest maximum entry first,
+    then lexicographically.  Raises when nothing works; the caller should
+    then supply an explicit certificate.
     """
     frees = [psi.apply(d).free for d in ring.var_degrees]
     r = psi.target.free_rank
@@ -77,16 +80,18 @@ def derive_coarse_certificate(
     candidate = tuple(1 if s >= 0 else -1 for s in sums)
     if works(candidate):
         return candidate
-    grid = sorted(
-        itertools.product(range(-4, 5), repeat=r),
-        key=lambda w: (max((abs(a) for a in w), default=0), w),
+    grid = (
+        w
+        for m in range(5)
+        for w in itertools.product(range(-m, m + 1), repeat=r)
+        if max(map(abs, w), default=0) == m
     )
-    for w in grid:
+    for w in itertools.islice(grid, WEIGHT_GRID_LIMIT):
         if works(w):
             return w
     raise ValueError(
-        "no positive weight vector found for the coarse grading; "
-        "supply coarse_certificate explicitly"
+        "no positive weight vector found for the coarse grading; supply one in "
+        "the scenario's coarse { certificate = (...) } block or as coarse_certificate"
     )
 
 
@@ -156,15 +161,16 @@ def coarsen_table(
     table: HilbertTable,
     psi: GroupEpimorphism,
     hwindow: DegreeWindow,
-    fine_ring: GradedPolynomialRing | None = None,
-    coarse_ring: GradedPolynomialRing | None = None,
+    fine_ring: GradedPolynomialRing,
+    coarse_ring: GradedPolynomialRing,
     assume_support_covered: bool = False,
 ) -> tuple[HilbertTable, CoarseningCertificate]:
     """Sum a fine dimension table along the fibers of psi.
 
     The sum runs over the fiber intersected with the table's window; the
     certificate establishes that nothing was missed (see the module
-    docstring for the three routes)."""
+    docstring for the three routes).  The support route enumerates
+    monomials, so both the fine ring and the coarse ring are required."""
     gw = table.window
     values = {h: sum(table.get(g) for g in psi.fiber(h, gw)) for h in hwindow}
     support = (
@@ -193,8 +199,6 @@ def coarsen_table(
 
     if table.support_gens is None:
         reasons.append("the table carries no generator-degree support data")
-    elif fine_ring is None or coarse_ring is None:
-        reasons.append("support enumeration needs both ring descriptions")
     else:
         miss = _uncovered_support(table, psi, hwindow, fine_ring, coarse_ring)
         if miss is None:

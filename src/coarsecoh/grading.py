@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mod, sub
 
-from .linalg import Mat, rank
+from .linalg import RowSpan
 
 
 @dataclass(frozen=True)
@@ -313,22 +312,14 @@ class GroupEpimorphism:
             row = [0] * n
             row[self.target.free_rank + k] = m
             rows.append(row)
-        if n == 0:
-            return True
         return _lattice_is_all(rows, n)
 
     def kernel_is_finite(self) -> bool:
         """The kernel is finite exactly when the free parts of the free
         generator images span a rank equal to the source free rank."""
         r = self.source.free_rank
-        if r == 0:
-            return True
-        cols = [list(self.images[i].free) for i in range(r)]
-        mat = Mat(
-            [[Fraction(cols[j][i]) for j in range(r)] for i in range(self.target.free_rank)],
-            r,
-        )
-        return rank(mat) == r
+        rows = [{k: c for k, c in enumerate(img.free) if c} for img in self.images[:r]]
+        return RowSpan(self.target.free_rank, rows).dim == r
 
     def kernel_elements(self) -> list[Degree]:
         """All kernel elements, for a finite kernel (they are torsion)."""

@@ -189,6 +189,7 @@ class CochainSpaces:
         self.g = g
 
     def dim(self, p: int) -> int:
+        """dim Hom(F_p, N)_g; 0 at every position outside 0..top."""
         if p < 0 or p > self.cx.top:
             return 0
         return sum(self.N.dim(self.g + sh) for sh in self.cx.shifts[p])
@@ -205,8 +206,8 @@ def ext_subquotient(
     spaces: CochainSpaces, p: int, include_boundary: bool = True
 ) -> Subquotient:
     """Cohomology (or plain cocycles) of the cochain complex at position p.
-    An empty cochain space has the zero subquotient, built without d^p or
-    d^{p-1}."""
+    An empty cochain space, as at every position above the top, has the
+    zero subquotient, built without d^p or d^{p-1}."""
     if spaces.dim(p) == 0:
         return Subquotient(0, [], [])
     d_p = spaces.differential(p)
@@ -244,9 +245,7 @@ class GradedHomSpace:
         self.N = N
         self.degree = g
         self.block_dims = [N.dim(g + dj) for dj in M.gen_degrees]
-        col_total = sum(self.block_dims)
-        system = relation_map(M).hom(N, g)
-        self.basis = nullspace(system) if col_total else []
+        self.basis = nullspace(relation_map(M).hom(N, g))
 
     @property
     def dim(self) -> int:
@@ -279,7 +278,7 @@ def graded_ext(
     cx = taylor_complex(ideal, max_position=min(len(ideal.gens), i + 1))
     values = {}
     for g in window:
-        values[g] = 0 if i > cx.top else ext_subquotient(CochainSpaces(cx, N, g), i).dim
+        values[g] = ext_subquotient(CochainSpaces(cx, N, g), i).dim
     support = N.gen_degrees if i == 0 else None
     return HilbertTable(window, values, support_gens=support)
 
@@ -331,8 +330,6 @@ def ext_stages(
 ) -> list[Subquotient]:
     """The Ext-type subquotient at cochain position `position` of every
     stage of the tower at degree g."""
-    if position > tower.complexes[0].top:  # every stage has the same top
-        return [Subquotient(0, [], []) for _ in tower.complexes]
     return [
         ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
         for cx in tower.complexes

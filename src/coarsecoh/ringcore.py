@@ -105,10 +105,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def scaled(self, c) -> "Poly":
-        c = frac(c)
-        return Poly({m: c * x for m, x in self.terms.items()})
-
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -319,9 +315,6 @@ class MonomialIdeal:
             raise ValueError("bracket powers start at n = 1")
         return MonomialIdeal(self.ring, [tuple(n * e for e in g) for g in self.gens])
 
-    def gen_degrees(self) -> list[Degree]:
-        return [self.ring.monomial_degree(g) for g in self.gens]
-
     def __repr__(self):
         return "MonomialIdeal(%s)" % ", ".join(
             self.ring.monomial_str(g) for g in self.gens
@@ -471,20 +464,14 @@ class GradedModulePresentation:
         )
 
     def multiplication_matrix(self, f: Poly, g: Degree) -> Mat:
-        """Matrix of multiplication by homogeneous f from M_g to M_{g+deg f},
-        in the chosen component bases."""
+        """Matrix of multiplication by nonzero homogeneous f from M_g to
+        M_{g+deg f}, in the chosen component bases."""
         key = (f.key(), g)
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
-        fd = self.ring.poly_degree(f)
-        if fd is None:
-            # multiplication by zero: conventionally a map to the zero space
-            out = Mat.zero(0, self.dim(g))
-            self._mult_cache[key] = out
-            return out
         src = self.component(g)
-        tgt = self.component(g + fd)
+        tgt = self.component(g + self.ring.poly_degree(f))
         cols = [tgt.reduce(tgt.product(m, {j: f})) for j, m in src.basis_labels]
         mat = Mat.from_columns(cols, tgt.dim)
         self._mult_cache[key] = mat

@@ -438,6 +438,29 @@ def test_an_empty_index_list_is_a_usage_error(tmp_path, capsys):
         assert "comma-separated list of integers" in captured.err, spelling
 
 
+def test_flag_values_that_are_not_integers_exit_1(tmp_path, capsys):
+    for argv, message in (
+        (["check-commute", scn(tmp_path, FINE), "--i", "a"],
+         "expected a comma-separated list of integers, got 'a'"),
+        (["gamma", scn(tmp_path, LINE), "--ncap", "x"], "invalid int value: 'x'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert message in captured.err, argv
+
+
+def test_coarsen_without_a_coarse_certificate_to_find_exits_1(tmp_path, capsys):
+    # psi sends x to 1 and y to -1, so no weight makes both positive
+    opposite = FINE.replace("images = [(1), (1)]", "images = [(1), (-1)]")
+    code, out, err = run(capsys, ["coarsen", scn(tmp_path, opposite)])
+    assert (code, out) == (1, "")
+    assert "no positive weight vector found" in err
+    assert "coarse { certificate = (...) }" in err
+
+
 def test_negative_index_is_refused_by_both_routes(tmp_path, capsys):
     path = scn(tmp_path, FINE)
     for argv in (

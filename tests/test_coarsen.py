@@ -13,9 +13,10 @@ from coarsecoh.coarsen import (
     hom_comparison,
 )
 from coarsecoh.errors import CoarseningRefusal
-from coarsecoh.grading import DegreeWindow, GroupEpimorphism
+from coarsecoh.grading import DegreeGroup, DegreeWindow, GroupEpimorphism
 from coarsecoh.ringcore import (
     GradedModulePresentation,
+    GradedPolynomialRing,
     HilbertTable,
     MonomialIdeal,
 )
@@ -53,6 +54,35 @@ def test_certificate_for_sign_flip():
     assert derive_coarse_certificate(ring_x(), flip) == (-1,)
 
 
+def test_certificate_from_the_grid_when_the_sign_pattern_fails():
+    # the sign pattern (1,1) gives (-1,1) weight 0; (2,3) is the first grid
+    # weight positive on both images
+    psi = GroupEpimorphism(Z2, Z2, [Z2.degree((2, -1)), Z2.degree((-1, 1))])
+    assert derive_coarse_certificate(fine_ring_xy(), psi) == (2, 3)
+
+
+def test_certificate_search_without_a_positive_weight_raises():
+    psi = GroupEpimorphism(Z2, Z1, [Z1.degree((1,)), Z1.degree((-1,))])
+    with pytest.raises(ValueError) as err:
+        derive_coarse_certificate(fine_ring_xy(), psi)
+    # both ways to supply a certificate are named
+    assert "coarse { certificate = (...) }" in str(err.value)
+    assert "coarse_certificate" in str(err.value)
+
+
+def test_certificate_search_stops_on_a_large_coarse_rank():
+    # Z^7 -> Z^6 sending x_7 to -e_1: no weight is positive on both x_1 and
+    # x_7, and the 9^6-weight grid is cut at its first WEIGHT_GRID_LIMIT
+    Z7, Z6 = DegreeGroup(7), DegreeGroup(6)
+    units = [tuple(int(i == k) for i in range(7)) for k in range(7)]
+    ring = GradedPolynomialRing(
+        Z7, tuple("x%d" % k for k in range(7)), [Z7.degree(u) for u in units], (1,) * 7
+    )
+    images = [Z6.degree(u[:6]) for u in units[:6]] + [Z6.degree((-1, 0, 0, 0, 0, 0))]
+    with pytest.raises(ValueError, match="no positive weight vector"):
+        derive_coarse_certificate(ring, GroupEpimorphism(Z7, Z6, images))
+
+
 def test_coarsen_ring_rejects_wrong_source():
     with pytest.raises(ValueError):
         coarsen_ring(fine_ring_xy(), forget_torsion_map())
@@ -80,9 +110,31 @@ def test_coarsen_table_finite_kernel_route():
     R = mixed_ring_xy()
     phi = forget_torsion_map()
     M = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=2)]))
-    table, cert = coarsen_table(M.hilbert(mixed_box(0, 3)), phi, window1(0, 3))
+    table, cert = coarsen_table(
+        M.hilbert(mixed_box(0, 3)),
+        phi,
+        window1(0, 3),
+        fine_ring=R,
+        coarse_ring=coarsen_ring(R, phi),
+    )
     assert cert.route == "finite-kernel"
     assert [v for _, v in table.rows()] == [1, 2, 2, 2]
+
+
+def test_coarsen_table_finite_kernel_shortfall_is_refused():
+    # the window holds (1;0) but not (1;1), and the table has no support
+    # data to fall back on
+    R = mixed_ring_xy()
+    phi = forget_torsion_map()
+    d = Z_Z2.degree((1,), (0,))
+    table = HilbertTable(DegreeWindow(Z_Z2, [d]), {d: 1})
+    with pytest.raises(CoarseningRefusal) as err:
+        coarsen_table(table, phi, window1(1, 1), R, coarsen_ring(R, phi))
+    assert err.value.h == Z1.degree((1,))
+    assert err.value.reason.startswith(
+        "the fiber meets the fine window in 1 degrees but the kernel has "
+        "2 elements; the table carries no generator-degree support data"
+    )
 
 
 def test_coarsen_table_support_route():
