@@ -38,6 +38,7 @@ dimension trajectory.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import UnstabilizedError
@@ -63,6 +64,32 @@ from .ringcore import (
 
 RAY_CAP = 8  # default length of a Cech localization ray
 
+# ring -> {(gens, S): (deg f_S, f_S), (gens, a, cap, sign): sign g_a^cap}:
+# the Cech monomials are built once per ring and generators, not per degree
+_localizations: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _localization(ring, gens, S) -> tuple[Degree, Poly]:
+    """deg f_S and f_S, for f_S the product of the generators in S."""
+    memo = _localizations.setdefault(ring, {})
+    loc = memo.get((gens, S))
+    if loc is None:
+        f_S = ring.one()
+        for i in S:
+            f_S = mono_mul(f_S, gens[i])
+        loc = memo[gens, S] = (ring.monomial_degree(f_S), Poly.monomial(f_S))
+    return loc
+
+
+def _signed_power(ring, gens, a, cap, sign) -> Poly:
+    """sign g_a^cap, the entry of a Cech differential block."""
+    memo = _localizations.setdefault(ring, {})
+    key = (gens, a, cap, sign)
+    power = memo.get(key)
+    if power is None:
+        power = memo[key] = Poly.monomial(tuple(e * cap for e in gens[a]), sign)
+    return power
+
 
 class CechAtDegree:
     """The alternating-sign complex over subsets of the generators,
@@ -73,12 +100,17 @@ class CechAtDegree:
     d^{i-1} and d^i, so only a ray that some asked position reads can be
     refused.  The default asks for every position.
 
-    Every ray is read dimensions first: DirectedLimit asks for the
-    multiplication matrix of a ray step only when both of its components
-    are nonempty and its rule reads the step, so a ray that is zero at
-    every stage is certified 0 at stage 1 with no transition built and no
-    rank scanned.  A differential block between empty limits is never
-    asked for either (Mat.block)."""
+    Every ray is read dimensions first.  Its stages before
+    M.runway(g, deg f_S, ray_cap) are 0 without a degree built or a dim
+    read; the runway is a lower bound that only skips reads, so it never
+    certifies or refuses a ray, and the trajectory holds those zeros.
+    DirectedLimit asks for the multiplication matrix of a ray step only
+    when both of its components are nonempty and its rule reads the step,
+    so a ray that is zero at every stage is certified 0 at stage 1 with no
+    transition built and no rank scanned.  A differential block between
+    empty limits is never asked for either (Mat.block).  Each subset's
+    f_S, its degree and the signed g_a^cap of the differential are built
+    once per ring and generators, not per degree."""
 
     def __init__(
         self,
@@ -104,25 +136,28 @@ class CechAtDegree:
             p: list(itertools.combinations(range(s), p)) for p in sizes
         }
         self.models: dict[tuple[int, ...], DirectedLimit] = {}
-        self.ray_ends: dict[tuple[int, ...], Degree] = {}  # S -> g + cap deg f_S
+        # S -> g + cap deg f_S, for each ray that reaches its runway
+        self.ray_ends: dict[tuple[int, ...], Degree] = {}
         for S in itertools.chain.from_iterable(self._by_size.values()):
-            f_S = ring.one()
-            for i in S:
-                f_S = mono_mul(f_S, self.gens[i])
-            d_S = ring.monomial_degree(f_S)
-            ray = [g]  # g, g + d_S, g + 2 d_S, ..., g + ray_cap d_S
-            for _ in range(ray_cap):
+            d_S, mono = _localization(ring, self.gens, S)
+            first = M.runway(g, d_S, ray_cap)
+            # g + k d_S for k = first..ray_cap; the stages before are 0
+            ray = [g + d_S.scale(first)] if first <= ray_cap else []
+            for _ in range(first, ray_cap):
                 ray.append(ray[-1] + d_S)
-            self.ray_ends[S] = ray[-1]
-            dims = [M.dim(h) for h in ray]
-            mono = Poly.monomial(f_S)
+            dims = [0] * first + [M.dim(h) for h in ray]
             lim = DirectedLimit.of(
-                dims, lambda k: M.multiplication_matrix(mono, ray[k])
+                dims,
+                lambda k: M.multiplication_matrix(
+                    mono, ray[k - first], ray[k + 1 - first]
+                ),
             )
             if not lim.stabilized:
                 raise UnstabilizedError(
-                    "localization at %s" % ring.monomial_str(f_S), g, dims
+                    "localization at %s" % ring.poly_str(mono), g, dims
                 )
+            if ray:
+                self.ray_ends[S] = ray[-1]
             self.models[S] = lim
         self.matrices: dict[int, Mat] = {
             p: self._differential(p) for p in sorted(diffs)
@@ -149,8 +184,9 @@ class CechAtDegree:
             a = extra[0]
             sign = (-1) ** sum(1 for b in S if b < a)
             mult = self.M.multiplication_matrix(
-                Poly.monomial(tuple(e * cap for e in self.gens[a]), sign),
+                _signed_power(self.M.ring, self.gens, a, cap, sign),
                 self.ray_ends[S],
+                self.ray_ends[T],
             )
             src_model = self.models[S]
             dst_model = self.models[T]

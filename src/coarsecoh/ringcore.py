@@ -22,7 +22,12 @@ labels outside the pivot set) is deterministic.  Dimensions come first:
 a degree in which no generator has monomials is empty, and dim says so
 from the ring's monomial cache without building a component.  Every
 reader that needs only a dimension asks dim, so a ComponentSpace is
-built only for a degree that has labels.  Relation vectors,
+built only for a degree that has labels.  Along a ray g + k d, runway
+names the first stage that can be nonzero, from the weight and the
+nonnegative coordinates alone (the ring's floor); the stages before it
+are 0 and need no read.  It is a lower bound that only skips reads: the
+stage it names may be 0 too, so it never certifies or refuses a limit.
+Relation vectors,
 multiplication columns and component coordinates are sparse vectors
 ``{index: Fraction}`` (see linalg): a product m * p of a monomial and a
 polynomial is written straight into one, since its terms fall on
@@ -35,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from .errors import HomogeneityError
 from .grading import Degree, DegreeGroup, DegreeWindow
@@ -152,12 +157,6 @@ class GradedPolynomialRing:
         self._int_certificate = tuple(
             int(c * scale) for c in self.certificate
         )
-        for name, d in zip(self.var_names, self.var_degrees):
-            if self._scaled_weight(d) <= 0:
-                raise ValueError(
-                    "certificate fails positivity on variable %s of degree %s"
-                    % (name, d)
-                )
         # coordinate k of deg x_1 .. deg x_n, for each free then torsion k
         self._degree_rows = (
             [tuple(d.free[k] for d in self.var_degrees)
@@ -170,6 +169,12 @@ class GradedPolynomialRing:
         self._nonneg_coords = tuple(
             k for k, row in enumerate(self._degree_rows[0]) if min(row, default=0) >= 0
         )
+        for name, d in zip(self.var_names, self.var_degrees):
+            if self.floor(d.free)[0] <= 0:
+                raise ValueError(
+                    "certificate fails positivity on variable %s of degree %s"
+                    % (name, d)
+                )
         self._mono_cache: dict[Degree, tuple[Monomial, ...]] = {}
 
     @property
@@ -179,9 +184,13 @@ class GradedPolynomialRing:
     def weight_of(self, d: Degree) -> Fraction:
         return sum((c * f for c, f in zip(self.certificate, d.free)), Q0)
 
-    def _scaled_weight(self, d: Degree) -> int:
-        """weight_of(d) times a fixed positive integer."""
-        return sum(map(mul, self._int_certificate, d.free))
+    def floor(self, free) -> tuple[int, ...]:
+        """The linear forms of a free part that a degree with monomials
+        keeps >= 0: its weight times a fixed positive integer, then its
+        coordinates in _nonneg_coords.  Of the degrees of weight 0, only
+        0 itself has a monomial."""
+        return (sum(map(mul, self._int_certificate, free)),
+                *[free[k] for k in self._nonneg_coords])
 
     def one(self) -> Monomial:
         return (0,) * self.nvars
@@ -215,17 +224,19 @@ class GradedPolynomialRing:
         """All monomials of exact degree g, in lexicographic exponent order.
 
         Recurrence: mons(h) = {x_i * m : m in mons(h - deg x_i)}, mons(0) = {1},
-        and no other degree of weight <= 0 has monomials, nor has a degree
-        that is negative on a free coordinate where every variable is >= 0;
-        the recurrence stops at both without descending.  Variables weigh
-        > 0, so finitely many degrees lie below g; an explicit stack fills
-        them in and the cache keeps each of them as well as g."""
+        and no degree below the floor has monomials: one of weight <= 0
+        other than 0, or one negative on a free coordinate where every
+        variable is >= 0; the recurrence stops at both without descending.
+        Variables weigh > 0, so finitely many degrees lie below g; an
+        explicit stack fills them in and the cache keeps each of them as
+        well as g."""
         cache = self._mono_cache
-        if g in cache:  # only degrees of this group are ever cached
-            return cache[g]
+        mons = cache.get(g)  # only degrees of this group are ever cached
+        if mons is not None:  # an empty degree caches ()
+            return mons
         if g.group != self.group:
             raise ValueError("degree outside the grading group")
-        nonneg = self._nonneg_coords
+        floor = self.floor
         stack = [(g, None)]
         while stack:
             h, below = stack.pop()
@@ -235,7 +246,9 @@ class GradedPolynomialRing:
                 cache[h] = tuple(sorted({m[:i] + (m[i] + 1,) + m[i + 1:]
                                          for i, b in enumerate(below)
                                          for m in cache[b]}))
-            elif self._scaled_weight(h) <= 0 or any(h.free[k] < 0 for k in nonneg):
+                continue
+            fl = floor(h.free)
+            if min(fl) < 0 or fl[0] == 0:
                 cache[h] = (self.one(),) if h.is_zero() else ()
             else:
                 below = [h - d for d in self.var_degrees]
@@ -463,15 +476,44 @@ class GradedModulePresentation:
             support_gens=self.gen_degrees,
         )
 
-    def multiplication_matrix(self, f: Poly, g: Degree) -> Mat:
+    def runway(self, g: Degree, d: Degree, cap: int) -> int:
+        """The least k in 0..cap at which M_{g + k d} can be nonzero, or
+        cap + 1 if there is none.  Stage k can be nonzero only if some
+        generator degree d_j leaves g + k d - d_j on the ring's floor (no
+        linear form of GradedPolynomialRing.floor negative); the floor is
+        linear, so each form x + k y >= 0 bounds k from below (y > 0) or
+        above (y < 0), and no Degree is built or monomial looked up.
+        Every stage before the runway is 0.  It is a lower bound only:
+        the stage it names may be 0 as well."""
+        floor = self.ring.floor
+        base, step = floor(g.free), floor(d.free)
+        firsts = []
+        for dj in self.gen_degrees:
+            lo, hi = 0, cap
+            for x, y in zip(map(sub, base, floor(dj.free)), step):
+                if y > 0:
+                    lo = max(lo, -(x // y))
+                elif y < 0:
+                    hi = min(hi, x // -y)
+                elif x < 0:
+                    hi = -1
+            if lo <= hi:
+                firsts.append(lo)
+        return min(firsts, default=cap + 1)
+
+    def multiplication_matrix(self, f: Poly, g: Degree, target=None) -> Mat:
         """Matrix of multiplication by nonzero homogeneous f from M_g to
-        M_{g+deg f}, in the chosen component bases."""
+        M_{g+deg f}, in the chosen component bases.  A caller that holds
+        the target degree g + deg f passes it as target, and it is
+        trusted."""
         key = (f.key(), g)
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
         src = self.component(g)
-        tgt = self.component(g + self.ring.poly_degree(f))
+        if target is None:
+            target = g + self.ring.poly_degree(f)
+        tgt = self.component(target)
         cols = [tgt.reduce(tgt.product(m, {j: f})) for j, m in src.basis_labels]
         mat = Mat.from_columns(cols, tgt.dim)
         self._mult_cache[key] = mat

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -384,20 +385,43 @@ def test_cech_builds_no_component_and_no_zero_map_for_an_empty_degree(
 ):
     # most degrees of the fine Z^3 grading are empty, and most rays are
     # zero at every stage: dim reads them without a component, and the
-    # ray's limit is certified from its dimensions without a transition
+    # ray's limit is certified from its dimensions without a transition.
+    # A ray reads no stage below its runway, and each subset's deg f_S is
+    # computed once per table, not once per degree.
     s = parse_scenario((ROOT / path).read_text())
-    zero_maps = []
+    M, ring, gens = s.module, s.module.ring, s.ideal.gens
+    zero_maps, reads, degree_calls = [], set(), []
     real_zero = Mat.zero
+    real_dim = GradedModulePresentation.dim
+    real_degree = GradedPolynomialRing.monomial_degree
 
     def counting_zero(nrows, ncols):
         zero_maps.append((nrows, ncols))
         return real_zero(nrows, ncols)
 
+    def spying_dim(self, h):
+        reads.add(h)
+        return real_dim(self, h)
+
+    def spying_degree(self, m):
+        degree_calls.append(m)
+        return real_degree(self, m)
+
     monkeypatch.setattr(Mat, "zero", staticmethod(counting_zero))
-    cech_table(s.ideal, i, s.module, s.gwindow, s.ray_cap)
-    assert s.module._components
-    assert _label_free(s.module) == []
+    monkeypatch.setattr(GradedModulePresentation, "dim", spying_dim)
+    monkeypatch.setattr(GradedPolynomialRing, "monomial_degree", spying_degree)
+    cech_table(s.ideal, i, M, s.gwindow, s.ray_cap)
+    assert M._components
+    assert _label_free(M) == []
     assert zero_maps == []
+    assert len(degree_calls) == len(set(degree_calls)) <= 2 ** len(gens)
+    assert reads
+    for r in range(len(gens) + 1):
+        for S in itertools.combinations(gens, r):
+            d_S = real_degree(ring, tuple(map(sum, zip(ring.one(), *S))))
+            for g in s.gwindow:
+                first = M.runway(g, d_S, s.ray_cap)
+                assert not reads & {g + d_S.scale(k) for k in range(first)}
 
 
 def test_cech_position_not_built_raises():

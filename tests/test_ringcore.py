@@ -127,6 +127,43 @@ def test_monomials_of_degree_matches_brute_force(case):
     assert R.monomials_of_degree(g) == _brute_force_monomials(R, g)
 
 
+@st.composite
+def rays(draw):
+    """A free module with 1-2 generators over a graded_rings() ring, or
+    over the fine Z^r grading of the same rank, a start degree g, a
+    direction d that is plus or minus the degree of a monomial (sometimes
+    1, so d = 0) and a cap in 0..6."""
+    R, g = draw(graded_rings())
+    G = R.group
+    fine = draw(st.booleans())
+    if fine:
+        G = DegreeGroup(G.free_rank)
+        names = ["x%d" % i for i in range(G.free_rank)]
+        R = GradedPolynomialRing(G, names, G.generators(), (1,) * G.free_rank)
+        g = G.degree(g.free)
+    free = st.lists(st.integers(-3, 3), min_size=G.free_rank, max_size=G.free_rank)
+    torsion = st.tuples(*(st.integers(0, m - 1) for m in G.torsion_orders))
+    gens = draw(st.lists(st.builds(G.degree, free, torsion), min_size=1, max_size=2))
+    exponents = st.lists(st.integers(0, 2), min_size=R.nvars, max_size=R.nvars)
+    m = draw(st.one_of(st.just(R.one()), exponents.map(tuple)))
+    d = R.monomial_degree(m).scale(draw(st.sampled_from([1, -1])))
+    cap = draw(st.integers(0, 6))
+    return GradedModulePresentation.free(R, gens), g, d, cap, fine
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rays())
+def test_runway_is_the_first_stage_that_can_be_nonzero(case):
+    M, g, d, cap, fine = case
+    first = M.runway(g, d, cap)
+    assert 0 <= first <= cap + 1
+    stages = [g + d.scale(k) for k in range(cap + 1)]
+    assert [M.dim(h) for h in stages[:first]] == [0] * min(first, cap + 1)
+    if fine and first <= cap:
+        # the fine grading's floor is exact: a degree on it has a monomial
+        assert M.dim(stages[first]) > 0
+
+
 def test_monomials_under_a_rational_certificate():
     # weights 1/3, 1/6 and 17/6 under the certificate (1/3, 5/2): the
     # integer weight used for positivity must keep the sign of these
