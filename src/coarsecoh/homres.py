@@ -20,23 +20,25 @@ stage n+1 to stage n is  e_S -> lcm(g_S) e_S  with sign +1 at every
 stage; its chain property is still verified symbolically at
 construction.
 
-Every map of free modules here is a FreeMap with sparse polynomial
-columns.  Cochain spaces Hom(F_p, N)_g are direct sums of components of
-N, and FreeMap.hom is the one place that assembles matrices from the
-multiplication matrices of N: cochain differentials, tower transitions
-and the relation system of Hom(M, N)_g all go through it.
+Every map of free modules here is a ringcore FreeMap with sparse
+polynomial columns, and a presentation's relations are one FreeMap too.
+Cochain spaces Hom(F_p, N)_g are direct sums of components of N, and
+FreeMap.hom is the one place that assembles matrices from the
+multiplication matrices of N, handing each the target degree it holds:
+cochain differentials, tower transitions and the relation system of
+Hom(M, N)_g all go through it.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
 from .linalg import DirectedLimit, Mat, Subquotient, nullspace
 from .ringcore import (
+    FreeMap,
     GradedModulePresentation,
     HilbertTable,
     MonomialIdeal,
@@ -44,58 +46,6 @@ from .ringcore import (
     mono_lcm,
     mono_quotient,
 )
-
-
-class FreeMap:
-    """Homogeneous map  F -> F'  of graded free modules.
-
-    Summand j of the source is R(-source[j]) and summand i of the target
-    is R(-target[i]); `columns[j]` holds the nonzero entries {i: Poly} of
-    column j, the image of the j-th generator.  An entry (i, j) must have
-    degree source[j] - target[i].
-    """
-
-    def __init__(self, ring, source_shifts, target_shifts, columns):
-        self.source = list(source_shifts)
-        self.target = list(target_shifts)
-        self.columns = [dict(c) for c in columns]
-        if len(self.columns) != len(self.source):
-            raise ValueError("need one column per source summand")
-        for j, col in enumerate(self.columns):
-            for i, entry in col.items():
-                if not 0 <= i < len(self.target):
-                    raise ValueError("entry (%d,%d) lies outside the target" % (i, j))
-                got = ring.poly_degree(entry)
-                want = self.source[j] - self.target[i]
-                if got != want:
-                    raise ValueError(
-                        "entry (%d,%d) has degree %s, expected %s" % (i, j, got, want)
-                    )
-
-    def after(self, first: "FreeMap") -> list[dict]:
-        """Columns of the composite  self o first, nonzero entries only."""
-        out = []
-        for col in first.columns:
-            acc: dict = {}
-            for k, a in col.items():
-                for i, b in self.columns[k].items():
-                    acc[i] = acc[i] + b * a if i in acc else b * a
-            out.append({i: e for i, e in acc.items() if not e.is_zero()})
-        return out
-
-    def hom(self, N: GradedModulePresentation, g: Degree) -> Mat:
-        """The induced map  Hom(target, N)_g -> Hom(source, N)_g.
-
-        Hom(R(-t), N)_g is N_{g+t}, so block (j, i) is multiplication by
-        entry (i, j) from N_{g+target[i]}."""
-        cols = self.columns
-        return Mat.block(
-            [N.dim(g + s) for s in self.source],
-            [N.dim(g + t) for t in self.target],
-            lambda j, i: N.multiplication_matrix(cols[j][i], g + self.target[i])
-            if i in cols[j]
-            else None,
-        )
 
 
 class FreeComplex:
@@ -217,20 +167,6 @@ def ext_subquotient(
     return Subquotient(d_p.ncols, nullspace(d_p), boundaries)
 
 
-_relation_maps: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def relation_map(M: GradedModulePresentation) -> FreeMap:
-    """M's relations as a FreeMap from relation degrees to generator
-    degrees; built, and its degrees checked, once per presentation."""
-    if M not in _relation_maps:
-        rels = M.relations
-        _relation_maps[M] = FreeMap(
-            M.ring, [c.degree for c in rels], M.gen_degrees, [c.entries for c in rels]
-        )
-    return _relation_maps[M]
-
-
 class GradedHomSpace:
     """Hom(M, N)_g for finitely presented M, N: solutions of the relation
     constraints, one block of unknowns per generator of M."""
@@ -245,7 +181,7 @@ class GradedHomSpace:
         self.N = N
         self.degree = g
         self.block_dims = [N.dim(g + dj) for dj in M.gen_degrees]
-        self.basis = nullspace(relation_map(M).hom(N, g))
+        self.basis = nullspace(M.relation_map.hom(N, g))
 
     @property
     def dim(self) -> int:

@@ -64,8 +64,8 @@ from .ringcore import (
 
 RAY_CAP = 8  # default length of a Cech localization ray
 
-# ring -> {(gens, S): (deg f_S, f_S), (gens, a, cap, sign): sign g_a^cap}:
-# the Cech monomials are built once per ring and generators, not per degree
+# ring -> {(gens, S): (deg f_S, f_S)}: each subset's localization is built
+# once per ring and generators, not per degree
 _localizations: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -79,16 +79,6 @@ def _localization(ring, gens, S) -> tuple[Degree, Poly]:
             f_S = mono_mul(f_S, gens[i])
         loc = memo[gens, S] = (ring.monomial_degree(f_S), Poly.monomial(f_S))
     return loc
-
-
-def _signed_power(ring, gens, a, cap, sign) -> Poly:
-    """sign g_a^cap, the entry of a Cech differential block."""
-    memo = _localizations.setdefault(ring, {})
-    key = (gens, a, cap, sign)
-    power = memo.get(key)
-    if power is None:
-        power = memo[key] = Poly.monomial(tuple(e * cap for e in gens[a]), sign)
-    return power
 
 
 class CechAtDegree:
@@ -109,8 +99,8 @@ class CechAtDegree:
     so a ray that is zero at every stage is certified 0 at stage 1 with no
     transition built and no rank scanned.  A differential block between
     empty limits is never asked for either (Mat.block).  Each subset's
-    f_S, its degree and the signed g_a^cap of the differential are built
-    once per ring and generators, not per degree."""
+    f_S and its degree are built once per ring and generators, not per
+    degree."""
 
     def __init__(
         self,
@@ -184,7 +174,7 @@ class CechAtDegree:
             a = extra[0]
             sign = (-1) ** sum(1 for b in S if b < a)
             mult = self.M.multiplication_matrix(
-                _signed_power(self.M.ring, self.gens, a, cap, sign),
+                Poly.monomial(tuple(e * cap for e in self.gens[a]), sign),
                 self.ray_ends[S],
                 self.ray_ends[T],
             )

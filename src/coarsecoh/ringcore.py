@@ -400,9 +400,77 @@ class ComponentSpace:
         return {positions[k]: x for k, x in coords.items()}
 
 
+class FreeMap:
+    """Homogeneous map  F -> F'  of graded free modules.
+
+    Summand j of the source is R(-source[j]) and summand i of the target
+    is R(-target[i]); `columns[j]` holds the nonzero entries {i: Poly} of
+    column j, the image of the j-th generator, and a zero entry given is
+    dropped.  An entry (i, j) must have degree source[j] - target[i].  A
+    presentation's relations are one FreeMap, from the relation degrees
+    to the generator degrees, so its refusals call column j relation j
+    and target summand i generator i."""
+
+    def __init__(self, ring, source_shifts, target_shifts, columns):
+        self.source = list(source_shifts)
+        self.target = list(target_shifts)
+        columns = list(columns)
+        if len(columns) != len(self.source):
+            raise ValueError("need one column per source summand")
+        self.columns = []
+        for j, col in enumerate(columns):
+            entries = {}
+            for i, p in col.items():
+                if not 0 <= i < len(self.target):
+                    raise ValueError(
+                        "relation %d hits generator %d, which does not exist"
+                        % (j, i)
+                    )
+                if p.is_zero():
+                    continue
+                got = ring.poly_degree(p)
+                want = self.source[j] - self.target[i]
+                if got != want:
+                    raise HomogeneityError(
+                        "relation %d, generator %d: entry has degree %s, "
+                        "expected %s" % (j, i, got, want)
+                    )
+                entries[i] = p
+            self.columns.append(entries)
+
+    def after(self, first: "FreeMap") -> list[dict]:
+        """Columns of the composite  self o first, nonzero entries only."""
+        out = []
+        for col in first.columns:
+            acc: dict = {}
+            for k, a in col.items():
+                for i, b in self.columns[k].items():
+                    acc[i] = acc[i] + b * a if i in acc else b * a
+            out.append({i: e for i, e in acc.items() if not e.is_zero()})
+        return out
+
+    def hom(self, N: "GradedModulePresentation", g: Degree) -> Mat:
+        """The induced map  Hom(target, N)_g -> Hom(source, N)_g.
+
+        Hom(R(-t), N)_g is N_{g+t}, so block (j, i) is multiplication by
+        entry (i, j) from N_{g+target[i]} to N_{g+source[j]}."""
+        cols = self.columns
+        src = [g + s for s in self.source]
+        tgt = [g + t for t in self.target]
+        return Mat.block(
+            [N.dim(h) for h in src],
+            [N.dim(h) for h in tgt],
+            lambda j, i: N.multiplication_matrix(cols[j][i], tgt[i], src[j])
+            if i in cols[j]
+            else None,
+        )
+
+
 class GradedModulePresentation:
     """Finitely presented graded module: free cover generator degrees plus
-    homogeneous relation columns."""
+    homogeneous relation columns.  The relations are one FreeMap,
+    relation_map, from the relation degrees to the generator degrees;
+    building it checks every entry."""
 
     def __init__(self, ring: GradedPolynomialRing, gen_degrees, relations=()):
         self.ring = ring
@@ -410,27 +478,16 @@ class GradedModulePresentation:
         for d in self.gen_degrees:
             if d.group != ring.group:
                 raise ValueError("generator degree outside the grading group")
-        rels = []
-        for k, col in enumerate(relations):
-            entries = {}
-            for j, p in col.entries.items():
-                if not (0 <= j < len(self.gen_degrees)):
-                    raise ValueError(
-                        "relation %d hits generator %d, which does not exist"
-                        % (k, j)
-                    )
-                if p.is_zero():
-                    continue
-                pd = ring.poly_degree(p)
-                expected = col.degree - self.gen_degrees[j]
-                if pd != expected:
-                    raise HomogeneityError(
-                        "relation %d, generator %d: entry has degree %s, "
-                        "expected %s" % (k, j, pd, expected)
-                    )
-                entries[j] = p
-            rels.append(RelationColumn(col.degree, entries))
-        self.relations = tuple(rels)
+        relations = list(relations)
+        self.relation_map = FreeMap(
+            ring,
+            [col.degree for col in relations],
+            self.gen_degrees,
+            [col.entries for col in relations],
+        )
+        self.relations = tuple(
+            map(RelationColumn, self.relation_map.source, self.relation_map.columns)
+        )
         self._components: dict[Degree, ComponentSpace] = {}
         self._mult_cache: dict = {}
 
@@ -501,18 +558,15 @@ class GradedModulePresentation:
                 firsts.append(lo)
         return min(firsts, default=cap + 1)
 
-    def multiplication_matrix(self, f: Poly, g: Degree, target=None) -> Mat:
+    def multiplication_matrix(self, f: Poly, g: Degree, target: Degree) -> Mat:
         """Matrix of multiplication by nonzero homogeneous f from M_g to
-        M_{g+deg f}, in the chosen component bases.  A caller that holds
-        the target degree g + deg f passes it as target, and it is
-        trusted."""
+        M_target, in the chosen component bases.  The caller passes the
+        target degree g + deg f that it holds, and it is trusted."""
         key = (f.key(), g)
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
         src = self.component(g)
-        if target is None:
-            target = g + self.ring.poly_degree(f)
         tgt = self.component(target)
         cols = [tgt.reduce(tgt.product(m, {j: f})) for j, m in src.basis_labels]
         mat = Mat.from_columns(cols, tgt.dim)

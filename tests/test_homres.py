@@ -28,6 +28,7 @@ from coarsecoh.ringcore import (
     GradedPolynomialRing,
     MonomialIdeal,
     Poly,
+    RelationColumn,
 )
 
 from helpers import (
@@ -52,7 +53,9 @@ def _chain_matrix(cx, Rmod, p, g):
     def block(i, j):
         if i not in cols[j]:
             return None
-        return Rmod.multiplication_matrix(cols[j][i], g - cx.shifts[p][j])
+        return Rmod.multiplication_matrix(
+            cols[j][i], g - cx.shifts[p][j], g - cx.shifts[p - 1][i]
+        )
 
     return Mat.block(row_dims, col_dims, block)
 
@@ -302,6 +305,36 @@ def test_one_tower_serves_every_index_below_its_top():
     assert shared.total() == 4  # H^2_m(K[x,y]) is 1 where both coordinates < 0
     with pytest.raises(ValueError, match="stops below"):
         tower_ext_table(2, PowerTower(m, 6, max_position=2), F, w)
+
+
+def test_hom_and_tower_tables_build_no_free_map_and_read_no_poly_degree(monkeypatch):
+    # a presentation builds its relation map once, and FreeMap.hom hands
+    # every multiplication the target degree it holds
+    R = fine_ring_xy()
+    x, y = Poly.monomial(R.mono(x=1)), Poly.monomial(R.mono(y=1))
+    M = GradedModulePresentation(
+        R, [Z2.zero(), Z2.degree((1, 0))],
+        [RelationColumn(Z2.degree((1, 1)), {0: x * y, 1: -y})],
+    )
+    N = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=2)]))
+    tower = PowerTower(maximal_ideal(R), 6, max_position=3)
+    w = window2((-2, -2), (1, 1))
+    calls = {"poly_degree": 0, "FreeMap": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(GradedPolynomialRing, "poly_degree", "poly_degree")
+    counted(FreeMap, "__init__", "FreeMap")
+    assert hom_table(M, N, w).total() > 0
+    assert sum(tower_ext_table(i, tower, N, w)[0].total() for i in range(3)) > 0
+    assert calls == {"poly_degree": 0, "FreeMap": 0}
 
 
 def test_ideal_transform_of_free_line():

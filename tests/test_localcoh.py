@@ -287,7 +287,9 @@ def _stacked_multiplication_kernel(a, M, g, n):
     in generator order; everything when a is zero."""
     mg = M.dim(g)
     mults = [
-        M.multiplication_matrix(Poly.monomial(mono), g)
+        M.multiplication_matrix(
+            Poly.monomial(mono), g, g + M.ring.monomial_degree(mono)
+        )
         for mono in a.bracket_power(n).gens
     ]
     if not mults:
@@ -342,7 +344,7 @@ def test_multiplication_into_or_out_of_an_empty_component_is_zero(case, data):
         for h in (g, g - fd):
             src, tgt = M.dim(h), M.dim(h + fd)
             if src == 0 or tgt == 0:
-                assert M.multiplication_matrix(f, h) == Mat.zero(tgt, src)
+                assert M.multiplication_matrix(f, h, h + fd) == Mat.zero(tgt, src)
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -325,7 +325,7 @@ def test_multiplication_matrix_known():
     M = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=2)]))
     x = Poly.monomial(R.mono(x=1))
     g1 = Z1.degree((1,))
-    mat = M.multiplication_matrix(x, g1)
+    mat = M.multiplication_matrix(x, g1, Z1.degree((2,)))
     # bases are exponent-lexicographic: M_1 = {y, x}, M_2 = {y^2, xy};
     # x*y = xy and x*x = 0
     assert mat == Mat([[0, 0], [1, 0]], 2)
@@ -413,7 +413,7 @@ def test_components_and_multiplication_match_sympy(case):
             v = [a - v[p] * b for a, b in zip(v, row)]
         columns.append([v[i] for i in free])
     rows = [[col[i] for col in columns] for i in range(len(free))]
-    assert M.multiplication_matrix(f, g) == Mat(rows, len(columns))
+    assert M.multiplication_matrix(f, g, tgt_degree) == Mat(rows, len(columns))
 
 
 def _reference_dim(M, h):
@@ -459,10 +459,11 @@ def test_multiplication_composes():
     f = Poly.monomial(R.mono(x=1)) + Poly.monomial(R.mono(y=1), 2)
     e = Poly.monomial(R.mono(y=1))
     g = Z1.degree((1,))
-    lhs = M.multiplication_matrix(f, g + Z1.degree((1,))).mul(
-        M.multiplication_matrix(e, g)
+    g1, g2 = g + Z1.degree((1,)), g + Z1.degree((2,))
+    lhs = M.multiplication_matrix(f, g1, g2).mul(
+        M.multiplication_matrix(e, g, g1)
     )
-    rhs = M.multiplication_matrix(f * e, g)
+    rhs = M.multiplication_matrix(f * e, g, g2)
     assert lhs == rhs
 
 
@@ -475,6 +476,15 @@ def test_relation_homogeneity_diagnostic_names_the_entry():
     with pytest.raises(HomogeneityError) as err:
         GradedModulePresentation(R, [Z1.zero()], [bad])
     assert "generator 0" in str(err.value)
+
+
+def test_relation_entry_at_a_missing_generator_is_refused_even_when_zero():
+    # the index is checked before zero entries are dropped
+    R = std_ring_xy()
+    for entry in (Poly.monomial(R.mono(x=1)), Poly.zero()):
+        bad = RelationColumn(Z1.degree((1,)), {1: entry})
+        with pytest.raises(ValueError, match="relation 0 hits generator 1, which"):
+            GradedModulePresentation(R, [Z1.zero()], [bad])
 
 
 def test_poly_degree_mixed_raises():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coarsecoh.cli import main
 from coarsecoh.errors import ScenarioError
 from coarsecoh.scenario import parse_scenario, serialize_scenario
 
@@ -147,6 +148,24 @@ def test_mixed_degree_relation_entry_named():
     )
     e = _error(text)
     assert "relation 0, generator 1" in str(e)
+
+
+def test_relation_entry_of_the_wrong_degree_exits_1(tmp_path, capsys):
+    # the presentation's degree check, reported at the entry's position
+    path = tmp_path / "case.scn"
+    path.write_text(
+        "group { free = 1; torsion = [] }\n"
+        "ring { vars = [x]; degrees = [(1)]; certificate = (1) }\n"
+        "module { gens = [(0), (0)]; relations = [[x, x^2]] }\n"
+        "gwindow { lo = (0); hi = (2) }\n"
+    )
+    assert main(["hilbert", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: line 3, column 41: relation 0, generator 1: "
+        "entry has degree (2), expected (1)\n"
+    )
 
 
 def test_relation_row_length_checked():
