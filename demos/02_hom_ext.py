@@ -6,7 +6,7 @@ Hom here always means the graded Hom: the part of Hom(M, N) spanned by
 homogeneous maps.  Ext is computed from an explicit free resolution of
 R/a^n (subset-indexed, shifts by lcm degrees), and the limit over n is
 certified degreewise by rank stabilization of long composites - the
-report says at which power each degree settled.
+table says at which power each degree settled.
 """
 
 from coarsecoh import (
@@ -42,11 +42,11 @@ for g, d in t.rows():
 
 # the directed limit over all powers: for the quotient family this is the
 # degreewise limit of Ext^1(R/(x^n), R), which is how the higher torsion
-# functors are computed on the tower route.  The stabilization report
-# records the power at which each degree's rank data became certified.
+# functors are computed on the tower route.  The table also records the
+# power at which each degree's rank data became certified.
 F = GradedModulePresentation.free(R, [Z1.zero()])
-table, report = colim_ext_table(1, a, F, w, n_cap=8, family="quotient")
+table = colim_ext_table(1, a, F, w, n_cap=8, family="quotient")
 print("\nlimit of Ext^1(R/(x^n), R) with the certified power per degree:")
 for g in w:
-    print("  %s  %d   settled at n = %d" % (g, table.get(g), report.per_degree[g]))
-print("window-wide certified index:", report.global_index)
+    print("  %s  %d   settled at n = %d" % (g, table.get(g), table.stabilized_at[g]))
+print("window-wide certified index:", table.global_index)

@@ -16,8 +16,9 @@ The usual entry points:
 - :func:`hom_table`, :func:`graded_ext`, :func:`colim_ext_table` --
   graded Hom/Ext and the directed limit of Ext along ideal powers.
 - :func:`local_cohomology`, :func:`cech_table`,
-  :func:`torsion_submodule`, :func:`ideal_transform`,
-  :func:`check_transform_sequence` -- the cohomology side.
+  :func:`torsion_submodule`, :func:`torsion_basis`,
+  :func:`ideal_transform`, :func:`check_transform_sequence` -- the
+  cohomology side.
 - :func:`coarsen_ring`, :func:`coarsen_module`, :func:`coarsen_table`,
   :func:`check_commutation`, :func:`check_gamma_identity`,
   :func:`hom_comparison` -- coarsening and the commutation checks.
@@ -46,19 +47,18 @@ from .ringcore import (
 from .homres import (
     GradedHomSpace,
     PowerTower,
-    StabilizationReport,
     colim_ext_table,
     graded_ext,
     hom_table,
     taylor_complex,
 )
 from .localcoh import (
-    TorsionData,
     TransformSequenceReport,
     cech_table,
     check_transform_sequence,
     ideal_transform,
     local_cohomology,
+    torsion_basis,
     torsion_submodule,
 )
 from .coarsen import (
@@ -110,9 +110,7 @@ __all__ = [
     "RelationColumn",
     "Scenario",
     "ScenarioError",
-    "StabilizationReport",
     "TailIdeal",
-    "TorsionData",
     "TransformSequenceReport",
     "UnstabilizedError",
     "WitnessHom",
@@ -138,5 +136,6 @@ __all__ = [
     "parse_scenario",
     "serialize_scenario",
     "taylor_complex",
+    "torsion_basis",
     "torsion_submodule",
 ]

@@ -28,10 +28,12 @@ from pathlib import Path
 
 from .coarsen import check_commutation, coarsen_ring, coarsen_table
 from .errors import CoarseningRefusal, ScenarioError, UnstabilizedError
-from .homres import colim_ext_table, graded_ext, hom_table
+from .homres import graded_ext, hom_table
 from .localcoh import (
     cech_table,
     check_transform_sequence,
+    ideal_transform,
+    local_cohomology,
     torsion_submodule,
 )
 from .monoidx import counterexample_report
@@ -81,7 +83,7 @@ def _report(command, payload, comments, header, rows):
 
 def _table_report(command, table, s: Scenario, parameters=None, comments=(), **extra):
     """The OK report of a command whose result is one degree/dim table
-    over the scenario's gwindow."""
+    over the scenario's gwindow, with the stages of a tower table."""
     payload = {
         "verdict": "OK",
         "window": _window_str(s.gwindow),
@@ -90,16 +92,11 @@ def _table_report(command, table, s: Scenario, parameters=None, comments=(), **e
     }
     if parameters is not None:
         payload["parameters"] = parameters
+    if table.stabilized_at is not None:
+        payload["stabilized_at"] = {str(g): n for g, n in table.stabilized_at.items()}
+        payload["global_index"] = table.global_index
+        comments = [*comments, "global_index: %d" % table.global_index]
     return _report(command, payload, comments, ["degree", "dim"], table.rows())
-
-
-def _stages(per_degree: dict, global_index: int) -> dict:
-    """Report fields of a certified limit: the stage at which each degree
-    stabilized, and the largest of them.  The JSON report sorts keys."""
-    return {
-        "stabilized_at": {str(g): n for g, n in per_degree.items()},
-        "global_index": global_index,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +124,11 @@ def _cmd_ext(s: Scenario, args):
 
 def _cmd_gamma(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    data = torsion_submodule(s.ideal, s.module, s.gwindow, s.n_cap)
-    stages = _stages(data.stabilized_at, data.global_index)
-    payload, _, _ = _table_report("gamma", data.table, s, {"n_cap": s.n_cap}, **stages)
+    table = torsion_submodule(s.ideal, s.module, s.gwindow, s.n_cap)
+    payload, _, _ = _table_report("gamma", table, s, {"n_cap": s.n_cap})
     # the TSV shows each degree's stage in a third column
-    rows = [(str(g), data.table.get(g), data.stabilized_at[g]) for g in s.gwindow]
-    comments = ["global_index: %d" % data.global_index]
+    rows = [(str(g), table.get(g), table.stabilized_at[g]) for g in s.gwindow]
+    comments = ["global_index: %d" % table.global_index]
     return _report("gamma", payload, comments, ["degree", "dim", "stabilized_at"], rows)
 
 
@@ -153,26 +149,17 @@ def _cmd_lc(s: Scenario, args):
         "ray_cap": s.ray_cap,
     }
     comments = ["i: %d" % args.i, "route: " + args.route]
-    if args.route == "ext":
-        table, stab = colim_ext_table(
-            args.i, s.ideal, s.module, s.gwindow, s.n_cap, family="quotient"
-        )
-        comments.append("global_index: %d" % stab.global_index)
-        stages = _stages(stab.per_degree, stab.global_index)
-        return _table_report("lc", table, s, parameters, comments, **stages)
-    table = cech_table(s.ideal, args.i, s.module, s.gwindow, s.ray_cap)
+    table = local_cohomology(
+        s.ideal, args.i, s.module, s.gwindow, args.route, s.n_cap, s.ray_cap
+    )
     return _table_report("lc", table, s, parameters, comments)
 
 
 def _cmd_dtransform(s: Scenario, args):
     s.require("ring", "ideal", "module", "gwindow")
-    table, report = colim_ext_table(
-        args.i, s.ideal, s.module, s.gwindow, s.n_cap, family="ideal"
-    )
+    table = ideal_transform(s.ideal, args.i, s.module, s.gwindow, s.n_cap)
     parameters = {"i": args.i, "n_cap": s.n_cap}
-    comments = ["i: %d" % args.i, "global_index: %d" % report.global_index]
-    stages = _stages(report.per_degree, report.global_index)
-    return _table_report("dtransform", table, s, parameters, comments, **stages)
+    return _table_report("dtransform", table, s, parameters, ["i: %d" % args.i])
 
 
 def _cmd_coarsen(s: Scenario, args):

@@ -43,7 +43,7 @@ from .errors import CoarseningRefusal, UnstabilizedError
 from .grading import Degree, DegreeWindow, GroupEpimorphism
 from .homres import N_CAP, GradedHomSpace, PowerTower, tower_ext_table
 from .linalg import Mat, rank, spans_equal
-from .localcoh import torsion_submodule
+from .localcoh import torsion_basis
 from .ringcore import (
     ComponentSpace,
     GradedModulePresentation,
@@ -271,17 +271,20 @@ def check_gamma_identity(
     coarse torsion basis (rank A == rank B == rank of the stack)."""
     Rc = coarsen_ring(M.ring, psi, coarse_certificate)
     Mc = coarsen_module(M, Rc, psi)
-    fine = torsion_submodule(ideal, M, gwindow, n_cap=n_cap)
-    coarse = torsion_submodule(coarsen_ideal(ideal, Rc), Mc, hwindow, n_cap=n_cap)
+    # every fine basis first: a fine degree over no h can refuse too
+    tower = PowerTower(ideal, n_cap, max_position=1)
+    fine = {g: torsion_basis(tower, M, g) for g in gwindow}
+    tower = PowerTower(coarsen_ideal(ideal, Rc), n_cap, max_position=1)
+    coarse = {h: torsion_basis(tower, Mc, h) for h in hwindow}
     rows = []
     for h in hwindow:
         pushed = [
             _push_component_vector(M.component(g), Mc.component(h), vec)
             for g in psi.fiber(h, gwindow)
-            for vec in fine.bases[g]
+            for vec in fine[g]
         ]
-        agree = spans_equal(pushed, coarse.bases[h], Mc.dim(h))
-        rows.append(GammaIdentityRow(h, len(pushed), len(coarse.bases[h]), agree))
+        agree = spans_equal(pushed, coarse[h], Mc.dim(h))
+        rows.append(GammaIdentityRow(h, len(pushed), len(coarse[h]), agree))
     return GammaIdentityReport(rows, all(r.spans_agree for r in rows))
 
 
@@ -450,7 +453,7 @@ def check_commutation(
     unstable = None
     for i in degrees_i:
         try:
-            fine_table, _ = tower_ext_table(i, fine_tower, M, gwindow)
+            fine_table = tower_ext_table(i, fine_tower, M, gwindow)
             coarsened, cert = coarsen_table(
                 fine_table,
                 psi,
@@ -459,7 +462,7 @@ def check_commutation(
                 coarse_ring=Rc,
                 assume_support_covered=assume_support_covered,
             )
-            coarse, _ = tower_ext_table(i, coarse_tower, Mc, hwindow)
+            coarse = tower_ext_table(i, coarse_tower, Mc, hwindow)
         except UnstabilizedError as err:
             unstable = {"i": i, **err.payload()}
             break

@@ -18,7 +18,8 @@ keeps 2^s summands.  Summand S of stage n is shifted by n deg lcm(g_S),
 and since lcm(g_S^{n+1}) / lcm(g_S^n) = lcm(g_S), the comparison map from
 stage n+1 to stage n is  e_S -> lcm(g_S) e_S  with sign +1 at every
 stage; its chain property is still verified symbolically at
-construction.
+construction.  tower_table is the one loop over a window of tower
+limits, and its table keeps the stage at which each degree was certified.
 
 Every map of free modules here is a ringcore FreeMap with sparse
 polynomial columns, and a presentation's relations are one FreeMap too.
@@ -32,7 +33,6 @@ Hom(M, N)_g all go through it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
@@ -303,13 +303,28 @@ def ext_limit_at_degree(
     return stages, limit
 
 
-@dataclass
-class StabilizationReport:
-    per_degree: dict = field(default_factory=dict)
-
-    @property
-    def global_index(self) -> int:
-        return max(self.per_degree.values(), default=1)
+def tower_table(
+    tower: PowerTower,
+    N: GradedModulePresentation,
+    window: DegreeWindow,
+    position: int,
+    what: str,
+    include_boundary: bool = True,
+) -> HilbertTable:
+    """The certified limits at cochain position `position` of the tower
+    over the window, each degree's stage in stabilized_at; a degree the cap
+    does not certify raises UnstabilizedError labelled `what`.  At position
+    0 (torsion, H^0) the table is supported on the generators of N."""
+    if tower.max_position < position + 1:
+        raise ValueError("the tower stops below cochain position %d" % (position + 1))
+    values, stabilized_at = {}, {}
+    for g in window:
+        stages = ext_stages(tower, N, g, position, include_boundary)
+        _, lim = ext_limit_at_degree(tower, N, g, position, what, stages)
+        values[g] = lim.limit_dim
+        stabilized_at[g] = lim.stabilized_at
+    support = N.gen_degrees if position == 0 else None
+    return HilbertTable(window, values, support, stabilized_at)
 
 
 def colim_ext_table(
@@ -319,7 +334,7 @@ def colim_ext_table(
     window: DegreeWindow,
     n_cap: int,
     family: str = "quotient",
-) -> tuple[HilbertTable, StabilizationReport]:
+) -> HilbertTable:
     """Degreewise colimit over n of Ext^i(R/a^[n], N) (family "quotient")
     or of Ext^i(a^[n], N) (family "ideal", the ideal transform for i = 0);
     the bracket powers a^[n] are cofinal with a^n, so these are the
@@ -350,24 +365,11 @@ def tower_ext_table(
     N: GradedModulePresentation,
     window: DegreeWindow,
     family: str = "quotient",
-) -> tuple[HilbertTable, StabilizationReport]:
+) -> HilbertTable:
     """colim_ext_table on a tower built once by the caller, which may share
     it between several i; the tower must reach cochain position i+1 (i+2
     for family "ideal")."""
     position = _tower_position(i, family)
-    if tower.max_position < position + 1:
-        raise ValueError("the tower stops below cochain position %d" % (position + 1))
     include_boundary = family == "quotient" or i >= 1
-    what = "colim Ext^%d(%s^n, module)" % (
-        i,
-        "R/a" if family == "quotient" else "a",
-    )
-    values = {}
-    report = StabilizationReport()
-    for g in window:
-        stages = ext_stages(tower, N, g, position, include_boundary)
-        _, lim = ext_limit_at_degree(tower, N, g, position, what, stages)
-        values[g] = lim.limit_dim
-        report.per_degree[g] = lim.stabilized_at
-    support = N.gen_degrees if family == "quotient" and i == 0 else None
-    return HilbertTable(window, values, support_gens=support), report
+    what = "colim Ext^%d(%s^n, module)" % (i, "R/a" if family == "quotient" else "a")
+    return tower_table(tower, N, window, position, what, include_boundary)

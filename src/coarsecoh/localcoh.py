@@ -20,7 +20,7 @@ generators), so every colimit below is the one along a^n.
 The torsion submodule is H^0, position 0 of the same tower: the
 increasing chain of kernels of the cochain differentials d^0, which
 multiply by the generators g^n of a^[n], gives honest element-level bases
-inside M_g.
+inside M_g; torsion_basis is the one reader of those bases.
 
 The ideal transform is the colimit over n of Ext^i(a^[n], -); its
 relationship to local cohomology in one degree higher is checked, not
@@ -50,6 +50,7 @@ from .homres import (
     colim_ext_table,
     ext_limit_at_degree,
     ext_stages,
+    tower_table,
 )
 from .linalg import DirectedLimit, Mat, nullspace, rank, spans_equal
 from .ringcore import (
@@ -222,43 +223,29 @@ def cech_table(
     return HilbertTable(window, values, support_gens=support)
 
 
-@dataclass
-class TorsionData:
-    table: HilbertTable
-    bases: dict  # degree -> list of vectors in M_g coordinates
-    stabilized_at: dict  # degree -> stage index
-
-    @property
-    def global_index(self) -> int:
-        return max(self.stabilized_at.values(), default=1)
-
-
 def torsion_submodule(
     ideal: MonomialIdeal,
     M: GradedModulePresentation,
     window: DegreeWindow,
     n_cap: int = N_CAP,
-) -> TorsionData:
+) -> HilbertTable:
     """Elements killed by a power of the ideal, per degree: position 0 of
     the bracket-power tower, whose stages are the kernels of the cochain
     differentials d^0 : M_g -> (+)_j M_{g + n deg g_j} (multiplication by
     the generators g_j^n of a^[n]) and whose maps are the inclusions.  It
-    is certified like every other tower limit, in ext_limit_at_degree; a
-    certified increasing chain ends on its limit, so the basis in M_g is
-    the last stage's kernel basis.  Since a^{s(n-1)+1} <= a^[n] <= a^n for
-    s generators, an element is killed by some a^[n] exactly when it is
-    killed by some a^n."""
-    tower = PowerTower(ideal, n_cap, max_position=1)
-    values = {}
-    bases = {}
-    stab = {}
-    for g in window:
-        stages, lim = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
-        values[g] = lim.limit_dim
-        bases[g] = stages[-1].reps
-        stab[g] = lim.stabilized_at
-    table = HilbertTable(window, values, support_gens=M.gen_degrees)
-    return TorsionData(table, bases, stab)
+    is certified like every other tower limit, in ext_limit_at_degree.
+    Since a^{s(n-1)+1} <= a^[n] <= a^n for s generators, an element is
+    killed by some a^[n] exactly when it is killed by some a^n."""
+    return tower_table(PowerTower(ideal, n_cap, 1), M, window, 0, "torsion submodule")
+
+
+def torsion_basis(tower: PowerTower, M: GradedModulePresentation, g: Degree) -> list:
+    """A basis in M_g of the torsion submodule along the tower's ideal; the
+    tower must reach cochain position 1.  A certified increasing chain of
+    kernels ends on its limit, so this is the last stage's kernel basis.
+    Refuses, labelled "torsion submodule", as torsion_submodule does."""
+    stages, _ = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
+    return stages[-1].reps
 
 
 def local_cohomology(
@@ -275,8 +262,7 @@ def local_cohomology(
     if route == "cech":
         return cech_table(ideal, i, M, window, ray_cap)
     if route == "ext":
-        table, _ = colim_ext_table(i, ideal, M, window, n_cap, family="quotient")
-        return table
+        return colim_ext_table(i, ideal, M, window, n_cap, family="quotient")
     raise ValueError("unknown route %r" % route)
 
 
@@ -289,8 +275,7 @@ def ideal_transform(
 ) -> HilbertTable:
     """Degreewise colimit over n of Ext^i(a^[n], M), which is the one of
     Ext^i(a^n, M)."""
-    table, _ = colim_ext_table(i, ideal, M, window, n_cap, family="ideal")
-    return table
+    return colim_ext_table(i, ideal, M, window, n_cap, family="ideal")
 
 
 @dataclass
@@ -416,7 +401,7 @@ def _sequence_row_at_degree(
     cech: CechAtDegree,
 ) -> DegreeRow:
     mg = M.dim(g)
-    gamma_stages, _ = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
+    gamma_basis = torsion_basis(tower, M, g)
     # both position-1 towers come from one kernel of d^1 per stage
     h1_stages = ext_stages(tower, M, g, 1)
     d0_stages = [sq.cocycles_only() for sq in h1_stages]
@@ -445,7 +430,6 @@ def _sequence_row_at_degree(
         res_cols.append(h1_lim.express(h1_stage_coords))
     res = Mat.from_columns(res_cols, h1_dim)
 
-    gamma_basis = gamma_stages[-1].reps
     kernel = nullspace(ins)
     kernel_matches = spans_equal(kernel, gamma_basis, mg)
     residual_surjective = rank(res) == h1_dim

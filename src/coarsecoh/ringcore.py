@@ -590,13 +590,22 @@ class HilbertTable:
 
     `support_gens`, when present, lists generator degrees of a module that
     contains whatever the table measures; coarsening uses it to certify
-    that fiber sums are finite.
+    that fiber sums are finite.  `stabilized_at`, on tower tables only,
+    maps each degree to the stage at which its limit was certified, and
+    `global_index` is the largest of them (1 on an empty window).
     """
 
-    def __init__(self, window: DegreeWindow, values: dict, support_gens=None):
+    def __init__(
+        self, window: DegreeWindow, values: dict, support_gens=None, stabilized_at=None
+    ):
         self.window = window
         self.values = {g: int(values[g]) for g in window}
         self.support_gens = tuple(support_gens) if support_gens is not None else None
+        self.stabilized_at = stabilized_at
+
+    @property
+    def global_index(self) -> int:
+        return max(self.stabilized_at.values(), default=1)
 
     def get(self, d: Degree) -> int:
         if d not in self.window:

@@ -60,8 +60,9 @@ from .ringcore import (
 __all__ = ["Scenario", "parse_scenario", "serialize_scenario"]
 
 
-# The least caps the limit processes can run with: a power tower (torsion
-# is its position 0) compares two stages, a localization ray needs one step.
+# The least caps with which a PowerTower (torsion is its position 0) and a
+# localization ray can be built; certifying a nonzero limit takes 4 stages
+# (README, design rule 2), so at these floors a limit is 0 or refused.
 CAP_FLOORS = {"n_cap": 2, "ray_cap": 1}
 
 

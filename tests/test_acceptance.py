@@ -161,7 +161,7 @@ def test_criterion_1_laurent_pattern():
         h1_cech = local_cohomology(a, 1, M, w, route="cech", ray_cap=10)
         h1_ext = local_cohomology(a, 1, M, w, route="ext", n_cap=10)
         h0_cech = cech_table(a, 0, M, w, ray_cap=10)
-        h0_ext = torsion_submodule(a, M, w, n_cap=10).table
+        h0_ext = torsion_submodule(a, M, w, n_cap=10)
         for g in w:
             want_h0, want_h1 = laurent_two_term_dims(g.free[0])
             assert h1_cech.get(g) == want_h1

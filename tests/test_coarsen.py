@@ -12,7 +12,7 @@ from coarsecoh.coarsen import (
     derive_coarse_certificate,
     hom_comparison,
 )
-from coarsecoh.errors import CoarseningRefusal
+from coarsecoh.errors import CoarseningRefusal, UnstabilizedError
 from coarsecoh.grading import DegreeGroup, DegreeWindow, GroupEpimorphism
 from coarsecoh.ringcore import (
     GradedModulePresentation,
@@ -29,6 +29,7 @@ from helpers import (
     forget_torsion_map,
     maximal_ideal,
     mixed_ring_xy,
+    quotient_module,
     ring_x,
     sum_map,
     window1,
@@ -207,6 +208,26 @@ def test_gamma_identity_mixed_nilpotent():
         (2, 2),
         (2, 2),
     ]
+
+
+def test_gamma_identity_refuses_the_first_fine_degree_before_any_coarse_one():
+    # in K[x,y]/(x^2,xy,y^2) the class of 1 is killed from a^[2] on, so
+    # four stages see 0, 1, 1, 1 at (0,0): too short a plateau to certify.
+    # The fine bases are read over the whole gwindow before any coarse
+    # one, so (0,0) is refused although it lies in no fiber over hwindow
+    R = fine_ring_xy()
+    T = quotient_module(R, {"x": 2}, {"x": 1, "y": 1}, {"y": 2})
+    gwindow, hwindow = window2((0, 0), (1, 1)), window1(1, 2)
+    with pytest.raises(UnstabilizedError) as err:
+        check_gamma_identity(maximal_ideal(R), T, sum_map(), gwindow, hwindow, n_cap=4)
+    assert err.value.payload() == {
+        "what": "torsion submodule",
+        "degree": "(0,0)",
+        "trajectory": [0, 1, 1, 1],
+    }
+    rep = check_gamma_identity(maximal_ideal(R), T, sum_map(), gwindow, hwindow, n_cap=5)
+    assert rep.ok
+    assert [(r.fine_total, r.coarse_dim) for r in rep.rows] == [(2, 2), (0, 0)]
 
 
 def test_hom_comparison_mixed():

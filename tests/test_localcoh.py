@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coarsecoh.errors import UnstabilizedError
 from coarsecoh.grading import DegreeGroup, DegreeWindow
-from coarsecoh.homres import colim_ext_table
+from coarsecoh.homres import N_CAP, PowerTower, colim_ext_table
 from coarsecoh.linalg import Mat, nullspace, spans_equal
 from coarsecoh.localcoh import (
     CechAtDegree,
@@ -18,6 +18,7 @@ from coarsecoh.localcoh import (
     check_transform_sequence,
     ideal_transform,
     local_cohomology,
+    torsion_basis,
     torsion_submodule,
 )
 from coarsecoh.ringcore import (
@@ -194,7 +195,7 @@ def test_torsion_of_truncated_line():
     a = MonomialIdeal(R, [R.mono(x=1)])
     M = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=3)]))
     data = torsion_submodule(a, M, window1(0, 3), n_cap=6)
-    assert [v for _, v in data.table.rows()] == [1, 1, 1, 0]
+    assert [v for _, v in data.rows()] == [1, 1, 1, 0]
     assert data.global_index == 3
     assert data.stabilized_at[Z1.degree((0,))] == 3
     assert data.stabilized_at[Z1.degree((2,))] == 1
@@ -204,14 +205,14 @@ def test_torsion_of_free_module_is_zero():
     R = std_ring_xy()
     F = GradedModulePresentation.free(R, [Z1.zero()])
     data = torsion_submodule(maximal_ideal(R), F, window1(-2, 3))
-    assert data.table.total() == 0
+    assert data.total() == 0
 
 
 def test_torsion_with_zero_ideal_is_everything():
     R = ring_x()
     M = GradedModulePresentation.free(R, [Z1.zero()])
     data = torsion_submodule(MonomialIdeal(R, []), M, window1(0, 2))
-    assert [v for _, v in data.table.rows()] == [1, 1, 1]
+    assert [v for _, v in data.rows()] == [1, 1, 1]
 
 
 def test_gamma_three_routes_agree():
@@ -221,10 +222,11 @@ def test_gamma_three_routes_agree():
         MonomialIdeal(R, [R.mono(x=2), R.mono(x=1, y=1)])
     )
     w = window1(0, 3)
-    torsion = torsion_submodule(m, M, w).table
+    torsion = torsion_submodule(m, M, w)
     cech = cech_table(m, 0, M, w)
-    tower, _ = colim_ext_table(0, m, M, w, n_cap=6)
+    tower = colim_ext_table(0, m, M, w, n_cap=6)
     assert torsion.values == cech.values == tower.values
+    assert torsion.stabilized_at == tower.stabilized_at
     assert [v for _, v in torsion.rows()] == [0, 1, 0, 0]
 
 
@@ -237,7 +239,7 @@ def test_h0_basis_is_the_torsion_basis():
     g = Z1.degree((1,))
     cech = CechAtDegree(m.gens, M, g, ray_cap=8)
     h0 = nullspace(cech.matrices[0])  # the position-zero model is M_g itself
-    gamma = torsion_submodule(m, M, window1(1, 1)).bases[g]
+    gamma = torsion_basis(PowerTower(m, N_CAP, max_position=1), M, g)
     assert spans_equal(h0, gamma, M.dim(g))
     # and the class in M_1 is x, not y: basis order is (y, x)
     assert spans_equal(h0, [{1: Fraction(1)}], M.dim(g))
@@ -301,17 +303,19 @@ def _stacked_multiplication_kernel(a, M, g, n):
 @given(monomial_quotients())
 def test_torsion_is_the_stacked_kernel_and_the_cech_h0(case):
     a, M, window, n_cap = case
+    tower = PowerTower(a, n_cap, max_position=1)
     for g in window:
         try:
             torsion = torsion_submodule(a, M, DegreeWindow(window.group, [g]), n_cap)
         except UnstabilizedError:
             continue
-        assert torsion.bases[g] == _stacked_multiplication_kernel(a, M, g, n_cap)
+        basis = torsion_basis(tower, M, g)
+        assert basis == _stacked_multiplication_kernel(a, M, g, n_cap)
         try:
             h0 = CechAtDegree(a.gens, M, g, 8, positions=(0,)).cohomology_dim(0)
         except UnstabilizedError:
             continue
-        assert torsion.table.get(g) == h0
+        assert torsion.get(g) == h0
     report = check_transform_sequence(a, M, window, n_cap=n_cap, ray_cap=8)
     assert report.verdict != "FAILS", report.to_json_dict()
 
@@ -474,7 +478,7 @@ def test_torsion_refuses_a_plateau_too_short_to_certify():
         "trajectory": [0, 1, 1, 1],
     }
     data = torsion_submodule(maximal_ideal(R), T, w, n_cap=5)
-    assert data.table.get(Z2.degree((0, 0))) == 1
+    assert data.get(Z2.degree((0, 0))) == 1
     assert data.stabilized_at[Z2.degree((0, 0))] == 2
 
 
