@@ -163,7 +163,7 @@ def ext_subquotient(
     d_p = spaces.differential(p)
     boundaries = []
     if include_boundary and p >= 1:
-        boundaries = spaces.differential(p - 1).columns()
+        boundaries = spaces.differential(p - 1).cols
     return Subquotient(d_p.ncols, nullspace(d_p), boundaries)
 
 

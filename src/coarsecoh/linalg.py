@@ -3,12 +3,16 @@
 A vector is a dict ``{index: Fraction}`` that holds its nonzero entries
 only: a missing key is a zero, and no routine ever stores a zero.  This
 is the one vector format of the package: component coordinates, matrix
-rows and columns, kernel bases, subquotient representatives and limit
+columns, kernel bases, subquotient representatives and limit
 coordinates all use it, and a vector's length is carried by the matrix
 or space it belongs to.  Only two entry points take dense sequences, for
 literal matrices: ``Mat(rows, ncols)`` and ``rref``, which also returns
 dense rows.  Entries of a dense sequence are converted to ``Fraction``
 there.
+
+A matrix acts on column vectors, and a ``Mat`` is its columns, the
+images of the basis vectors as every producer builds them, plus its row
+count, so maps with zero rows or zero columns keep their shape.
 
 There is one elimination kernel; it runs on primitive integer rows, is
 exact and uses no modulus.  A ``RowSpan`` keeps one row ``d e_p + tail``
@@ -16,7 +20,8 @@ per pivot column p, with d > 0, content 1 and zeros at the other pivot
 columns: its reduced row echelon form scaled to integers.  ``Fraction``
 is only the format of the vectors going in (numerators over the lcm of
 their denominators) and out (``Fraction(x, d)``).  ``rref``, ``rank``,
-``nullspace``, ``Subquotient`` and ``DirectedLimit`` are built on it.
+``Subquotient``, ``DirectedLimit`` and ``nullspace``, one pass over the
+columns that turns each dependent one into a kernel vector, use it.
 
 The reduced row echelon form of a list of rows, and so its primitive
 integer form, depends only on the space they span, not on the order of
@@ -26,9 +31,6 @@ in a subquotient (the first vectors that are independent modulo the
 boundaries) and every coordinate vector are determined by the input
 alone: every rank, kernel and basis in the package is deterministic for
 identical input.
-
-A matrix acts on column vectors.  ``Mat`` carries the column count
-explicitly so maps with zero rows or zero columns keep their shape.
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ class Mat:
     """Rational matrix with explicit shape, acting on column vectors.
 
     ``Mat(rows, ncols)`` takes dense rows, for literal matrices; every
-    other constructor and method speaks sparse vectors.  ``rows`` holds
-    one sparse row per matrix row; rows are not changed after the matrix
-    is built."""
+    other constructor and method speaks sparse vectors.  ``cols`` holds
+    one sparse column per matrix column, a vector of Q^nrows; columns are
+    not changed after the matrix is built, so they may be shared."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("cols", "nrows")
 
     def __init__(self, rows, ncols: int | None = None):
         rows = list(rows)
@@ -120,23 +122,23 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        self.rows = [_sparse(r) for r in rows]
-        self.ncols = ncols
+        self.cols = [_sparse([r[j] for r in rows]) for j in range(ncols)]
+        self.nrows = len(rows)
 
     @staticmethod
-    def _of(rows: list[dict], ncols: int) -> "Mat":
+    def _of(cols: list[dict], nrows: int) -> "Mat":
         m = object.__new__(Mat)
-        m.rows = rows
-        m.ncols = ncols
+        m.cols = cols
+        m.nrows = nrows
         return m
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def ncols(self) -> int:
+        return len(self.cols)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Mat":
-        return Mat._of([{} for _ in range(nrows)], ncols)
+        return Mat._of([{} for _ in range(ncols)], nrows)
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -145,19 +147,16 @@ class Mat:
     @staticmethod
     def from_columns(cols: list[dict], nrows: int) -> "Mat":
         """The matrix whose column j is the vector cols[j] of Q^nrows."""
-        rows = [{} for _ in range(nrows)]
-        for j, c in enumerate(cols):
+        for c in cols:
             _check_length(c, nrows)
-            for i, x in c.items():
-                rows[i][j] = x
-        return Mat._of(rows, len(cols))
+        return Mat._of(cols, nrows)
 
     @staticmethod
     def block(row_dims, col_dims, block_fn) -> "Mat":
         """Block matrix; block_fn(i, j) gives block (i, j), shaped
         row_dims[i] x col_dims[j], or None for a zero block.  It is only
-        asked for blocks with both dimensions nonzero."""
-        rows = [{} for _ in range(sum(row_dims))]
+        asked for blocks with both dimensions nonzero, row by row."""
+        cols = [{} for _ in range(sum(col_dims))]
         r0 = 0
         for i, rd in enumerate(row_dims):
             c0 = 0
@@ -166,53 +165,38 @@ class Mat:
                 if blk is not None:
                     if blk.nrows != rd or blk.ncols != cd:
                         raise ValueError("block (%d,%d) has the wrong shape" % (i, j))
-                    for row, brow in zip(rows[r0 : r0 + rd], blk.rows):
-                        for b, x in brow.items():
-                            row[c0 + b] = x
+                    for col, bcol in zip(cols[c0 : c0 + cd], blk.cols):
+                        for b, x in bcol.items():
+                            col[r0 + b] = x
                 c0 += cd
             r0 += rd
-        return Mat._of(rows, sum(col_dims))
+        return Mat._of(cols, sum(row_dims))
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def columns(self) -> list[dict]:
-        cols = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, x in r.items():
-                cols[j][i] = x
-        return cols
+        return not any(self.cols)
 
     def apply(self, v: dict) -> dict:
         _check_length(v, self.ncols)
-        out = {}
-        for i, r in enumerate(self.rows):
-            x = sum(a * v[j] for j, a in r.items() if j in v)
-            if x:
-                out[i] = x
+        out: dict = {}
+        for j, x in v.items():
+            _addmul(out, x, self.cols[j])
         return out
 
     def mul(self, other: "Mat") -> "Mat":
         """self  o  other, as composition of column-vector maps."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        out = []
-        for ri in self.rows:
-            acc: dict = {}
-            for k, a in ri.items():
-                _addmul(acc, a, other.rows[k])
-            out.append(acc)
-        return Mat._of(out, other.ncols)
+        return Mat._of([self.apply(c) for c in other.cols], self.nrows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.nrows == other.nrows
+            and self.cols == other.cols
         )
 
     def __repr__(self):
-        dense = [_dense(r, self.ncols) for r in self.rows]
+        dense = [[c.get(i, Q0) for c in self.cols] for i in range(self.nrows)]
         return "Mat(%r, ncols=%d)" % (dense, self.ncols)
 
 
@@ -300,24 +284,24 @@ class _Coordinates(RowSpan):
     of the b_i, nothing below column n and minus its coordinates from
     column n on.  Both methods read an integer w and scale s as w / s."""
 
-    def take(self, w: dict, s: int) -> bool:
+    def take(self, w: dict, s: int) -> dict | None:
         """Take w / s as the next vector unless it depends on the earlier
-        ones; True when it was taken."""
+        ones: None when it was taken, its coordinates when it depends."""
         n = self.n
         _check_length(w, n)
         s *= self._reduce(w)
-        if not any(k < n for k in w):
-            return False
-        w[n + self.dim] = s
-        self._insert(w)
-        return True
+        if w and min(w) < n:
+            w[n + self.dim] = s
+            self._insert(w)
+            return None
+        return {k - n: Fraction(-x, s) for k, x in w.items()}
 
     def of(self, w: dict, s: int) -> dict | None:
         """Coordinates of w / s, or None if it is outside the span."""
         n = self.n
         _check_length(w, n)
         s *= self._reduce(w)
-        if any(k < n for k in w):
+        if w and min(w) < n:
             return None
         return {k - n: Fraction(-x, s) for k, x in w.items()}
 
@@ -337,7 +321,7 @@ def rref(rows, ncols: int):
 
 
 def rank(mat: Mat) -> int:
-    return RowSpan(mat.ncols, mat.rows).dim
+    return RowSpan(mat.nrows, mat.cols).dim
 
 
 def spans_equal(vecs_a, vecs_b, n: int) -> bool:
@@ -348,21 +332,29 @@ def spans_equal(vecs_a, vecs_b, n: int) -> bool:
 
 
 def nullspace(mat: Mat) -> list[dict]:
-    """Basis of the kernel, one vector per free column, in column order."""
-    span = RowSpan(mat.ncols, mat.rows)
-    d, tails = span._d, span._tails
-    basis = {f: {f: Q1} for f in range(mat.ncols) if f not in tails}
-    for p, t in tails.items():
-        for f, x in t.items():
-            basis[f][p] = Fraction(-x, d[p])
-    return list(basis.values())
+    """Basis of the kernel, one vector per free column, in column order:
+    the columns are taken in order, and a column f that depends on the
+    earlier independent columns gives e_f minus its coordinates in them."""
+    span = _Coordinates(mat.nrows)
+    pivots: list[int] = []
+    basis = []
+    for f, c in enumerate(mat.cols):
+        coords = span.take(*_ints(c)) if c else {}
+        if coords is None:
+            pivots.append(f)
+        else:
+            v = {f: Q1}
+            for i, x in coords.items():
+                v[pivots[i]] = -x
+            basis.append(v)
+    return basis
 
 
 def column_space_basis(mat: Mat) -> tuple[list[dict], list[int]]:
     """Independent columns of mat (the pivot columns), with their indices."""
-    pivots = RowSpan(mat.ncols, mat.rows).pivots
-    cols = mat.columns()
-    return [cols[j] for j in pivots], pivots
+    span = RowSpan(mat.nrows)
+    pivots = [j for j, c in enumerate(mat.cols) if span.add(c)]
+    return [mat.cols[j] for j in pivots], pivots
 
 
 class Subquotient:
@@ -381,7 +373,7 @@ class Subquotient:
         self._classes = _Coordinates(n)
         self.reps: list[dict] = []
         for v in self._cocycles:
-            if self._classes.take(*self._modulo_boundaries(v)):
+            if self._classes.take(*self._modulo_boundaries(v)) is None:
                 self.reps.append(v)
 
     def _modulo_boundaries(self, v: dict) -> tuple[dict, int]:
@@ -447,7 +439,9 @@ class DirectedLimit:
     The limit is modelled by the image of the composite V_n* -> V_m inside
     V_m; stability makes that image independent of the stage chosen from
     n* up to m-2, which is what lets callers push vectors forward from any
-    certified stage and express them in the `basis`.
+    certified stage and express them in the `basis`: the independent
+    columns of that composite, shared with it, since no column of a
+    ``Mat`` is changed after it is built.
 
     The chain is given by its dimensions and a function `step`: step(k)
     is the map V_{k+1} -> V_{k+2}, for k = 0..m-2.  The dimensions come

@@ -418,7 +418,7 @@ def _sequence_row_at_degree(
     # insertion: v in M_g goes to the hom sending each generator m of the
     # top stage a^[n] to m*v, which is column v of that stage's d^0
     top_d0 = CochainSpaces(tower.complexes[-1], M, g).differential(0)
-    ins_cols = [d0_lim.express(last_stage_d0.express(col)) for col in top_d0.columns()]
+    ins_cols = [d0_lim.express(last_stage_d0.express(col)) for col in top_d0.cols]
     ins = Mat.from_columns(ins_cols, d0_dim)
 
     # residual: a transform class, given by a cocycle in the last stage,

@@ -362,11 +362,14 @@ def build_witness_hom(level: int) -> WitnessHom:
     return _certified_witness_hom(level)[0]
 
 
+MAX_LEVEL = 500  # the map, its probe table and a report all grow as level^2
+
+
 def _certified_witness_hom(level: int) -> tuple[WitnessHom, list[dict]]:
     """build_witness_hom's map together with the local-finiteness table
     that certified it, so a report need not probe the map again."""
-    if level < 1:
-        raise ValueError("level must be at least 1, got %s" % (level,))
+    if not 1 <= level <= MAX_LEVEL:
+        raise ValueError("level must be from 1 to %d, got %s" % (MAX_LEVEL, level))
     comps = []
     for k in range(1, level + 1):
         ideal = TailIdeal(Fraction(1, k))

@@ -376,6 +376,13 @@ def test_counterexample_support_size(capsys):
     assert "external theory" in payload["external_claim"]
 
 
+def test_counterexample_refuses_k_above_the_bound(capsys):
+    code, out, err = run(capsys, ["counterexample", "--k", "501", "--json"])
+    assert code == 1
+    assert out == ""
+    assert "level must be from 1 to 500, got 501" in err
+
+
 def test_out_writes_both_files(tmp_path, capsys):
     base = str(tmp_path / "report")
     code, out, _ = run(

@@ -66,7 +66,7 @@ def test_mat_mul_apply_consistent():
     a = _rand_matrix(rng, 3, 4)
     b = _rand_matrix(rng, 4, 2)
     ab = a.mul(b)
-    assert ab.columns() == [a.apply(c) for c in b.columns()]
+    assert ab.cols == [a.apply(c) for c in b.cols]
 
 
 def test_apply_refuses_an_index_outside_the_vector():
@@ -185,12 +185,10 @@ def test_directed_limit_rejects_a_step_of_the_wrong_shape():
 def test_directed_limit_unstabilized_growth():
     # strictly growing with split injections never shows two matching ranks
     dims = [1, 2, 3, 4]
-    ts = []
-    for k in range(1, 4):
-        t = Mat.zero(k + 1, k)
-        for i in range(k):
-            t.rows[i][i] = Fraction(1)
-        ts.append(t)
+    ts = [
+        Mat.from_columns([{i: Fraction(1)} for i in range(k)], k + 1)
+        for k in range(1, 4)
+    ]
     lim = chain_limit(dims, ts)
     assert not lim.stabilized
 

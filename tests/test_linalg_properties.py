@@ -125,6 +125,25 @@ def test_rref_rank_nullspace_match_sympy(case):
     mat = Mat(rows, ncols)
     assert rank(mat) == len(ref_pivots)
     assert nullspace(mat) == [sparse(fracs(v)) for v in sym(rows, ncols).nullspace()]
+    # the same matrix from its sparse columns and from a 2 x 2 block split
+    nrows = len(rows)
+    by_columns = Mat.from_columns(
+        [sparse([r[j] for r in rows]) for j in range(ncols)], nrows
+    )
+    row_cuts, col_cuts = [0, nrows // 2, nrows], [0, ncols // 2, ncols]
+    by_blocks = Mat.block(
+        [b - a for a, b in zip(row_cuts, row_cuts[1:])],
+        [b - a for a, b in zip(col_cuts, col_cuts[1:])],
+        lambda i, j: Mat(
+            [r[col_cuts[j] : col_cuts[j + 1]] for r in rows[row_cuts[i] : row_cuts[i + 1]]],
+            col_cuts[j + 1] - col_cuts[j],
+        ),
+    )
+    for other in (by_columns, by_blocks):
+        assert other == mat
+        assert rank(other) == rank(mat)
+        assert nullspace(other) == nullspace(mat)
+        assert column_space_basis(other) == column_space_basis(mat)
 
 
 @PROPERTY

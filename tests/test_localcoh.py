@@ -295,7 +295,7 @@ def _stacked_multiplication_kernel(a, M, g, n):
         for mono in a.bracket_power(n).gens
     ]
     if not mults:
-        return Mat.identity(mg).columns()
+        return Mat.identity(mg).cols
     return nullspace(Mat.block([m.nrows for m in mults], [mg], lambda i, _: mults[i]))
 
 

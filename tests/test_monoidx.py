@@ -6,6 +6,7 @@ import pytest
 
 from coarsecoh.monoidx import (
     EXTERNAL_CLAIM,
+    MAX_LEVEL,
     MonoidAlgebraElement,
     TailIdeal,
     WitnessHom,
@@ -187,6 +188,14 @@ def test_counterexample_report():
     assert blob["support_size"] == 4
     assert blob["external_claim"] == EXTERNAL_CLAIM
     assert counterexample_report(4, seed=1).to_json_dict() == blob
+
+
+def test_counterexample_report_refuses_a_level_above_the_bound():
+    # the map, its probe table and the report grow as level^2
+    with pytest.raises(ValueError, match="from 1 to %d, got" % MAX_LEVEL):
+        counterexample_report(MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="from 1 to %d, got" % MAX_LEVEL):
+        build_witness_hom(10**9)
 
 
 def test_counterexample_report_probes_the_map_once(monkeypatch):
