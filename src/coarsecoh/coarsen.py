@@ -37,7 +37,7 @@ injectivity and surjectivity of the canonical comparison map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CoarseningRefusal, UnstabilizedError
 from .grading import Degree, DegreeWindow, GroupEpimorphism
@@ -360,22 +360,35 @@ def compare_tables(coarsened: HilbertTable, coarse: HilbertTable):
 
 @dataclass
 class CommutationEntry:
+    """One i of a commutation check; a single disagreeing degree makes
+    agree False and is recorded as a witness."""
+
     i: int
     coarsened: HilbertTable
     coarse: HilbertTable
-    agree: bool
-    witnesses: list[dict]
     cert: CoarseningCertificate
+    agree: bool = field(init=False)
+    witnesses: list[dict] = field(init=False)
+
+    def __post_init__(self):
+        self.agree, self.witnesses = compare_tables(self.coarsened, self.coarse)
 
 
 @dataclass
 class CommutationReport:
-    gwindow: DegreeWindow
-    hwindow: DegreeWindow
     n_cap: int
     entries: list[CommutationEntry]
-    verdict: str  # COMMUTES_ON_WINDOW | FAILS | UNSTABILIZED
     unstable: dict | None = None
+
+    @property
+    def verdict(self) -> str:
+        """An `unstable` record wins over everything else; then any
+        disagreeing entry makes the verdict FAILS."""
+        if self.unstable is not None:
+            return "UNSTABILIZED"
+        if any(not e.agree for e in self.entries):
+            return "FAILS"
+        return "COMMUTES_ON_WINDOW"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -396,32 +409,6 @@ class CommutationReport:
         if self.unstable is not None:
             out["unstable"] = self.unstable
         return out
-
-
-def assemble_commutation_report(
-    gwindow: DegreeWindow,
-    hwindow: DegreeWindow,
-    n_cap: int,
-    labeled_tables,
-    unstable: dict | None = None,
-) -> CommutationReport:
-    """Comparison and verdict layer of check_commutation.
-
-    `labeled_tables` is a sequence of (i, coarsened, coarse, certificate).
-    A single disagreeing degree in any pair makes the verdict FAILS, with
-    that degree recorded as a witness; an `unstable` record wins over
-    everything else."""
-    entries = []
-    for i, coarsened, coarse, cert in labeled_tables:
-        agree, witnesses = compare_tables(coarsened, coarse)
-        entries.append(CommutationEntry(i, coarsened, coarse, agree, witnesses, cert))
-    if unstable is not None:
-        verdict = "UNSTABILIZED"
-    elif any(not e.agree for e in entries):
-        verdict = "FAILS"
-    else:
-        verdict = "COMMUTES_ON_WINDOW"
-    return CommutationReport(gwindow, hwindow, n_cap, entries, verdict, unstable)
 
 
 def check_commutation(
@@ -449,7 +436,7 @@ def check_commutation(
     top = max([0, *degrees_i]) + 1
     fine_tower = PowerTower(ideal, n_cap, max_position=top)
     coarse_tower = PowerTower(coarsen_ideal(ideal, Rc), n_cap, max_position=top)
-    labeled = []
+    entries = []
     unstable = None
     for i in degrees_i:
         try:
@@ -466,5 +453,5 @@ def check_commutation(
         except UnstabilizedError as err:
             unstable = {"i": i, **err.payload()}
             break
-        labeled.append((i, coarsened, coarse, cert))
-    return assemble_commutation_report(gwindow, hwindow, n_cap, labeled, unstable)
+        entries.append(CommutationEntry(i, coarsened, coarse, cert))
+    return CommutationReport(n_cap, entries, unstable)

@@ -130,41 +130,25 @@ class ChainMap:
                 raise ValueError("chain property fails at position %d" % p)
 
 
-class CochainSpaces:
-    """Degree-g cochain data Hom(F_., N)_g for a free complex."""
-
-    def __init__(self, cx: FreeComplex, N: GradedModulePresentation, g: Degree):
-        self.cx = cx
-        self.N = N
-        self.g = g
-
-    def dim(self, p: int) -> int:
-        """dim Hom(F_p, N)_g; 0 at every position outside 0..top."""
-        if p < 0 or p > self.cx.top:
-            return 0
-        return sum(self.N.dim(self.g + sh) for sh in self.cx.shifts[p])
-
-    def differential(self, p: int) -> Mat:
-        """d^p : Hom(F_p, N)_g -> Hom(F_{p+1}, N)_g (precompose with the
-        complex differential)."""
-        if p + 1 > self.cx.top:
-            return Mat.zero(0, self.dim(p))
-        return self.cx.diffs[p + 1].hom(self.N, self.g)
-
-
 def ext_subquotient(
-    spaces: CochainSpaces, p: int, include_boundary: bool = True
+    cx: FreeComplex,
+    N: GradedModulePresentation,
+    g: Degree,
+    p: int,
+    include_boundary: bool = True,
 ) -> Subquotient:
-    """Cohomology (or plain cocycles) of the cochain complex at position p.
-    An empty cochain space, as at every position above the top, has the
-    zero subquotient, built without d^p or d^{p-1}."""
-    if spaces.dim(p) == 0:
+    """Cohomology (or plain cocycles) at position p of the degree-g cochain
+    complex Hom(F_., N)_g, whose d^p precomposes with the differential of
+    F_{p+1}.  An empty cochain space, as at every position outside
+    0..top, has the zero subquotient, built without d^p or d^{p-1}."""
+    n = sum(N.dim(g + sh) for sh in cx.shifts[p]) if 0 <= p <= cx.top else 0
+    if n == 0:
         return Subquotient(0, [], [])
-    d_p = spaces.differential(p)
+    d_p = cx.diffs[p + 1].hom(N, g) if p < cx.top else Mat.zero(0, n)
     boundaries = []
     if include_boundary and p >= 1:
-        boundaries = spaces.differential(p - 1).cols
-    return Subquotient(d_p.ncols, nullspace(d_p), boundaries)
+        boundaries = cx.diffs[p].hom(N, g).cols
+    return Subquotient(n, nullspace(d_p), boundaries)
 
 
 class GradedHomSpace:
@@ -214,7 +198,7 @@ def graded_ext(
     cx = taylor_complex(ideal, max_position=min(len(ideal.gens), i + 1))
     values = {}
     for g in window:
-        values[g] = ext_subquotient(CochainSpaces(cx, N, g), i).dim
+        values[g] = ext_subquotient(cx, N, g, i).dim
     support = N.gen_degrees if i == 0 else None
     return HilbertTable(window, values, support_gens=support)
 
@@ -267,7 +251,7 @@ def ext_stages(
     """The Ext-type subquotient at cochain position `position` of every
     stage of the tower at degree g."""
     return [
-        ext_subquotient(CochainSpaces(cx, N, g), position, include_boundary)
+        ext_subquotient(cx, N, g, position, include_boundary)
         for cx in tower.complexes
     ]
 

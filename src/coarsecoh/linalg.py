@@ -473,8 +473,6 @@ class DirectedLimit:
         if not any(dims):
             lim.stabilized_at = 1
             return lim
-        if m < 4:
-            return lim
         # composites and their ranks in 0-based indexing, built on demand:
         # comps[n, k] is V_{n+1} -> V_{k+1}, made as comps[n+1, k] o T_n,
         # and comps[k, k + 1] is the step T_k

@@ -45,7 +45,6 @@ from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
 from .homres import (
     N_CAP,
-    CochainSpaces,
     PowerTower,
     colim_ext_table,
     ext_limit_at_degree,
@@ -310,14 +309,19 @@ class TransformSequenceReport:
     into the expected four-term exact sequence, plus the comparison of
     higher transforms with local cohomology one degree up."""
 
-    window: DegreeWindow
     n_cap: int
     ray_cap: int
     rows: list = field(default_factory=list)
     higher: list = field(default_factory=list)  # dicts per i >= 1
-    verdict: str = "OK"
     witnesses: list = field(default_factory=list)
     unstable: dict | None = None
+
+    @property
+    def verdict(self) -> str:
+        """An `unstable` record wins; then any witness makes it FAILS."""
+        if self.unstable is not None:
+            return "UNSTABILIZED"
+        return "FAILS" if self.witnesses else "OK"
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,7 +357,7 @@ def check_transform_sequence(
     n_cap: int = N_CAP,
     ray_cap: int = RAY_CAP,
 ) -> TransformSequenceReport:
-    report = TransformSequenceReport(window, n_cap, ray_cap)
+    report = TransformSequenceReport(n_cap, ray_cap)
     gens = ideal.gens
     bound = len(gens)
     try:
@@ -377,11 +381,7 @@ def check_transform_sequence(
                     )
                     report.witnesses.append(g)
     except UnstabilizedError as err:
-        report.verdict = "UNSTABILIZED"
         report.unstable = err.payload()
-        return report
-    if report.witnesses:
-        report.verdict = "FAILS"
     return report
 
 
@@ -417,7 +417,8 @@ def _sequence_row_at_degree(
 
     # insertion: v in M_g goes to the hom sending each generator m of the
     # top stage a^[n] to m*v, which is column v of that stage's d^0
-    top_d0 = CochainSpaces(tower.complexes[-1], M, g).differential(0)
+    cx = tower.complexes[-1]
+    top_d0 = cx.diffs[1].hom(M, g) if cx.top >= 1 else Mat.zero(0, mg)
     ins_cols = [d0_lim.express(last_stage_d0.express(col)) for col in top_d0.cols]
     ins = Mat.from_columns(ins_cols, d0_dim)
 

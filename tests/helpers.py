@@ -9,7 +9,6 @@ from coarsecoh.ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
     MonomialIdeal,
-    Poly,
 )
 
 Z1 = DegreeGroup(1)

@@ -17,7 +17,8 @@ import pytest
 
 from coarsecoh.coarsen import (
     CoarseningCertificate,
-    assemble_commutation_report,
+    CommutationEntry,
+    CommutationReport,
     check_commutation,
     check_gamma_identity,
     hom_comparison,
@@ -27,6 +28,7 @@ from coarsecoh.linalg import Mat, rank
 from coarsecoh.localcoh import (
     cech_table,
     check_transform_sequence,
+    ideal_transform,
     local_cohomology,
     torsion_submodule,
 )
@@ -233,12 +235,20 @@ def test_criterion_4_finite_kernel_commutes(mixed_run):
 
 
 def test_criterion_5_transform_sequence():
+    def checked(a, M, w):
+        rep = check_transform_sequence(a, M, w)
+        assert rep.verdict == "OK" and not rep.witnesses
+        # the rows read D^0 off Subquotient.cocycles_only(); ideal_transform
+        # reads it through ext_subquotient with the boundaries dropped
+        d0 = ideal_transform(a, 0, M, w)
+        assert [row.d0 for row in rep.rows] == [d0.get(g) for g in w]
+        return rep
+
     def body():
         # scenario a: the line, supported at (x)
         R = ring_x()
         M = GradedModulePresentation.free(R, [Z1.zero()])
-        rep = check_transform_sequence(maximal_ideal(R), M, window1(-3, 2))
-        assert rep.verdict == "OK" and not rep.witnesses
+        rep = checked(maximal_ideal(R), M, window1(-3, 2))
         for row in rep.rows:
             g = row.degree.free[0]
             assert (row.gamma, row.module, row.d0, row.h1) == (
@@ -257,10 +267,7 @@ def test_criterion_5_transform_sequence():
         # scenario b: the fine plane, supported at (x, y)
         R2 = fine_ring_xy()
         M2 = GradedModulePresentation.free(R2, [Z2.zero()])
-        rep2 = check_transform_sequence(
-            maximal_ideal(R2), M2, window2((-2, -2), (1, 1))
-        )
-        assert rep2.verdict == "OK" and not rep2.witnesses
+        rep2 = checked(maximal_ideal(R2), M2, window2((-2, -2), (1, 1)))
         for row in rep2.rows:
             a, b = row.degree.free
             free_dim = 1 if a >= 0 and b >= 0 else 0
@@ -271,8 +278,7 @@ def test_criterion_5_transform_sequence():
 
         # scenario c: a torsion module, where the torsion part is everything
         M3 = quotient_module(R, {"x": 2})
-        rep3 = check_transform_sequence(maximal_ideal(R), M3, window1(-2, 3))
-        assert rep3.verdict == "OK" and not rep3.witnesses
+        rep3 = checked(maximal_ideal(R), M3, window1(-2, 3))
         for row in rep3.rows:
             g = row.degree.free[0]
             assert row.gamma == row.module == (1 if g in (0, 1) else 0)
@@ -405,14 +411,9 @@ def test_criterion_8_witness_family():
 def test_criterion_9_checker_sensitivity(mixed_run, fine_run):
     def body():
         golden = json.loads((DATA / "golden_tables.json").read_text())
-        scn, rep_m = mixed_run
-        band, hw_f, rep_f = fine_run
-        runs = {
-            "mixed-forget-torsion": (scn.gwindow, rep_m),
-            "fine-sum": (band, rep_f),
-        }
+        runs = {"mixed-forget-torsion": mixed_run[-1], "fine-sum": fine_run[-1]}
         for name, blob in golden.items():
-            gw, rep = runs[name]
+            rep = runs[name]
             hw = window1(blob["hwindow"]["lo"], blob["hwindow"]["hi"])
             by_i = {e.i: e for e in rep.entries}
             for i_str, vals in blob["tables"].items():
@@ -422,8 +423,8 @@ def test_criterion_9_checker_sensitivity(mixed_run, fine_run):
                 fresh = by_i[i].coarse
                 assert {str(h): fresh.get(h) for h in hw} == vals
                 cert = CoarseningCertificate("assumed", "golden-table replay")
-                base = assemble_commutation_report(
-                    gw, hw, blob["n_cap"], [(i, true, true, cert)]
+                base = CommutationReport(
+                    blob["n_cap"], [CommutationEntry(i, true, true, cert)]
                 )
                 assert base.verdict == "COMMUTES_ON_WINDOW"
                 for h in hw:
@@ -432,8 +433,8 @@ def test_criterion_9_checker_sensitivity(mixed_run, fine_run):
                         bad = dict(true.values)
                         bad[h] = bad[h] + delta
                         mutated = HilbertTable(hw, bad)
-                        report = assemble_commutation_report(
-                            gw, hw, blob["n_cap"], [(i, mutated, true, cert)]
+                        report = CommutationReport(
+                            blob["n_cap"], [CommutationEntry(i, mutated, true, cert)]
                         )
                         assert report.verdict == "FAILS"
                         assert report.entries[0].witnesses == [

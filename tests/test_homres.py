@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsecoh.errors import UnstabilizedError
-from coarsecoh.grading import DegreeGroup, DegreeWindow
+from coarsecoh.grading import DegreeGroup
 from coarsecoh.homres import (
     ChainMap,
-    CochainSpaces,
     FreeComplex,
     FreeMap,
     GradedHomSpace,
@@ -265,6 +263,20 @@ def test_ext_beyond_resolution_length_is_zero():
     a = MonomialIdeal(R, [R.mono(x=2)])
     F = GradedModulePresentation.free(R, [Z1.zero()])
     assert graded_ext(2, a, F, window1(-3, 3)).total() == 0
+
+
+def test_ext_subquotient_is_zero_outside_the_complex():
+    # Hom(F_1, R)_{-2} = R_0 for a = (x^2), so the top position is nonzero
+    # there; position -1 must not read the top position from the end
+    R = ring_x()
+    cx = taylor_complex(MonomialIdeal(R, [R.mono(x=2)]))
+    F = GradedModulePresentation.free(R, [Z1.zero()])
+    g = Z1.degree((-2,))
+    assert ext_subquotient(cx, F, g, cx.top).dim == 1
+    for p in (-1, cx.top + 1):
+        for include_boundary in (True, False):
+            sq = ext_subquotient(cx, F, g, p, include_boundary)
+            assert (sq.n, sq.reps) == (0, [])
 
 
 def test_colim_ext_laurent_pattern():

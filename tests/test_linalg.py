@@ -272,6 +272,7 @@ def test_directed_limit_dying_chain_certifies_zero(dims):
 
 
 def test_directed_limit_too_short_to_judge():
+    assert not chain_limit([1], []).stabilized
     assert not chain_limit([1, 1], [Mat.identity(1)]).stabilized
     ids = [Mat.identity(1), Mat.identity(1)]
     assert not chain_limit([1, 1, 1], ids).stabilized

@@ -538,6 +538,20 @@ def test_transform_sequence_torsion_module():
         assert r.gamma == r.module and r.d0 == 0 and r.h1 == 0
 
 
+def test_transform_sequence_over_the_zero_ideal():
+    # every complex of the tower stops at position 0, so the top stage has
+    # no d^0 and the insertion into D^0 = colim Hom(0, M) = 0 is the empty
+    # map out of M_g; the zero ideal kills everything, so torsion is M
+    R = ring_x()
+    F = GradedModulePresentation.free(R, [Z1.zero()])
+    rep = check_transform_sequence(MonomialIdeal(R, []), F, window1(-2, 2))
+    assert rep.verdict == "OK"
+    for r in rep.rows:
+        assert r.gamma == r.module == (1 if r.degree.free[0] >= 0 else 0)
+        assert r.d0 == r.h1 == 0
+        assert r.all_ok()
+
+
 def test_transform_sequence_unstabilized_verdict():
     R = std_ring_xy()
     M = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=2)]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsecoh.errors import HomogeneityError
-from coarsecoh.grading import DegreeGroup, DegreeWindow
+from coarsecoh.grading import DegreeGroup
 from coarsecoh.linalg import Mat
 from coarsecoh.ringcore import (
     GradedModulePresentation,

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, reads each
-private name it defines, and imports nothing outside the standard library.
+"""Every module of the package, the tests and the demos uses each name it
+imports; every module of the package reads each private name it defines
+and imports nothing outside the standard library.
 
 A name imported and never read, or a module-level `_private` function,
 class or assignment that its own module never reads, is a leftover of
@@ -18,7 +19,8 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsecoh"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coarsecoh"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -56,8 +58,12 @@ def unused_imports(source: str) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    modules += sorted((ROOT / "demos").glob("*.py"))
     assert modules
-    found = {p.name: unused_imports(p.read_text()) for p in modules}
+    found = {
+        str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in modules
+    }
     assert {name: names for name, names in found.items() if names} == {}
 
 
