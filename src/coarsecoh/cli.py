@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -302,7 +303,7 @@ _FLAGS = {
         "--i",
         {
             "type": _i_list,
-            "default": [0, 1, 2],
+            "default": (0, 1, 2),
             "help": "comma-separated cohomological degrees (default 0,1,2)",
         },
     ),
@@ -374,7 +375,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built once per process: parsing
+    leaves it unchanged, and the one list-valued default is a tuple."""
     parser = _Parser(
         prog="coarsecoh",
         description="Exact graded local cohomology and coarsening checks.",

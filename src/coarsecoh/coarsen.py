@@ -170,9 +170,15 @@ def coarsen_table(
     The sum runs over the fiber intersected with the table's window; the
     certificate establishes that nothing was missed (see the module
     docstring for the three routes).  The support route enumerates
-    monomials, so both the fine ring and the coarse ring are required."""
-    gw = table.window
-    values = {h: sum(table.get(g) for g in psi.fiber(h, gw)) for h in hwindow}
+    monomials, so both the fine ring and the coarse ring are required.
+    psi is applied once to each fine degree: the fibers, each in window
+    order, come from grouping the fine window by image."""
+    if hwindow.group != psi.target:
+        raise ValueError("target degree outside the target group")
+    fibers: dict[Degree, list[Degree]] = {}
+    for g in table.window:
+        fibers.setdefault(psi.apply(g), []).append(g)
+    values = {h: sum(table.get(g) for g in fibers.get(h, ())) for h in hwindow}
     support = (
         None
         if table.support_gens is None
@@ -184,7 +190,7 @@ def coarsen_table(
     failed_h = None
     if psi.kernel_is_finite():
         ker = psi.kernel_elements()
-        bad = [h for h in hwindow if len(psi.fiber(h, gw)) != len(ker)]
+        bad = [h for h in hwindow if len(fibers.get(h, ())) != len(ker)]
         if not bad:
             note = "every fiber meets the fine window in %d degrees" % len(ker)
             return out, CoarseningCertificate("finite-kernel", note)
@@ -192,7 +198,7 @@ def coarsen_table(
         reasons.append(
             "the fiber meets the fine window in %d degrees "
             "but the kernel has %d elements"
-            % (len(psi.fiber(bad[0], gw)), len(ker))
+            % (len(fibers.get(bad[0], ())), len(ker))
         )
     else:
         reasons.append("the kernel of the coarsening map is infinite")

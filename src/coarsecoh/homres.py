@@ -21,6 +21,18 @@ stage; its chain property is still verified symbolically at
 construction.  tower_table is the one loop over a window of tower
 limits, and its table keeps the stage at which each degree was certified.
 
+A tower limit is computed in three passes, each only as far as the next
+needs it.  First the dimensions: ext_subquotient counts every stage as
+n - rank d^p - rank d^{p-1} from ranks its complex keeps, each cochain
+differential ranked once per complex, module and degree.  Then the
+steps: DirectedLimit asks for the map between two stages only when its
+rule reads it, never into or out of an empty stage, so a chain that is
+zero at every stage is certified from its dimensions alone.  Last the
+bases: a stage builds its kernel basis and class representatives
+(ExtStage.subquotient) only for a step or a caller that reads them
+(torsion_basis, the four-term check), and the built dimension must
+equal the count.  Hom(M, N)_g likewise counts before it solves.
+
 Every map of free modules here is a ringcore FreeMap with sparse
 polynomial columns, and a presentation's relations are one FreeMap too.
 Cochain spaces Hom(F_p, N)_g are direct sums of components of N, and
@@ -32,11 +44,12 @@ Hom(M, N)_g all go through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
-from .linalg import DirectedLimit, Mat, Subquotient, nullspace
+from .linalg import DirectedLimit, Mat, RowSpan, Subquotient, nullspace, rank
 from .ringcore import (
     FreeMap,
     GradedModulePresentation,
@@ -54,7 +67,9 @@ class FreeComplex:
     positions 0..top; `basis[p]` are opaque labels, `shifts[p]` their
     generator degrees (so summand c of F_p is R(-shifts[p][c])), and
     `diffs[p]` the FreeMap F_p -> F_{p-1} for p >= 1, built from
-    `diff_columns[p-1]`.  Differentials must compose to zero.
+    `diff_columns[p-1]`.  Differentials must compose to zero.  The ranks
+    of the cochain differentials are kept per module and degree, see
+    cochain_rank.
     """
 
     def __init__(self, ring, basis, shifts, diff_columns):
@@ -72,10 +87,29 @@ class FreeComplex:
         for p in range(2, self.top + 1):
             if any(self.diffs[p - 1].after(self.diffs[p])):
                 raise ValueError("differentials do not compose to zero")
+        self._ranks: dict = {}  # (N, g, p) -> rank of d^p on Hom(F., N)_g
 
     @property
     def top(self) -> int:
         return len(self.basis) - 1
+
+    def cochain_rank(
+        self, N: GradedModulePresentation, g: Degree, p: int
+    ) -> tuple[int, RowSpan | None]:
+        """rank d^p of the degree-g cochain complex Hom(F., N)_g, which is 0
+        outside 0..top-1, and the RowSpan of the columns of d^p, vectors of
+        Hom(F_{p+1}, N)_g, when this call eliminated them.  Each rank is
+        kept as an int, so a differential is ranked once: position p
+        counts its cocycles from it, and position p+1 its boundaries."""
+        if not 0 <= p < self.top:
+            return 0, None
+        key = (N, g, p)
+        if key in self._ranks:
+            return self._ranks[key], None
+        d_p = self.diffs[p + 1].hom(N, g)
+        span = RowSpan(d_p.nrows, d_p.cols)
+        self._ranks[key] = span.dim
+        return span.dim, span
 
 
 def _lcm_of(ring, gens, S):
@@ -130,30 +164,74 @@ class ChainMap:
                 raise ValueError("chain property fails at position %d" % p)
 
 
+class ExtStage:
+    """Cohomology (or plain cocycles) at position p of the degree-g cochain
+    complex Hom(F_., N)_g, counted before it is built.
+
+    `dim` and `cocycle_dim` come from ranks (ext_subquotient).  The
+    Subquotient, with the kernel basis of d^p and the class
+    representatives, is built on the first read of `subquotient`, and its
+    dimension must equal the count.  Its boundary span is the RowSpan
+    ext_subquotient eliminated while counting, or, when the complex
+    already held that rank, the columns of d^{p-1} eliminated once then."""
+
+    def __init__(self, cx, N, g, p, n, cocycle_dim, dim, boundaries):
+        self._at = (cx, N, g, p)
+        self.n, self.cocycle_dim, self.dim = n, cocycle_dim, dim
+        self._boundaries = boundaries  # () or a RowSpan; None: d^{p-1}
+        self._kernel = [None]  # ker d^p, shared with cocycles_only
+
+    def cocycles_only(self) -> "ExtStage":
+        """The same cocycles with no boundaries, sharing the kernel of d^p."""
+        other = ExtStage(*self._at, self.n, self.cocycle_dim, self.cocycle_dim, ())
+        other._kernel = self._kernel
+        return other
+
+    @functools.cached_property
+    def subquotient(self) -> Subquotient:
+        cx, N, g, p = self._at
+        if self._kernel[0] is None:
+            self._kernel[0] = []
+            if self.cocycle_dim:
+                top = p == cx.top
+                d_p = Mat.zero(0, self.n) if top else cx.diffs[p + 1].hom(N, g)
+                self._kernel[0] = nullspace(d_p)
+        if self._boundaries is None:
+            self._boundaries = RowSpan(self.n, cx.diffs[p].hom(N, g).cols)
+        sq = Subquotient(self.n, self._kernel[0], self._boundaries)
+        if sq.dim != self.dim:
+            raise AssertionError(
+                "stage built with dimension %d, counted %d" % (sq.dim, self.dim)
+            )
+        return sq
+
+
 def ext_subquotient(
     cx: FreeComplex,
     N: GradedModulePresentation,
     g: Degree,
     p: int,
     include_boundary: bool = True,
-) -> Subquotient:
-    """Cohomology (or plain cocycles) at position p of the degree-g cochain
-    complex Hom(F_., N)_g, whose d^p precomposes with the differential of
-    F_{p+1}.  An empty cochain space, as at every position outside
-    0..top, has the zero subquotient, built without d^p or d^{p-1}."""
+) -> ExtStage:
+    """The stage at position p of the degree-g cochain complex
+    Hom(F_., N)_g, whose d^p precomposes with the differential of F_{p+1},
+    counted from ranks: dim = n - rank d^p - rank d^{p-1}, or
+    n - rank d^p without boundaries.  An empty cochain space, as at every
+    position outside 0..top, reads no rank, and a stage without cocycles
+    reads no boundary rank."""
     n = sum(N.dim(g + sh) for sh in cx.shifts[p]) if 0 <= p <= cx.top else 0
-    if n == 0:
-        return Subquotient(0, [], [])
-    d_p = cx.diffs[p + 1].hom(N, g) if p < cx.top else Mat.zero(0, n)
-    boundaries = []
-    if include_boundary and p >= 1:
-        boundaries = cx.diffs[p].hom(N, g).cols
-    return Subquotient(n, nullspace(d_p), boundaries)
+    cocycle_dim = n - cx.cochain_rank(N, g, p)[0] if n else 0
+    boundary_rank, boundaries = 0, ()
+    if include_boundary and p >= 1 and cocycle_dim:
+        boundary_rank, boundaries = cx.cochain_rank(N, g, p - 1)
+    return ExtStage(cx, N, g, p, n, cocycle_dim, cocycle_dim - boundary_rank, boundaries)
 
 
 class GradedHomSpace:
     """Hom(M, N)_g for finitely presented M, N: solutions of the relation
-    constraints, one block of unknowns per generator of M."""
+    constraints, one block of unknowns per generator of M.  `dim` is the
+    number of unknowns minus the rank of the constraints; the `basis` is
+    built on first read, and its length must equal `dim`."""
 
     def __init__(
         self,
@@ -165,11 +243,17 @@ class GradedHomSpace:
         self.N = N
         self.degree = g
         self.block_dims = [N.dim(g + dj) for dj in M.gen_degrees]
-        self.basis = nullspace(M.relation_map.hom(N, g))
+        self._constraints = M.relation_map.hom(N, g)
+        self.dim = self._constraints.ncols - rank(self._constraints)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    @functools.cached_property
+    def basis(self) -> list[dict]:
+        basis = nullspace(self._constraints)
+        if len(basis) != self.dim:
+            raise AssertionError(
+                "Hom basis has %d vectors, counted %d" % (len(basis), self.dim)
+            )
+        return basis
 
     def generator_images(self, k: int) -> list[dict]:
         """Coordinates in each N_{g+d_j} of where basis hom k sends the
@@ -247,9 +331,9 @@ def ext_stages(
     g: Degree,
     position: int,
     include_boundary: bool = True,
-) -> list[Subquotient]:
-    """The Ext-type subquotient at cochain position `position` of every
-    stage of the tower at degree g."""
+) -> list[ExtStage]:
+    """The Ext-type stage at cochain position `position` of every stage of
+    the tower at degree g, counted and not yet built."""
     return [
         ext_subquotient(cx, N, g, position, include_boundary)
         for cx in tower.complexes
@@ -262,21 +346,28 @@ def ext_limit_at_degree(
     g: Degree,
     position: int,
     what: str,
-    stages: list[Subquotient] | None = None,
-) -> tuple[list[Subquotient], DirectedLimit]:
-    """The stages of Ext-type subquotients at cochain position `position`
-    over the tower at degree g, and their certified colimit; raises
-    UnstabilizedError, labelled `what`, when the cap does not certify it.
-    The stages are ext_stages with boundaries unless the caller passes
-    its own, built by ext_stages at this position or derived from them.
-    A tower step is built only when DirectedLimit asks for it: never into
-    or out of an empty stage, so never for a chain that is empty at every
-    stage, such as every position above the top of the complexes."""
+    stages: list[ExtStage] | None = None,
+) -> tuple[list[ExtStage], DirectedLimit]:
+    """The Ext-type stages at cochain position `position` over the tower
+    at degree g, and their certified colimit; raises UnstabilizedError,
+    labelled `what`, when the cap does not certify it.  The stages are
+    ext_stages with boundaries unless the caller passes its own, counted
+    by ext_stages at this position or derived from them.
+
+    The order is dimensions, then steps, then bases.  Every stage's
+    dimension comes from ranks, each cochain differential ranked once per
+    complex.  DirectedLimit asks for a tower step only when its rule reads
+    it, never into or out of an empty stage, so a chain that is empty at
+    every stage, such as every position above the top of the complexes,
+    is certified from its dimensions alone.  A step builds the
+    subquotients of its two stages, and a stage's kernel basis and class
+    representatives are built only there or where a caller reads them
+    (torsion_basis, the four-term check)."""
     if stages is None:
         stages = ext_stages(tower, N, g, position)
 
     def step(n: int) -> Mat:
-        src_sq, dst_sq = stages[n], stages[n + 1]
+        src_sq, dst_sq = stages[n].subquotient, stages[n + 1].subquotient
         ambient = tower.maps[n].maps[position].hom(N, g)
         cols = [dst_sq.express(ambient.apply(rep)) for rep in src_sq.reps]
         return Mat.from_columns(cols, dst_sq.dim)

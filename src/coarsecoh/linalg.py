@@ -360,19 +360,22 @@ def column_space_basis(mat: Mat) -> tuple[list[dict], list[int]]:
 class Subquotient:
     """A subquotient  span(cocycles) / span(boundaries)  of Q^n.
 
-    Boundaries must lie in the cocycle span.  Basis classes are represented
-    by the first cocycle vectors that are independent modulo boundaries
-    (``reps`` holds those vectors themselves, which must not change);
-    express() writes any ambient vector of the cocycle span in this basis.
+    Boundaries, vectors or a ``RowSpan`` of Q^n already eliminated (which
+    the subquotient then owns), must lie in the cocycle span.  Basis
+    classes are represented by the first cocycle vectors that are
+    independent modulo boundaries (``reps`` holds those vectors
+    themselves, which must not change); express() writes any ambient
+    vector of the cocycle span in this basis.
     """
 
     def __init__(self, n: int, cocycles, boundaries):
         self.n = n
-        self._cocycles = list(cocycles)
-        self._boundaries = RowSpan(n, boundaries)
+        if not isinstance(boundaries, RowSpan):
+            boundaries = RowSpan(n, boundaries)
+        self._boundaries = boundaries
         self._classes = _Coordinates(n)
         self.reps: list[dict] = []
-        for v in self._cocycles:
+        for v in cocycles:
             if self._classes.take(*self._modulo_boundaries(v)) is None:
                 self.reps.append(v)
 
@@ -380,10 +383,6 @@ class Subquotient:
         """(w, s) with w / s the vector v with the boundary pivots cleared."""
         w, s = _ints(v)
         return w, s * self._boundaries._reduce(w)
-
-    def cocycles_only(self) -> "Subquotient":
-        """The span of the same cocycles, with no boundaries."""
-        return Subquotient(self.n, self._cocycles, [])
 
     @property
     def dim(self) -> int:

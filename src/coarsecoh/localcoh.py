@@ -244,7 +244,7 @@ def torsion_basis(tower: PowerTower, M: GradedModulePresentation, g: Degree) -> 
     kernels ends on its limit, so this is the last stage's kernel basis.
     Refuses, labelled "torsion submodule", as torsion_submodule does."""
     stages, _ = ext_limit_at_degree(tower, M, g, 0, "torsion submodule")
-    return stages[-1].reps
+    return stages[-1].subquotient.reps
 
 
 def local_cohomology(
@@ -404,7 +404,7 @@ def _sequence_row_at_degree(
     gamma_basis = torsion_basis(tower, M, g)
     # both position-1 towers come from one kernel of d^1 per stage
     h1_stages = ext_stages(tower, M, g, 1)
-    d0_stages = [sq.cocycles_only() for sq in h1_stages]
+    d0_stages = [stage.cocycles_only() for stage in h1_stages]
     _, d0_lim = ext_limit_at_degree(
         tower, M, g, 1, "colim Hom(a^n, module)", stages=d0_stages
     )
@@ -419,15 +419,18 @@ def _sequence_row_at_degree(
     # top stage a^[n] to m*v, which is column v of that stage's d^0
     cx = tower.complexes[-1]
     top_d0 = cx.diffs[1].hom(M, g) if cx.top >= 1 else Mat.zero(0, mg)
-    ins_cols = [d0_lim.express(last_stage_d0.express(col)) for col in top_d0.cols]
+    ins_cols = [
+        d0_lim.express(last_stage_d0.subquotient.express(col))
+        for col in top_d0.cols
+    ]
     ins = Mat.from_columns(ins_cols, d0_dim)
 
     # residual: a transform class, given by a cocycle in the last stage,
     # maps to its cohomology class
     res_cols = []
     for b in d0_lim.basis:
-        ambient = last_stage_d0.lift(b)
-        h1_stage_coords = last_stage_h1.express(ambient)
+        ambient = last_stage_d0.subquotient.lift(b)
+        h1_stage_coords = last_stage_h1.subquotient.express(ambient)
         res_cols.append(h1_lim.express(h1_stage_coords))
     res = Mat.from_columns(res_cols, h1_dim)
 

@@ -238,7 +238,7 @@ def test_criterion_5_transform_sequence():
     def checked(a, M, w):
         rep = check_transform_sequence(a, M, w)
         assert rep.verdict == "OK" and not rep.witnesses
-        # the rows read D^0 off Subquotient.cocycles_only(); ideal_transform
+        # the rows read D^0 off ExtStage.cocycles_only(); ideal_transform
         # reads it through ext_subquotient with the boundaries dropped
         d0 = ideal_transform(a, 0, M, w)
         assert [row.d0 for row in rep.rows] == [d0.get(g) for g in w]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,28 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stampless(json_text):
+    report = json.loads(json_text)
+    del report["_generated_at"]
+    return report
+
+
+def test_the_parser_is_built_once_and_serves_back_to_back_commands(capsys):
+    # the cached parser keeps no state between two parses: an explicit
+    # --i and then the default give what a fresh parser gives
+    assert build_parser() is build_parser()
+    mixed = str(Path(__file__).resolve().parents[1] / "scenarios/mixed-plane.scn")
+    argvs = [["check-commute", mixed, "--i", "1"], ["check-commute", mixed]]
+    for argv, indices in zip(argvs, ([1], [0, 1, 2])):
+        code, out, _ = run(capsys, argv + ["--json"])
+        fresh_json, _, fresh_code = run_command(
+            build_parser.__wrapped__().parse_args(argv)
+        )
+        assert (code, _stampless(out)) == (fresh_code, _stampless(fresh_json))
+        assert [e["i"] for e in _stampless(out)["entries"]] == indices
+    assert build_parser().parse_args(argvs[1]).i == (0, 1, 2)
 
 
 def test_hilbert_tsv(tmp_path, capsys):

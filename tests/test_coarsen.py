@@ -176,6 +176,32 @@ def test_coarsen_table_refusal_names_degree_and_flag_truncates():
     assert [v for _, v in table.rows()] == [1, 2, 3, 4, 3]
 
 
+def test_coarsen_table_applies_psi_once_per_fine_degree(monkeypatch):
+    # the fibers come from one pass over the fine window, in window order
+    R = fine_ring_xy()
+    psi = sum_map()
+    Rc = coarsen_ring(R, psi)
+    fine = GradedModulePresentation.free(R, [Z2.zero()]).hilbert(
+        window2((0, 0), (3, 3))
+    )
+    table = HilbertTable(fine.window, fine.values)  # no support data
+    hwindow = window1(0, 7)
+    expected = {h: sum(fine.get(g) for g in psi.fiber(h, fine.window)) for h in hwindow}
+    applied = []
+    real = GroupEpimorphism.apply
+
+    def counted(self, d):
+        applied.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(GroupEpimorphism, "apply", counted)
+    out, cert = coarsen_table(table, psi, hwindow, R, Rc, assume_support_covered=True)
+    assert cert.route == "assumed"
+    assert out.values == expected
+    assert [v for _, v in out.rows()] == [1, 2, 3, 4, 3, 2, 1, 0]
+    assert applied == list(fine.window)
+
+
 def test_compare_tables_reports_witnesses():
     w = window1(0, 2)
     a = HilbertTable(w, {h: 1 for h in w})

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsecoh import homres
+from coarsecoh.coarsen import check_commutation
 from coarsecoh.grading import DegreeGroup
 from coarsecoh.homres import (
     ChainMap,
@@ -20,7 +23,8 @@ from coarsecoh.homres import (
     taylor_complex,
     tower_ext_table,
 )
-from coarsecoh.linalg import Mat, nullspace, rank
+from coarsecoh.linalg import DirectedLimit, Mat, Subquotient, nullspace, rank
+from coarsecoh.localcoh import torsion_submodule
 from coarsecoh.ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -28,6 +32,7 @@ from coarsecoh.ringcore import (
     Poly,
     RelationColumn,
 )
+from coarsecoh.scenario import parse_scenario
 
 from helpers import (
     Z1,
@@ -275,8 +280,8 @@ def test_ext_subquotient_is_zero_outside_the_complex():
     assert ext_subquotient(cx, F, g, cx.top).dim == 1
     for p in (-1, cx.top + 1):
         for include_boundary in (True, False):
-            sq = ext_subquotient(cx, F, g, p, include_boundary)
-            assert (sq.n, sq.reps) == (0, [])
+            stage = ext_subquotient(cx, F, g, p, include_boundary)
+            assert (stage.n, stage.dim, stage.subquotient.reps) == (0, 0, [])
 
 
 def test_colim_ext_laurent_pattern():
@@ -365,3 +370,101 @@ def test_colim_ext_zero_module():
     t = colim_ext_table(1, a, Z, window1(-2, 0), n_cap=4)
     assert t.total() == 0
     assert t.global_index == 1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _scenario(path):
+    return parse_scenario((ROOT / path).read_text())
+
+
+def _eager_dim(cx, N, g, p):
+    """dim of the stage at position p (0..top, boundaries included) built
+    the way a stage is built, but without any rank counted first."""
+    n = sum(N.dim(g + sh) for sh in cx.shifts[p])
+    d_p = cx.diffs[p + 1].hom(N, g) if p < cx.top else Mat.zero(0, n)
+    boundaries = cx.diffs[p].hom(N, g).cols if p >= 1 else []
+    return Subquotient(n, nullspace(d_p), boundaries).dim
+
+
+def test_built_stages_have_the_dimension_counted_from_ranks(monkeypatch):
+    # every nonzero stage of the H^2 towers of check-commute on the mixed
+    # plane: the count, the built subquotient and an eager build agree
+    s = _scenario("scenarios/mixed-plane.scn")
+    counted = []
+    real = homres.ext_subquotient
+
+    def recording(cx, N, g, p, include_boundary=True):
+        stage = real(cx, N, g, p, include_boundary)
+        counted.append((stage, (cx, N, g, p)))
+        return stage
+
+    monkeypatch.setattr(homres, "ext_subquotient", recording)
+    report = check_commutation(
+        s.ideal, s.module, s.psi, [2], s.gwindow, s.hwindow, s.n_cap
+    )
+    (entry,) = report.entries
+    assert entry.coarse.total() > 0
+    nonzero = [(stage, at) for stage, at in counted if stage.dim]
+    assert len(nonzero) > 10
+    for stage, at in nonzero:
+        assert stage.subquotient.dim == stage.dim == _eager_dim(*at)
+    # graded_ext only counts; building each stage gives the same dimension
+    s = _scenario("perfbench/scenarios/tor3.scn")
+    cx = taylor_complex(s.ideal, max_position=2)
+    table = graded_ext(1, s.ideal, s.module, s.gwindow)
+    assert table.total() > 0
+    for g in s.gwindow:
+        stage = ext_subquotient(cx, s.module, g, 1)
+        assert stage.subquotient.dim == stage.dim == table.get(g)
+        assert stage.dim == _eager_dim(cx, s.module, g, 1)
+
+
+def _kernel_builds(monkeypatch):
+    """Record, for each DirectedLimit.of call, its dimensions and the
+    nullspace calls made inside it; and count every nullspace call of a
+    stage."""
+    calls, chains = [0], []
+    real_nullspace, real_of = homres.nullspace, DirectedLimit.of
+
+    def counted(mat):
+        calls[0] += 1
+        return real_nullspace(mat)
+
+    def recording(dims, step):
+        before = calls[0]
+        lim = real_of(dims, step)
+        chains.append((list(dims), calls[0] - before))
+        return lim
+
+    monkeypatch.setattr(homres, "nullspace", counted)
+    monkeypatch.setattr(DirectedLimit, "of", staticmethod(recording))
+    return calls, chains
+
+
+@pytest.mark.parametrize("what", ["tor3 torsion", "fine-plane H^1"])
+def test_a_chain_that_is_zero_at_every_stage_builds_no_kernel(what, monkeypatch):
+    calls, chains = _kernel_builds(monkeypatch)
+    if what == "tor3 torsion":
+        s = _scenario("perfbench/scenarios/tor3.scn")
+        torsion_submodule(s.ideal, s.module, s.gwindow, s.n_cap)
+    else:
+        s = _scenario("scenarios/fine-plane.scn")
+        check_commutation(
+            s.ideal, s.module, s.psi, [1], s.gwindow, s.hwindow, s.n_cap,
+            assume_support_covered=True,
+        )
+    zero = [built for dims, built in chains if not any(dims)]
+    assert len(zero) > 10
+    assert zero == [0] * len(zero)
+    # a kernel is built only by a step that DirectedLimit asked for
+    assert calls[0] == sum(built for _, built in chains)
+
+
+def test_hom_dimension_is_the_length_of_the_basis():
+    s = _scenario("perfbench/scenarios/tor3.scn")
+    table = hom_table(s.module, s.module2, s.gwindow)
+    assert table.total() > 0
+    for g in s.gwindow:
+        assert table.get(g) == len(GradedHomSpace(s.module, s.module2, g).basis)
