@@ -157,6 +157,20 @@ def _uncovered_support(
     return None
 
 
+def _fibers(
+    psi: GroupEpimorphism, gwindow: DegreeWindow, hwindow: DegreeWindow
+) -> dict[Degree, list[Degree]]:
+    """The fine window grouped by image under psi, each fiber in window
+    order: psi is applied once to each fine degree, not once per coarse
+    degree.  The coarse window must lie in the target group."""
+    if hwindow.group != psi.target:
+        raise ValueError("target degree outside the target group")
+    fibers: dict[Degree, list[Degree]] = {}
+    for g in gwindow:
+        fibers.setdefault(psi.apply(g), []).append(g)
+    return fibers
+
+
 def coarsen_table(
     table: HilbertTable,
     psi: GroupEpimorphism,
@@ -170,14 +184,8 @@ def coarsen_table(
     The sum runs over the fiber intersected with the table's window; the
     certificate establishes that nothing was missed (see the module
     docstring for the three routes).  The support route enumerates
-    monomials, so both the fine ring and the coarse ring are required.
-    psi is applied once to each fine degree: the fibers, each in window
-    order, come from grouping the fine window by image."""
-    if hwindow.group != psi.target:
-        raise ValueError("target degree outside the target group")
-    fibers: dict[Degree, list[Degree]] = {}
-    for g in table.window:
-        fibers.setdefault(psi.apply(g), []).append(g)
+    monomials, so both the fine ring and the coarse ring are required."""
+    fibers = _fibers(psi, table.window, hwindow)
     values = {h: sum(table.get(g) for g in fibers.get(h, ())) for h in hwindow}
     support = (
         None
@@ -275,6 +283,7 @@ def check_gamma_identity(
     This is an element-level check: the fine torsion bases are pushed
     through the label identification and their span is compared with the
     coarse torsion basis (rank A == rank B == rank of the stack)."""
+    fibers = _fibers(psi, gwindow, hwindow)
     Rc = coarsen_ring(M.ring, psi, coarse_certificate)
     Mc = coarsen_module(M, Rc, psi)
     # every fine basis first: a fine degree over no h can refuse too
@@ -286,7 +295,7 @@ def check_gamma_identity(
     for h in hwindow:
         pushed = [
             _push_component_vector(M.component(g), Mc.component(h), vec)
-            for g in psi.fiber(h, gwindow)
+            for g in fibers.get(h, ())
             for vec in fine[g]
         ]
         agree = spans_equal(pushed, coarse[h], Mc.dim(h))
@@ -317,6 +326,7 @@ def hom_comparison(
     Each fine homogeneous hom is literally a coarse homogeneous hom; the
     check pushes the fine basis homs into coarse coordinates and reads
     injectivity and surjectivity off ranks."""
+    fibers = _fibers(psi, gwindow, hwindow)
     Rc = coarsen_ring(M.ring, psi, coarse_certificate)
     Mc = coarsen_module(M, Rc, psi)
     Nc = coarsen_module(N, Rc, psi)
@@ -326,7 +336,7 @@ def hom_comparison(
         ambient = sum(coarse.block_dims)
         pushed = []
         total = 0
-        for g in psi.fiber(h, gwindow):
+        for g in fibers.get(h, ()):
             fine = GradedHomSpace(M, N, g)
             total += fine.dim
             for k in range(fine.dim):

@@ -24,14 +24,17 @@ limits, and its table keeps the stage at which each degree was certified.
 A tower limit is computed in three passes, each only as far as the next
 needs it.  First the dimensions: ext_subquotient counts every stage as
 n - rank d^p - rank d^{p-1} from ranks its complex keeps, each cochain
-differential ranked once per complex, module and degree.  Then the
-steps: DirectedLimit asks for the map between two stages only when its
-rule reads it, never into or out of an empty stage, so a chain that is
-zero at every stage is certified from its dimensions alone.  Last the
-bases: a stage builds its kernel basis and class representatives
-(ExtStage.subquotient) only for a step or a caller that reads them
-(torsion_basis, the four-term check), and the built dimension must
-equal the count.  Hom(M, N)_g likewise counts before it solves.
+differential ranked once per complex, module and degree.  At position 0
+(torsion) the stages are nested kernels inside N_g, so ext_stages ranks
+the top stage's d^0 first, a prefix of its blocks at a time, and an
+injective prefix counts every stage as 0 with no other d^0 built.
+Then the steps: DirectedLimit asks for the map between two stages only
+when its rule reads it, never into or out of an empty stage, so a chain
+that is zero at every stage is certified from its dimensions alone.
+Last the bases: a stage builds its kernel basis and class
+representatives (ExtStage.subquotient) only for a step or a caller that
+reads them (torsion_basis, the four-term check), and the built dimension
+must equal the count.  Hom(M, N)_g likewise counts before it solves.
 
 Every map of free modules here is a ringcore FreeMap with sparse
 polynomial columns, and a presentation's relations are one FreeMap too.
@@ -333,11 +336,51 @@ def ext_stages(
     include_boundary: bool = True,
 ) -> list[ExtStage]:
     """The Ext-type stage at cochain position `position` of every stage of
-    the tower at degree g, counted and not yet built."""
+    the tower at degree g, counted and not yet built.
+
+    Position 0 counts from the top stage first.  There every stage is a
+    subspace of N_g, the kernel of multiplication by the g_j^n, and stage
+    n's kernel lies in the top stage's, since g_j^cap = g_j^(cap-n) g_j^n.
+    So when a prefix of the top stage's d^0 is injective (_injective_top)
+    every stage is 0: each is counted with no cocycles, and rank d^0 =
+    dim N_g goes into each complex's memo for the boundary counts at
+    position 1.  Otherwise every stage is counted from its own ranks.
+    Either way DirectedLimit certifies the same dimensions."""
+    if position == 0 and _injective_top(tower, N, g):
+        n = N.dim(g)
+        stages = []
+        for cx in tower.complexes:
+            cx._ranks[N, g, 0] = n
+            stages.append(ExtStage(cx, N, g, 0, n, 0, 0, ()))
+        return stages
     return [
         ext_subquotient(cx, N, g, position, include_boundary)
         for cx in tower.complexes
     ]
+
+
+def _injective_top(tower: PowerTower, N: GradedModulePresentation, g: Degree) -> bool:
+    """Is some prefix of the top stage's d^0 injective on N_g, which is
+    nonzero?  d^0 is one block per generator, multiplication by g_j^cap
+    into N_{g + cap deg g_j}; the nonempty blocks are stacked in
+    increasing weight of their target degree, ties in generator order, and
+    each prefix is ranked until one reaches dim N_g.  A block is built
+    only when the prefixes before it fall short."""
+    n = N.dim(g)
+    cx = tower.complexes[-1]
+    if not n or cx.top < 1:
+        return False
+    d1 = cx.diffs[1]
+    targets = [g + sh for sh in d1.source]
+    weight = N.ring.weight_of
+    blocks = []
+    for j in sorted(range(len(targets)), key=lambda j: weight(targets[j])):
+        if N.dim(targets[j]):
+            blocks.append(N.multiplication_matrix(d1.columns[j][0], g, targets[j]))
+            prefix = Mat.block([b.nrows for b in blocks], [n], lambda i, _: blocks[i])
+            if rank(prefix) == n:
+                return True
+    return False
 
 
 def ext_limit_at_degree(

@@ -20,7 +20,11 @@ generators), so every colimit below is the one along a^n.
 The torsion submodule is H^0, position 0 of the same tower: the
 increasing chain of kernels of the cochain differentials d^0, which
 multiply by the generators g^n of a^[n], gives honest element-level bases
-inside M_g; torsion_basis is the one reader of those bases.
+inside M_g; torsion_basis is the one reader of those bases.  Every kernel
+lies in the top stage's, so where a prefix of the top stage's
+multiplications is already injective on M_g, homres.ext_stages counts
+every stage as 0 without ranking the lower stages; the chain is still
+certified by DirectedLimit like any other.
 
 The ideal transform is the colimit over n of Ext^i(a^[n], -); its
 relationship to local cohomology in one degree higher is checked, not

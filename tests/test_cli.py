@@ -317,6 +317,18 @@ def test_the_late_torsion_class_is_seen_by_cech_and_a_deeper_cap(tmp_path, capsy
         assert json.loads(out)["table"] == {"(0)": 2}, argv
 
 
+def test_late_torsion_is_counted_in_full_and_refused_at_ncap_8(tmp_path, capsys):
+    # K[x]/(x^7) at (0): x^8 kills 1, so the top stage's d^0 is not
+    # injective and every stage is counted; the chain 0,...,0,1,1 ends on
+    # a plateau too short to certify
+    path = scn(tmp_path, TORSION.replace("x^3", "x^7").replace("hi = (3)", "hi = (0)"))
+    code, out, _ = run(capsys, ["gamma", path, "--ncap", "8", "--json"])
+    assert code == 3
+    unstable = json.loads(out)["unstable"]
+    assert unstable["degree"] == "(0)"
+    assert unstable["trajectory"] == [0, 0, 0, 0, 0, 0, 1, 1]
+
+
 @pytest.mark.parametrize("n_cap", range(3, 8))
 def test_gamma_and_check_commute_at_i_0_read_one_limit(tmp_path, capsys, n_cap):
     path = scn(tmp_path, PLATEAU)

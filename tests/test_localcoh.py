@@ -8,10 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarsecoh import homres
 from coarsecoh.errors import UnstabilizedError
 from coarsecoh.grading import DegreeGroup, DegreeWindow
-from coarsecoh.homres import N_CAP, PowerTower, colim_ext_table
-from coarsecoh.linalg import Mat, nullspace, spans_equal
+from coarsecoh.homres import (
+    N_CAP,
+    PowerTower,
+    colim_ext_table,
+    ext_limit_at_degree,
+    ext_stages,
+    ext_subquotient,
+)
+from coarsecoh.linalg import Mat, nullspace, rank, spans_equal
 from coarsecoh.localcoh import (
     CechAtDegree,
     cech_table,
@@ -428,6 +436,117 @@ def test_cech_builds_no_component_and_no_zero_map_for_an_empty_degree(
             for g in s.gwindow:
                 first = M.runway(g, d_S, s.ray_cap)
                 assert not reads & {g + d_S.scale(k) for k in range(first)}
+
+
+# ---------------------------------------------------------------------------
+# Torsion counted from the top stage: an injective prefix of the top
+# stage's d^0 makes every stage 0.
+# ---------------------------------------------------------------------------
+
+
+def _counts(stages):
+    return [(s.n, s.cocycle_dim, s.dim) for s in stages]
+
+
+def _assert_top_count_is_the_full_count(a, M, window, n_cap):
+    """On fresh towers, ext_stages at position 0 and the ranks it leaves in
+    the memos agree with every stage counted by ext_subquotient and
+    cochain_rank, and torsion_submodule certifies what the full count
+    certifies, or refuses as it does."""
+    top, full = PowerTower(a, n_cap, 1), PowerTower(a, n_cap, 1)
+    for g in window:
+        stages = ext_stages(top, M, g, 0)
+        counted = [ext_subquotient(cx, M, g, 0) for cx in full.complexes]
+        assert _counts(stages) == _counts(counted)
+        for cx, ref in zip(top.complexes, full.complexes):
+            if (M, g, 0) in cx._ranks:
+                assert cx._ranks[M, g, 0] == ref.cochain_rank(M, g, 0)[0]
+        one = DegreeWindow(window.group, [g])
+        try:
+            _, lim = ext_limit_at_degree(full, M, g, 0, "torsion submodule", counted)
+        except UnstabilizedError as err:
+            with pytest.raises(UnstabilizedError) as again:
+                torsion_submodule(a, M, one, n_cap)
+            assert again.value.payload() == err.payload()
+            continue
+        table = torsion_submodule(a, M, one, n_cap)
+        assert table.get(g) == lim.limit_dim
+        assert table.stabilized_at[g] == lim.stabilized_at
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(monomial_quotients())
+def test_torsion_counted_from_the_top_stage_is_the_full_count(case):
+    _assert_top_count_is_the_full_count(*case)
+
+
+def test_torsion_counted_from_the_top_stage_is_the_full_count_on_tor3():
+    # non-monomial relations over Z + Z/3
+    s = parse_scenario((ROOT / "perfbench/scenarios/tor3.scn").read_text())
+    _assert_top_count_is_the_full_count(s.ideal, s.module, s.gwindow, s.n_cap)
+
+
+def _multiplications(monkeypatch):
+    """Every multiplication_matrix request, as the string of its f."""
+    asked = []
+    real = GradedModulePresentation.multiplication_matrix
+
+    def recording(self, f, g, target):
+        asked.append(self.ring.poly_str(f))
+        return real(self, f, g, target)
+
+    monkeypatch.setattr(GradedModulePresentation, "multiplication_matrix", recording)
+    return asked
+
+
+def test_two_blocks_of_the_top_stage_are_injective_where_neither_is(monkeypatch):
+    # in K[x,y]/(xy) at degree 1, x^n kills y and y^n kills x, so each
+    # block of the top stage's d^0 has a kernel but the stack of both has none
+    R = std_ring_xy()
+    M = quotient_module(R, {"x": 1, "y": 1})
+    g = Z1.degree((1,))
+    asked = _multiplications(monkeypatch)
+    tower = PowerTower(maximal_ideal(R), N_CAP, max_position=1)
+    stages = ext_stages(tower, M, g, 0)
+    assert _counts(stages) == [(2, 0, 0)] * N_CAP
+    assert [cx._ranks[M, g, 0] for cx in tower.complexes] == [2] * N_CAP
+    # the top stage's two blocks, y^cap first (generator order), and no
+    # block of a lower stage
+    assert asked == ["y^%d" % N_CAP, "x^%d" % N_CAP]
+    for f in (R.mono(x=N_CAP), R.mono(y=N_CAP)):
+        target = g + R.monomial_degree(f)
+        assert rank(M.multiplication_matrix(Poly.monomial(f), g, target)) == 1
+
+
+def test_torsion_is_counted_in_full_only_where_the_top_stage_kills(monkeypatch):
+    # K[x,y]/(x^2, xy) with a = m: x in degree 1 is killed by x and y, so
+    # only degree 1 is counted stage by stage; y^cap is injective at 0, 2, 3
+    R = std_ring_xy()
+    M = quotient_module(R, {"x": 2}, {"x": 1, "y": 1})
+    full = []
+    real = homres.ext_subquotient
+
+    def recording(cx, N, g, p, include_boundary=True):
+        full.append(g)
+        return real(cx, N, g, p, include_boundary)
+
+    monkeypatch.setattr(homres, "ext_subquotient", recording)
+    table = torsion_submodule(maximal_ideal(R), M, window1(0, 3))
+    assert [v for _, v in table.rows()] == [0, 1, 0, 0]
+    assert full == [Z1.degree((1,))] * N_CAP
+
+
+def test_tor3_torsion_builds_nothing_above_the_cheapest_injective_block(monkeypatch):
+    # a = (xy, z): at the top stage z^5 is injective on every nonzero M_g
+    # of the window (-2)..(8), so the (xy)^5 block, whose target lies 10
+    # degrees up, is never asked for; counting every stage builds 55
+    # components up to degree 18 and asks for (xy)^5 25 times
+    s = parse_scenario((ROOT / "perfbench/scenarios/tor3.scn").read_text())
+    asked = _multiplications(monkeypatch)
+    table = torsion_submodule(s.ideal, s.module, s.gwindow, s.n_cap)
+    assert table.total() == 0
+    assert max(g.free[0] for g in s.module._components) <= 13
+    assert "x^5*y^5" not in asked
 
 
 def test_cech_position_not_built_raises():
