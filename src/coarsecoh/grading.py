@@ -332,9 +332,3 @@ class GroupEpimorphism:
             if self.apply(d).is_zero():
                 out.append(d)
         return sorted(out, key=Degree.sort_key)
-
-    def fiber(self, h: Degree, window: DegreeWindow) -> list[Degree]:
-        """Degrees of `window` mapping to h, in window order."""
-        if h.group != self.target:
-            raise ValueError("target degree outside the target group")
-        return [g for g in window if self.apply(g) == h]

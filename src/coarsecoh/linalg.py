@@ -20,8 +20,10 @@ per pivot column p, with d > 0, content 1 and zeros at the other pivot
 columns: its reduced row echelon form scaled to integers.  ``Fraction``
 is only the format of the vectors going in (numerators over the lcm of
 their denominators) and out (``Fraction(x, d)``).  ``rref``, ``rank``,
-``Subquotient``, ``DirectedLimit`` and ``nullspace``, one pass over the
-columns that turns each dependent one into a kernel vector, use it.
+``Subquotient`` and ``nullspace``, one pass over the columns that turns
+each dependent one into a kernel vector, use it.  ``DirectedLimit``
+certifies a limit from ranks alone, and models it as one
+``Subquotient`` only when its basis or coordinates are read.
 
 The reduced row echelon form of a list of rows, and so its primitive
 integer form, depends only on the space they span, not on the order of
@@ -35,6 +37,7 @@ identical input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -201,23 +204,23 @@ class Mat:
 
 
 class RowSpan:
-    """Incrementally built row span of Q^n with membership tests: pivot
-    column p holds the primitive integer row ``_d[p] e_p + _tails[p]``."""
+    """Row span of Q^n in reduced echelon form: pivot column p holds the
+    primitive integer row ``_d[p] e_p + _tails[p]``.  ``residue`` clears
+    the pivot columns of a vector, which is zero exactly for the span's
+    members."""
 
     def __init__(self, n: int, rows=()):
         self.n = n
         self._d: dict[int, int] = {}
         self._tails: dict[int, dict] = {}
-        self._add_all(_ints(r)[0] for r in rows)
-
-    def _add_all(self, rows) -> None:
-        """Add integer rows, which it consumes, rightmost leading entry first:
-        the span does not depend on the order, and a row that leads left of
-        every pivot so far has no pivot row to clear."""
-        for r in sorted(filter(None, rows), key=min, reverse=True):
-            self._reduce(r)
-            if r:
-                self._insert(r)
+        # rows go in as integer rows, rightmost leading entry first: the span
+        # does not depend on the order, and a row that leads left of every
+        # pivot so far has no pivot row to clear
+        ints = (_ints(r)[0] for r in rows if r)
+        for w in sorted(ints, key=min, reverse=True):
+            self._reduce(w)
+            if w:
+                self._insert(w)
 
     def _reduce(self, w: dict) -> int:
         """Scale the integer vector w by the lcm of the pivot values it hits,
@@ -266,15 +269,6 @@ class RowSpan:
             return v
         w, s = _ints(v)
         return _fracs(w, s * self._reduce(w))
-
-    def contains(self, v: dict) -> bool:
-        return not self.residue(v)
-
-    def add(self, v: dict) -> bool:
-        """Add v to the span; True when the dimension grew."""
-        dim = self.dim
-        self._add_all([_ints(v)[0]])
-        return self.dim > dim
 
 
 class _Coordinates(RowSpan):
@@ -350,13 +344,6 @@ def nullspace(mat: Mat) -> list[dict]:
     return basis
 
 
-def column_space_basis(mat: Mat) -> tuple[list[dict], list[int]]:
-    """Independent columns of mat (the pivot columns), with their indices."""
-    span = RowSpan(mat.nrows)
-    pivots = [j for j, c in enumerate(mat.cols) if span.add(c)]
-    return [mat.cols[j] for j in pivots], pivots
-
-
 class Subquotient:
     """A subquotient  span(cocycles) / span(boundaries)  of Q^n.
 
@@ -418,15 +405,19 @@ class DirectedLimit:
     back a step.  `stabilized_at` is the smallest stage from which every
     later checkable stage is stable (the scan is anchored at the deepest
     checkable stage, so growth near the cap disqualifies the whole chain).
-    The certified rank v then gets a tail guard: let J be the smallest
-    composite length whose ranks already agree with the ranks to the end;
-    every late stage that still has J steps of room must reach rank v as
-    well, otherwise the window ends on unexplained elements and the chain
-    is refused.  The last stage has no room at all, so it gets a guard of
-    its own: when it gains more elements (its dimension minus the rank of
-    the map into it) than the stage before it, the growth is only taken
-    for more of a dying chain's dying, that is when v == 0 and the stage
-    before the last is not empty.  So 0 -> 0 -> 0 -> K and
+    The certified rank v then gets a tail guard, one test: when every
+    step already has the rank of its composite to the end (r[n][n+1] ==
+    r[n][m] for every n <= m-2), so that nothing dies after one step, the
+    step into the last stage must have rank v as well, otherwise the
+    window ends on unexplained elements and the chain is refused.  That
+    is all that is left of "every late stage with J steps of room reaches
+    rank v", for J the shortest composite length whose ranks agree with
+    the ranks to the end: when J >= 2 only stage m-2 can have room, and
+    the scan has read r[m-2][m] == v.  The last stage gets a
+    guard of its own: when it gains more elements (its dimension minus the
+    rank of the map into it) than the stage before it, the growth is only
+    taken for more of a dying chain's dying, that is when v == 0 and the
+    stage before the last is not empty.  So 0 -> 0 -> 0 -> K and
     K -> K -> K -> K^2 (identities, then an inclusion) are refused rather
     than read off from the stages before the growth, while
     K -> K^2 -> K^3 -> K^4 with zero maps certifies 0.  Chains whose maps
@@ -438,29 +429,33 @@ class DirectedLimit:
     The limit is modelled by the image of the composite V_n* -> V_m inside
     V_m; stability makes that image independent of the stage chosen from
     n* up to m-2, which is what lets callers push vectors forward from any
-    certified stage and express them in the `basis`: the independent
-    columns of that composite, shared with it, since no column of a
-    ``Mat`` is changed after it is built.
+    certified stage and express them in the `basis`.  `limit_dim` is the
+    rank v the rule has read.  The model is one ``Subquotient`` of V_m,
+    the span of the composite's columns modulo nothing, built the first
+    time `basis` or `express` is read: its basis is the independent
+    columns of the composite, shared with it, since no column of a
+    ``Mat`` is changed after it is built.  A limit of dimension 0 keeps no
+    composite, and its model is the zero subspace of V_m.
 
     The chain is given by its dimensions and a function `step`: step(k)
     is the map V_{k+1} -> V_{k+2}, for k = 0..m-2.  The dimensions come
-    first, and a step is asked for only when the rule reads it.  A map into or out of an empty stage is zero, so a composite
-    through an empty stage has rank 0 and is never formed, and its steps
-    are never asked for.  In particular an all-zero chain needs no
-    transitions: it is certified 0 at stage 1 from its dimensions alone,
-    with no step asked for and no rank scanned.  A composite V_n -> V_k
-    is built as (V_{n+1} -> V_k) o (V_n -> V_{n+1}), and ranked only when
-    the rule reads its rank: the scan stops at its first unstable stage,
-    and the rest of the rule reads only the ranks it names, so most of
-    the m(m-1)/2 composites are never formed, nor is the composite of a
-    limit of dimension 0.
+    first, and a step is asked for only when the rule reads it.  A map
+    into or out of an empty stage is zero, so a composite through an empty
+    stage has rank 0 and is never formed, and its steps are never asked
+    for.  In particular an all-zero chain needs no transitions: it is
+    certified 0 at stage 1 from its dimensions alone, with no step asked
+    for and no rank scanned.  A composite V_n -> V_k is built as
+    (V_{n+1} -> V_k) o (V_n -> V_{n+1}), and ranked only when the rule
+    reads its rank: the scan stops at its first unstable stage, and the
+    rest of the rule reads only the ranks it names, so most of the
+    m(m-1)/2 composites are never formed, nor is the composite of a limit
+    of dimension 0.
     """
 
     dims: list[int]
     stabilized_at: int | None = None
     limit_dim: int = 0
-    basis: list[dict] = field(default_factory=list)
-    _coords: _Coordinates | None = field(
+    _composite: Mat | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -508,36 +503,38 @@ class DirectedLimit:
         if n_star is None:
             return lim
         v = r(n_star, m - 1)
-        death = next(
-            j
-            for j in range(1, m)
-            if all(r(n, n + j) == r(n, m - 1) for n in range(m - j))
-        )
-        for n in (m - 3, m - 2):
-            if n + death <= m - 1 and r(n, n + death) != v:
+        if all(r(n, n + 1) == r(n, m - 1) for n in range(m - 2)):
+            if r(m - 2, m - 1) != v:
                 return lim
         if dims[m - 1] - r(m - 2, m - 1) > dims[m - 2] - r(m - 3, m - 2):
             if v > 0 or dims[m - 2] == 0:
                 return lim
         lim.stabilized_at = n_star + 1  # stages are numbered from 1
-        basis = column_space_basis(comp(n_star, m - 1))[0] if v else []
-        lim.basis = basis
-        lim.limit_dim = len(basis)
+        lim.limit_dim = v
+        if v:
+            lim._composite = comp(n_star, m - 1)
         return lim
 
     @property
     def stabilized(self) -> bool:
         return self.stabilized_at is not None
 
+    @functools.cached_property
+    def _model(self) -> Subquotient:
+        cols = self._composite.cols if self._composite is not None else ()
+        sq = Subquotient(self.dims[-1], cols, ())
+        if sq.dim != self.limit_dim:
+            raise AssertionError(
+                "limit built with dimension %d, counted %d" % (sq.dim, self.limit_dim)
+            )
+        return sq
+
+    @property
+    def basis(self) -> list[dict]:
+        return self._model.reps
+
     def express(self, v_end: dict) -> dict:
         """Coordinates in the limit basis of a vector of V_m lying in it."""
         if not self.stabilized:
             raise ValueError("limit not stabilized")
-        if self._coords is None:
-            self._coords = _Coordinates(self.dims[-1])
-            for b in self.basis:
-                self._coords.take(*_ints(b))
-        coeffs = self._coords.of(*_ints(v_end))
-        if coeffs is None:
-            raise ValueError("vector lies outside the limit model")
-        return coeffs
+        return self._model.express(v_end)

@@ -4,7 +4,7 @@ modules that the checks revolve around."""
 from __future__ import annotations
 
 from coarsecoh.grading import DegreeGroup, DegreeWindow, GroupEpimorphism
-from coarsecoh.linalg import DirectedLimit
+from coarsecoh.linalg import DirectedLimit, RowSpan
 from coarsecoh.ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -87,3 +87,19 @@ def chain_limit(dims, transitions):
         return transitions[k]
 
     return DirectedLimit.of(dims, step)
+
+
+def independent_columns(mat):
+    """The columns of mat that are independent of the columns before them,
+    found by ranks alone: the basis a limit model must pick."""
+    picked = []
+    for c in mat.cols:
+        if RowSpan(mat.nrows, picked + [c]).dim > len(picked):
+            picked.append(c)
+    return picked
+
+
+def fiber(psi, h, window):
+    """Degrees of `window` that psi maps to h, in window order: the
+    fiber-sum reference, one application of psi per degree and fiber."""
+    return [g for g in window if psi.apply(g) == h]

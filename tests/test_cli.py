@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from coarsecoh.cli import build_parser, main, run_command
+from coarsecoh.localcoh import CechAtDegree
 
 LINE = """\
 group { free = 1; torsion = [] }
@@ -177,6 +178,21 @@ def test_check_transform_ok(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "OK"
     assert all(r["kernel_matches_torsion"] for r in payload["rows"])
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_a_failing_four_term_check_exits_2(i, monkeypatch, capsys):
+    # the Cech route made to read one more at position i: H^1 is compared
+    # in every row, H^2 with the first higher transform
+    real = CechAtDegree.cohomology_dim
+    monkeypatch.setattr(
+        CechAtDegree, "cohomology_dim", lambda self, j: real(self, j) + (j == i)
+    )
+    fine_plane = str(Path(__file__).resolve().parents[1] / "scenarios/fine-plane.scn")
+    code, out, _ = run(capsys, ["check-transform", fine_plane, "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["verdict"] == "FAILS" and payload["witnesses"]
 
 
 def test_scenario_error_exits_1(tmp_path, capsys):

@@ -25,6 +25,7 @@ from helpers import (
     Z1,
     Z2,
     Z_Z2,
+    fiber,
     fine_ring_xy,
     forget_torsion_map,
     maximal_ideal,
@@ -99,7 +100,7 @@ def test_coarsened_module_components_are_fiber_sums():
     fine = M.hilbert(mixed_box(0, 3))
     assert [v for _, v in coarse.rows()] == [1, 2, 2, 2]
     for h in window1(0, 3):
-        assert coarse.get(h) == sum(fine.get(g) for g in phi.fiber(h, fine.window))
+        assert coarse.get(h) == sum(fine.get(g) for g in fiber(phi, h, fine.window))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ def test_coarsen_table_applies_psi_once_per_fine_degree(monkeypatch):
     )
     table = HilbertTable(fine.window, fine.values)  # no support data
     hwindow = window1(0, 7)
-    expected = {h: sum(fine.get(g) for g in psi.fiber(h, fine.window)) for h in hwindow}
+    expected = {h: sum(fine.get(g) for g in fiber(psi, h, fine.window)) for h in hwindow}
     applied = []
     real = GroupEpimorphism.apply
 

@@ -462,6 +462,38 @@ def test_a_chain_that_is_zero_at_every_stage_builds_no_kernel(what, monkeypatch)
     assert calls[0] == sum(built for _, built in chains)
 
 
+def test_a_tower_table_builds_no_limit_model(monkeypatch):
+    # a table reads each limit's dimension only; no limit basis is built,
+    # though the limits are nonzero: H^1 of K[x] at (x) is 1 below degree 0
+    limits = []
+    real_of = DirectedLimit.of
+
+    def recording(dims, step):
+        limits.append(real_of(dims, step))
+        return limits[-1]
+
+    monkeypatch.setattr(DirectedLimit, "of", staticmethod(recording))
+    R = ring_x()
+    F = GradedModulePresentation.free(R, [Z1.zero()])
+    table = colim_ext_table(1, MonomialIdeal(R, [R.mono(x=1)]), F, window1(-3, -1), 6)
+    assert [v for _, v in table.rows()] == [1, 1, 1]
+    assert [lim.limit_dim for lim in limits] == [1, 1, 1]
+    assert not any("_model" in vars(lim) for lim in limits)
+
+
+def test_an_empty_cochain_space_reads_and_keeps_no_rank():
+    # K[x] at degree -3: every cochain space of the resolution of K[x]/(x)
+    # is empty, so its stages are counted with no rank read or kept
+    R = ring_x()
+    F = GradedModulePresentation.free(R, [Z1.zero()])
+    cx = taylor_complex(MonomialIdeal(R, [R.mono(x=1)]))
+    g = Z1.degree((-3,))
+    for p in (0, 1):
+        stage = ext_subquotient(cx, F, g, p)
+        assert (stage.n, stage.cocycle_dim, stage.dim) == (0, 0, 0)
+    assert cx._ranks == {}
+
+
 def test_hom_dimension_is_the_length_of_the_basis():
     s = _scenario("perfbench/scenarios/tor3.scn")
     table = hom_table(s.module, s.module2, s.gwindow)

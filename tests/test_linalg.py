@@ -10,7 +10,6 @@ from coarsecoh.linalg import (
     Mat,
     RowSpan,
     Subquotient,
-    column_space_basis,
     nullspace,
     rank,
     rref,
@@ -96,10 +95,11 @@ def test_zero_shaped_matrices():
 
 
 def test_column_space_basis():
+    # the first columns independent of those before them, shared with a
     a = Mat([[1, 2, 0], [2, 4, 1]], 3)
-    basis, idx = column_space_basis(a)
-    assert idx == [0, 2]
-    assert basis == [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
+    reps = Subquotient(a.nrows, a.cols, ()).reps
+    assert reps == [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
+    assert reps[0] is a.cols[0] and reps[1] is a.cols[2]
 
 
 def test_spans_equal():
@@ -111,13 +111,15 @@ def test_spans_equal():
 
 
 def test_row_span_incremental():
-    s = RowSpan(3)
-    assert s.add({0: Fraction(1), 1: Fraction(1)})
-    assert not s.add({0: Fraction(2), 1: Fraction(2)})
-    assert s.add({2: Fraction(1)})
-    assert s.dim == 2
-    assert s.contains({0: Fraction(3), 1: Fraction(3), 2: Fraction(7)})
-    assert not s.contains({0: Fraction(1)})
+    rows = [
+        {0: Fraction(1), 1: Fraction(1)},
+        {0: Fraction(2), 1: Fraction(2)},
+        {2: Fraction(1)},
+    ]
+    assert [RowSpan(3, rows[: k + 1]).dim for k in range(3)] == [1, 1, 2]
+    s = RowSpan(3, rows)
+    assert not s.residue({0: Fraction(3), 1: Fraction(3), 2: Fraction(7)})
+    assert s.residue({0: Fraction(1)})
 
 
 def test_subquotient_basic():
@@ -236,6 +238,41 @@ def test_directed_limit_death_plus_survivor():
 
     assert lim.express(to_end({2: Fraction(1)})) == {0: 1}
     assert lim.express(to_end({0: Fraction(1)})) == {}
+
+
+def test_directed_limit_builds_its_model_on_first_read():
+    # the certified composite is kept, and the basis and coordinates come
+    # from one Subquotient of V_m, built when basis or express is first read
+    t = Mat([[0, 0, 0], [1, 0, 0], [0, 0, 1]], 3)
+    lim = chain_limit([3] * 7, [t] * 6)
+    assert lim.limit_dim == 1 and "_model" not in vars(lim)
+    assert lim.basis == [{2: Fraction(1)}]
+    assert "_model" in vars(lim) and lim.basis is lim.basis
+    fresh = chain_limit([3] * 7, [t] * 6)
+    assert fresh.express({2: Fraction(5)}) == {0: 5} and "_model" in vars(fresh)
+
+
+@pytest.mark.parametrize(
+    "dims, transitions",
+    [
+        ([2] * 6, [Mat([[0, 0], [1, 0]], 2)] * 5),
+        ([1, 2, 3, 4], [Mat.zero(b, a) for a, b in [(1, 2), (2, 3), (3, 4)]]),
+    ],
+    ids=["nilpotent", "zero-maps"],
+)
+def test_a_zero_limit_keeps_no_composite_and_is_zero_in_the_last_stage(
+    dims, transitions
+):
+    lim = chain_limit(dims, transitions)
+    assert lim.stabilized and lim.limit_dim == 0
+    assert lim._composite is None
+    assert lim.basis == []
+    assert lim.express({}) == {}
+    # V_m has dimension dims[-1]: its last position holds no limit vector,
+    # and a position past it is refused rather than misread
+    for outside in (dims[-1] - 1, dims[-1]):
+        with pytest.raises(ValueError):
+            lim.express({outside: Fraction(1)})
 
 
 def test_directed_limit_late_arrival_is_refused():

@@ -518,6 +518,22 @@ def test_two_blocks_of_the_top_stage_are_injective_where_neither_is(monkeypatch)
         assert rank(M.multiplication_matrix(Poly.monomial(f), g, target)) == 1
 
 
+def test_the_top_stage_ranks_its_lightest_block_first(monkeypatch):
+    # K[x,y] with deg x = 1, deg y = 2, a = (x, y) and M = S/(y): y is
+    # generator 0 and acts as zero on M, but x^cap, whose target is the
+    # lighter, is injective at degree 0 and is the one block built
+    R = GradedPolynomialRing(
+        Z1, ("x", "y"), (Z1.degree((1,)), Z1.degree((2,))), (1,)
+    )
+    a = MonomialIdeal(R, [R.mono(x=1), R.mono(y=1)])
+    assert a.gens[0] == R.mono(y=1)
+    M = quotient_module(R, {"y": 1})
+    tower = PowerTower(a, N_CAP, max_position=1)
+    asked = _multiplications(monkeypatch)
+    assert homres._injective_top(tower, M, Z1.zero())
+    assert asked == ["x^%d" % N_CAP]
+
+
 def test_torsion_is_counted_in_full_only_where_the_top_stage_kills(monkeypatch):
     # K[x,y]/(x^2, xy) with a = m: x in degree 1 is killed by x and y, so
     # only degree 1 is counted stage by stage; y^cap is injective at 0, 2, 3
@@ -655,6 +671,60 @@ def test_transform_sequence_torsion_module():
     assert rep.verdict == "OK"
     for r in rep.rows:
         assert r.gamma == r.module and r.d0 == 0 and r.h1 == 0
+
+
+def _cech_off_by_one_at(monkeypatch, i):
+    """Make the Cech route read one more than it computes at position i."""
+    real = CechAtDegree.cohomology_dim
+
+    def off_by_one(self, j):
+        return real(self, j) + (j == i)
+
+    monkeypatch.setattr(CechAtDegree, "cohomology_dim", off_by_one)
+
+
+def test_a_wrong_h1_makes_the_four_term_check_fail_in_its_rows(monkeypatch):
+    _cech_off_by_one_at(monkeypatch, 1)
+    window = window2((-2, -2), (0, 0))
+    R = fine_ring_xy()
+    F = GradedModulePresentation.free(R, [Z2.zero()])
+    rep = check_transform_sequence(maximal_ideal(R), F, window, n_cap=6, ray_cap=8)
+    assert rep.verdict == "FAILS"
+    assert rep.witnesses == list(window)
+    for r in rep.rows:
+        assert not r.h1_routes_agree
+        assert not r.all_ok()
+    assert all(entry["agree"] for entry in rep.higher)
+
+
+def test_a_wrong_h2_makes_the_four_term_check_fail_in_its_higher_entry(monkeypatch):
+    _cech_off_by_one_at(monkeypatch, 2)
+    window = window2((-2, -2), (0, 0))
+    R = fine_ring_xy()
+    F = GradedModulePresentation.free(R, [Z2.zero()])
+    rep = check_transform_sequence(maximal_ideal(R), F, window, n_cap=6, ray_cap=8)
+    assert rep.verdict == "FAILS"
+    assert rep.witnesses == list(window)
+    assert all(r.all_ok() for r in rep.rows)
+    first, second = rep.higher
+    assert not first["agree"] and second["agree"]
+    assert [w["degree"] for w in first["witnesses"]] == [str(g) for g in window]
+    assert all(w["h_next"] == w["transform"] + 1 for w in first["witnesses"])
+
+
+def test_a_cech_model_is_built_only_when_its_basis_is_read():
+    # K[x], a = (x), M = K[x]: at degree -1 the localization K[x]_x is a
+    # line but M_-1 = 0, so d^0 has no block that reads it; at degree 0
+    # d^0 reads both limits
+    R = ring_x()
+    M = GradedModulePresentation.free(R, [Z1.zero()])
+    gens = (R.mono(x=1),)
+    lim = CechAtDegree(gens, M, Z1.degree((-1,)), 8, (0,)).models[(0,)]
+    assert lim.limit_dim == 1 and "_model" not in vars(lim)
+    assert lim.basis == [{0: Fraction(1)}] and "_model" in vars(lim)
+    at_zero = CechAtDegree(gens, M, Z1.zero(), 8, (0,))
+    assert [lim.limit_dim for lim in at_zero.models.values()] == [1, 1]
+    assert all("_model" in vars(lim) for lim in at_zero.models.values())
 
 
 def test_transform_sequence_over_the_zero_ideal():
