@@ -372,9 +372,9 @@ def _injective_top(tower: PowerTower, N: GradedModulePresentation, g: Degree) ->
         return False
     d1 = cx.diffs[1]
     targets = [g + sh for sh in d1.source]
-    weight = N.ring.weight_of
+    floor = N.ring.floor
     blocks = []
-    for j in sorted(range(len(targets)), key=lambda j: weight(targets[j])):
+    for j in sorted(range(len(targets)), key=lambda j: floor(targets[j].free)[0]):
         if N.dim(targets[j]):
             blocks.append(N.multiplication_matrix(d1.columns[j][0], g, targets[j]))
             prefix = Mat.block([b.nrows for b in blocks], [n], lambda i, _: blocks[i])

@@ -2,11 +2,13 @@
 
 Two independent routes are implemented and kept separate on purpose.
 
-* The covering-by-localizations route: each localization M_{f_S} is
-  modelled degreewise as the colimit of  M_g -> M_{g+deg f_S} -> ...
-  (multiplication by f_S), the alternating-sign complex over subsets of
-  the generators is assembled on the stabilized models, and cohomology is
-  read off positionwise.
+* The covering-by-localizations route: the alternating-sign complex
+  over subsets of the generators (its subsets, f_S and differential
+  blocks) is built once per table as a CechComplex.  At each degree,
+  CechAtDegree models each localization M_{f_S} as the colimit of
+  M_g -> M_{g+deg f_S} -> ... (multiplication by f_S), assembles the
+  differentials on the stabilized models, ranks each once, and reads
+  cohomology off positionwise from those ranks.
 
 * The tower route: the degreewise colimit over n of Ext^i(R/a^[n], -),
   with explicit comparison maps between the resolutions of consecutive
@@ -42,7 +44,6 @@ dimension trajectory.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import UnstabilizedError
@@ -68,31 +69,58 @@ from .ringcore import (
 
 RAY_CAP = 8  # default length of a Cech localization ray
 
-# ring -> {(gens, S): (deg f_S, f_S)}: each subset's localization is built
-# once per ring and generators, not per degree
-_localizations: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+class CechComplex:
+    """The degree-free part of the alternating-sign complex over subsets
+    of the generators, built once per table: the asked positions (clipped
+    to 0..s), the subsets of each size they read, in
+    itertools.combinations order, each subset's localization
+    (deg f_S, f_S), and the nonzero blocks of each differential they read.
+    H^i reads the subsets of sizes i-1, i and i+1 and the differentials
+    d^{i-1} and d^i; the default asks for every position.
 
-def _localization(ring, gens, S) -> tuple[Degree, Poly]:
-    """deg f_S and f_S, for f_S the product of the generators in S."""
-    memo = _localizations.setdefault(ring, {})
-    loc = memo.get((gens, S))
-    if loc is None:
-        f_S = ring.one()
-        for i in S:
-            f_S = mono_mul(f_S, gens[i])
-        loc = memo[gens, S] = (ring.monomial_degree(f_S), Poly.monomial(f_S))
-    return loc
+    blocks[p][ti, si] is the block of d^p from subset S = subsets[p][si]
+    to T = subsets[p+1][ti], where S is T without its k-th element a:
+    multiplication by g_a^cap with sign (-1)^k, k being also the number of
+    elements of S below a.  Every other block is zero."""
+
+    def __init__(self, gens: tuple[Monomial, ...], ring, ray_cap: int, positions=None):
+        self.gens = tuple(gens)
+        self.ray_cap = ray_cap
+        s = len(self.gens)
+        self.positions = frozenset(
+            i for i in (range(s + 1) if positions is None else positions)
+            if 0 <= i <= s
+        )
+        diffs = sorted({p for i in self.positions for p in (i - 1, i) if p >= 0})
+        self.subsets: dict[int, list[tuple[int, ...]]] = {
+            q: list(itertools.combinations(range(s), q))
+            for q in sorted({q for p in diffs for q in (p, p + 1) if q <= s})
+        }
+        self.localizations: dict[tuple[int, ...], tuple[Degree, Poly]] = {}
+        for S in itertools.chain.from_iterable(self.subsets.values()):
+            f_S = ring.one()
+            for a in S:
+                f_S = mono_mul(f_S, self.gens[a])
+            self.localizations[S] = (ring.monomial_degree(f_S), Poly.monomial(f_S))
+        self.blocks: dict[int, dict[tuple[int, int], Poly]] = {}
+        for p in diffs:
+            index = {S: si for si, S in enumerate(self.subsets[p])}
+            self.blocks[p] = {
+                (ti, index[T[:k] + T[k + 1:]]): Poly.monomial(
+                    tuple(e * ray_cap for e in self.gens[a]), (-1) ** k
+                )
+                for ti, T in enumerate(self.subsets.get(p + 1, ()))
+                for k, a in enumerate(T)
+            }
 
 
 class CechAtDegree:
-    """The alternating-sign complex over subsets of the generators,
-    evaluated at one degree on stabilized localization models.
-
-    Only the cohomological positions asked for are built: H^i reads the
-    rays of the subsets of sizes i-1, i and i+1 and the differentials
-    d^{i-1} and d^i, so only a ray that some asked position reads can be
-    refused.  The default asks for every position.
+    """A CechComplex evaluated at one degree on stabilized localization
+    models: the rays and their limits, then the differential matrices.
+    Each differential is ranked once, into `ranks`, which cohomology_dim
+    reads.  Only the rays of the subsets that the complex's positions read
+    are built, in subset order, so only those can be refused.
 
     Every ray is read dimensions first.  Its stages before
     M.runway(g, deg f_S, ray_cap) are 0 without a degree built or a dim
@@ -102,107 +130,75 @@ class CechAtDegree:
     when both of its components are nonempty and its rule reads the step,
     so a ray that is zero at every stage is certified 0 at stage 1 with no
     transition built and no rank scanned.  A differential block between
-    empty limits is never asked for either (Mat.block).  Each subset's
-    f_S and its degree are built once per ring and generators, not per
-    degree."""
+    empty limits is never asked for either (Mat.block)."""
 
-    def __init__(
-        self,
-        gens: tuple[Monomial, ...],
-        M: GradedModulePresentation,
-        g: Degree,
-        ray_cap: int,
-        positions=None,
-    ):
-        self.gens = tuple(gens)
+    def __init__(self, cech: CechComplex, M: GradedModulePresentation, g: Degree):
+        self.cech = cech
         self.M = M
         self.g = g
-        self.ray_cap = ray_cap
-        ring = M.ring
-        s = len(self.gens)
-        self.positions = frozenset(
-            i for i in (range(s + 1) if positions is None else positions)
-            if 0 <= i <= s
-        )
-        diffs = {p for i in self.positions for p in (i - 1, i) if p >= 0}
-        sizes = sorted({q for p in diffs for q in (p, p + 1) if q <= s})
-        self._by_size: dict[int, list[tuple[int, ...]]] = {
-            p: list(itertools.combinations(range(s), p)) for p in sizes
-        }
+        cap = cech.ray_cap
         self.models: dict[tuple[int, ...], DirectedLimit] = {}
         # S -> g + cap deg f_S, for each ray that reaches its runway
         self.ray_ends: dict[tuple[int, ...], Degree] = {}
-        for S in itertools.chain.from_iterable(self._by_size.values()):
-            d_S, mono = _localization(ring, self.gens, S)
-            first = M.runway(g, d_S, ray_cap)
-            # g + k d_S for k = first..ray_cap; the stages before are 0
-            ray = [g + d_S.scale(first)] if first <= ray_cap else []
-            for _ in range(first, ray_cap):
+        for S in itertools.chain.from_iterable(cech.subsets.values()):
+            d_S, f_S = cech.localizations[S]
+            first = M.runway(g, d_S, cap)
+            # g + k d_S for k = first..cap; the stages before are 0
+            ray = [g + d_S.scale(first)] if first <= cap else []
+            for _ in range(first, cap):
                 ray.append(ray[-1] + d_S)
             dims = [0] * first + [M.dim(h) for h in ray]
             lim = DirectedLimit.of(
                 dims,
                 lambda k: M.multiplication_matrix(
-                    mono, ray[k - first], ray[k + 1 - first]
+                    f_S, ray[k - first], ray[k + 1 - first]
                 ),
             )
             if not lim.stabilized:
                 raise UnstabilizedError(
-                    "localization at %s" % ring.poly_str(mono), g, dims
+                    "localization at %s" % M.ring.poly_str(f_S), g, dims
                 )
             if ray:
                 self.ray_ends[S] = ray[-1]
             self.models[S] = lim
-        self.matrices: dict[int, Mat] = {
-            p: self._differential(p) for p in sorted(diffs)
-        }
+        self.matrices: dict[int, Mat] = {p: self._differential(p) for p in cech.blocks}
         for p, d_p in self.matrices.items():
             d_next = self.matrices.get(p + 1)
             if d_next is not None and not d_next.mul(d_p).is_zero():
                 raise AssertionError(
                     "localization complex differential squared is nonzero"
                 )
+        self.ranks = {p: rank(d_p) for p, d_p in self.matrices.items()}
 
     def _differential(self, p: int) -> Mat:
-        cap = self.ray_cap
-        srcs = self._by_size[p]
-        dsts = self._by_size.get(p + 1, [])
-        col_dims = [self.models[S].limit_dim for S in srcs]
-        row_dims = [self.models[T].limit_dim for T in dsts]
+        srcs, dsts = self.cech.subsets[p], self.cech.subsets.get(p + 1, [])
+        blocks = self.cech.blocks[p]
 
         def block(ti, si):
-            S, T = srcs[si], dsts[ti]
-            extra = [a for a in T if a not in S]
-            if len(extra) != 1 or any(a not in T for a in S):
+            f = blocks.get((ti, si))
+            if f is None:
                 return None
-            a = extra[0]
-            sign = (-1) ** sum(1 for b in S if b < a)
-            mult = self.M.multiplication_matrix(
-                Poly.monomial(tuple(e * cap for e in self.gens[a]), sign),
-                self.ray_ends[S],
-                self.ray_ends[T],
-            )
-            src_model = self.models[S]
-            dst_model = self.models[T]
-            cols = [
-                dst_model.express(mult.apply(b)) for b in src_model.basis
-            ]
-            return Mat.from_columns(cols, dst_model.limit_dim)
+            S, T = srcs[si], dsts[ti]
+            mult = self.M.multiplication_matrix(f, self.ray_ends[S], self.ray_ends[T])
+            dst = self.models[T]
+            cols = [dst.express(mult.apply(b)) for b in self.models[S].basis]
+            return Mat.from_columns(cols, dst.limit_dim)
 
-        return Mat.block(row_dims, col_dims, block)
+        return Mat.block(
+            [self.models[T].limit_dim for T in dsts],
+            [self.models[S].limit_dim for S in srcs],
+            block,
+        )
 
     def cohomology_dim(self, i: int) -> int:
         """dim H^i; 0 outside positions 0..s, where the complex has no
         terms.  A position inside that range that was not asked for raises
         ValueError: its differentials were never built."""
-        if i < 0 or i > len(self.gens):
+        if i < 0 or i > len(self.cech.gens):
             return 0
-        if i not in self.positions:
+        if i not in self.cech.positions:
             raise ValueError("Cech position %d was not built" % i)
-        d_i = self.matrices[i]
-        nullity = d_i.ncols - rank(d_i)
-        boundary_rank = rank(self.matrices[i - 1]) if i >= 1 else 0
-        return nullity - boundary_rank
+        return self.matrices[i].ncols - self.ranks[i] - self.ranks.get(i - 1, 0)
 
 
 def cech_table(
@@ -219,9 +215,8 @@ def cech_table(
         if isinstance(ideal_or_gens, MonomialIdeal)
         else tuple(tuple(m) for m in ideal_or_gens)
     )
-    values = {}
-    for g in window:
-        values[g] = CechAtDegree(gens, M, g, ray_cap, (i,)).cohomology_dim(i)
+    cech = CechComplex(gens, M.ring, ray_cap, (i,))
+    values = {g: CechAtDegree(cech, M, g).cohomology_dim(i) for g in window}
     support = M.gen_degrees if i == 0 else None
     return HilbertTable(window, values, support_gens=support)
 
@@ -366,8 +361,9 @@ def check_transform_sequence(
     bound = len(gens)
     try:
         tower = PowerTower(ideal, n_cap, max_position=bound + 2)
+        cech_complex = CechComplex(gens, M.ring, ray_cap)  # H^1..H^s read every ray
         for g in window:
-            cech = CechAtDegree(gens, M, g, ray_cap)  # H^1..H^s read every ray
+            cech = CechAtDegree(cech_complex, M, g)
             row = _sequence_row_at_degree(M, g, tower, cech)
             report.rows.append(row)
             if not row.all_ok():

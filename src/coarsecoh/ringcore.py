@@ -152,7 +152,7 @@ class GradedPolynomialRing:
         if len(self.certificate) != group.free_rank:
             raise ValueError("certificate length must equal the free rank")
         # the certificate times the lcm of its denominators: an integer
-        # weight with the sign of weight_of, for every positivity test
+        # weight with the sign of the rational one, for every positivity test
         scale = math.lcm(*(c.denominator for c in self.certificate))
         self._int_certificate = tuple(
             int(c * scale) for c in self.certificate
@@ -180,9 +180,6 @@ class GradedPolynomialRing:
     @property
     def nvars(self) -> int:
         return len(self.var_names)
-
-    def weight_of(self, d: Degree) -> Fraction:
-        return sum((c * f for c, f in zip(self.certificate, d.free)), Q0)
 
     def floor(self, free) -> tuple[int, ...]:
         """The linear forms of a free part that a degree with monomials

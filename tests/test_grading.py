@@ -182,6 +182,26 @@ def test_doubling_into_torsion_not_surjective():
     assert not psi.verify_surjective()
 
 
+Z6 = DegreeGroup(0, (6,))
+
+
+@pytest.mark.parametrize(
+    "source, target, images, onto",
+    [
+        # gcd 1 only after a second Euclid sweep of the column
+        (Z2, Z1, [Z1.degree((2,)), Z1.degree((3,))], True),
+        (Z2, Z1, [Z1.degree((2,)), Z1.degree((4,))], False),
+        # the second column has no pivot left
+        (Z1, Z2, [Z2.degree((1, 0))], False),
+        # against the relation 6 of Z/6: gcd(5, 6) = 1, gcd(4, 6) = 2
+        (Z1, Z6, [Z6.degree((), (5,))], True),
+        (Z1, Z6, [Z6.degree((), (4,))], False),
+    ],
+)
+def test_surjectivity_needs_a_unit_pivot_in_every_column(source, target, images, onto):
+    assert GroupEpimorphism(source, target, tuple(images)).verify_surjective() is onto
+
+
 def test_torsion_pushforward_must_be_well_defined():
     with pytest.raises(ValueError):
         GroupEpimorphism(Z_Z2, Z1, (Z1.degree((1,)), Z1.degree((1,))))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coarsecoh import homres
+from coarsecoh import homres, localcoh
 from coarsecoh.errors import UnstabilizedError
 from coarsecoh.grading import DegreeGroup, DegreeWindow
 from coarsecoh.homres import (
@@ -22,6 +22,7 @@ from coarsecoh.homres import (
 from coarsecoh.linalg import Mat, nullspace, rank, spans_equal
 from coarsecoh.localcoh import (
     CechAtDegree,
+    CechComplex,
     cech_table,
     check_transform_sequence,
     ideal_transform,
@@ -245,7 +246,7 @@ def test_h0_basis_is_the_torsion_basis():
         MonomialIdeal(R, [R.mono(x=2), R.mono(x=1, y=1)])
     )
     g = Z1.degree((1,))
-    cech = CechAtDegree(m.gens, M, g, ray_cap=8)
+    cech = CechAtDegree(CechComplex(m.gens, R, 8), M, g)
     h0 = nullspace(cech.matrices[0])  # the position-zero model is M_g itself
     gamma = torsion_basis(PowerTower(m, N_CAP, max_position=1), M, g)
     assert spans_equal(h0, gamma, M.dim(g))
@@ -320,7 +321,7 @@ def test_torsion_is_the_stacked_kernel_and_the_cech_h0(case):
         basis = torsion_basis(tower, M, g)
         assert basis == _stacked_multiplication_kernel(a, M, g, n_cap)
         try:
-            h0 = CechAtDegree(a.gens, M, g, 8, positions=(0,)).cohomology_dim(0)
+            h0 = CechAtDegree(CechComplex(a.gens, M.ring, 8, (0,)), M, g).cohomology_dim(0)
         except UnstabilizedError:
             continue
         assert torsion.get(g) == h0
@@ -334,11 +335,11 @@ def test_cech_built_at_one_position_agrees_with_the_full_build(case, data):
     a, M, window, _ = case
     g = data.draw(st.sampled_from(list(window)))
     try:
-        full = CechAtDegree(a.gens, M, g, ray_cap=5)
+        full = CechAtDegree(CechComplex(a.gens, M.ring, 5), M, g)
     except UnstabilizedError:
         return
     for i in range(len(a.gens) + 2):
-        one = CechAtDegree(a.gens, M, g, ray_cap=5, positions=(i,))
+        one = CechAtDegree(CechComplex(a.gens, M.ring, 5, (i,)), M, g)
         assert one.cohomology_dim(i) == full.cohomology_dim(i)
 
 
@@ -565,11 +566,99 @@ def test_tor3_torsion_builds_nothing_above_the_cheapest_injective_block(monkeypa
     assert "x^5*y^5" not in asked
 
 
+def fine_ring_xyzw():
+    """K[x,y,z,w] with its fine Z^4 grading."""
+    Z4 = DegreeGroup(4)
+    units = [Z4.degree(tuple(int(i == j) for j in range(4))) for i in range(4)]
+    return GradedPolynomialRing(Z4, "xyzw", units, (1, 1, 1, 1))
+
+
+def test_cech_complex_blocks_over_four_generators_carry_the_alternating_sign():
+    R = fine_ring_xyzw()
+    gens = maximal_ideal(R).gens
+    cech = CechComplex(gens, R, 8)
+    assert cech.positions == frozenset(range(5))
+    assert sorted(cech.blocks) == [0, 1, 2, 3, 4]
+    for p, blocks in cech.blocks.items():
+        assert cech.subsets[p] == list(itertools.combinations(range(4), p))
+        expected = {}
+        for ti, T in enumerate(cech.subsets.get(p + 1, [])):
+            for si, S in enumerate(cech.subsets[p]):
+                if set(S) <= set(T):
+                    (a,) = set(T) - set(S)
+                    sign = (-1) ** len([b for b in S if b < a])
+                    power = tuple(8 * e for e in gens[a])
+                    expected[ti, si] = Poly({power: Fraction(sign)})
+        assert blocks == expected
+    for S, (d_S, f_S) in cech.localizations.items():
+        exponents = tuple(sum(gens[a][v] for a in S) for v in range(4))
+        assert f_S == Poly({exponents: Fraction(1)})
+        assert d_S.free == exponents  # the fine grading reads the exponents
+
+
+@pytest.mark.parametrize(
+    "g, expected, ranks",
+    [
+        ((-1, -1, -1, -1), [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]),
+        # only the localizations inverting x and y are nonzero here, and
+        # the subsets above {x, y} make d^2 and d^3 nonzero and exact
+        ((-1, -1, 0, 0), [0, 0, 0, 0, 0], [0, 0, 1, 1, 0]),
+    ],
+)
+def test_cech_over_four_generators_reads_every_position(g, expected, ranks):
+    R = fine_ring_xyzw()
+    F = GradedModulePresentation.free(R, [R.group.zero()])
+    cech = CechAtDegree(CechComplex(maximal_ideal(R).gens, R, 8), F, R.group.degree(g))
+    assert sorted(cech.matrices) == [0, 1, 2, 3, 4]  # d o d = 0 checked on d^0..d^3
+    assert [cech.cohomology_dim(i) for i in range(-1, 6)] == [0, *expected, 0]
+    assert cech.ranks == dict(enumerate(ranks))
+
+
+def test_check_transform_ranks_each_cech_differential_once_per_degree(monkeypatch):
+    R = fine_ring_xyzw()
+    F = GradedModulePresentation.free(R, [R.group.zero()])
+    ranked: dict[int, int] = {}
+    built: list[CechAtDegree] = []  # kept alive, so no matrix id is reused
+    real_rank, real_init = localcoh.rank, CechAtDegree.__init__
+
+    def counting_rank(mat):
+        ranked[id(mat)] = ranked.get(id(mat), 0) + 1
+        return real_rank(mat)
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(localcoh, "rank", counting_rank)
+    monkeypatch.setattr(CechAtDegree, "__init__", recording_init)
+    window = DegreeWindow.box(R.group, (-1, -1, -1, -1), (-1, -1, 0, 0))
+    rep = check_transform_sequence(maximal_ideal(R), F, window, n_cap=6, ray_cap=8)
+    assert rep.verdict == "OK"
+    assert [cech.g for cech in built] == list(window)
+    for cech in built:
+        assert [ranked.get(id(cech.matrices[p])) for p in range(5)] == [1] * 5
+
+
+def test_tables_refuse_a_degree_outside_their_window():
+    # README design rule 1: no degree outside the window reads as zero
+    R = ring_x()
+    M = GradedModulePresentation.free(R, [Z1.zero()])
+    window = window1(-2, 0)
+    h1 = cech_table((R.mono(x=1),), 1, M, window)
+    hilbert = M.hilbert(window)
+    assert [h1.get(g) for g in window] == [1, 1, 0]
+    assert [hilbert.get(g) for g in window] == [0, 0, 1]
+    for table in (h1, hilbert):
+        for h in (-3, 1):
+            with pytest.raises(KeyError, match="outside the tabulated window"):
+                table.get(Z1.degree((h,)))
+
+
 def test_cech_position_not_built_raises():
     R = fine_ring_xy()
     F = GradedModulePresentation.free(R, [Z2.zero()])
     g = Z2.degree((-1, -1))
-    cech = CechAtDegree(maximal_ideal(R).gens, F, g, ray_cap=8, positions=(2,))
+    cech = CechAtDegree(CechComplex(maximal_ideal(R).gens, R, 8, (2,)), F, g)
     assert cech.cohomology_dim(2) == 1
     assert () not in cech.models  # H^2 never reads the ray of M itself
     for i in (0, 1):
@@ -719,10 +808,10 @@ def test_a_cech_model_is_built_only_when_its_basis_is_read():
     R = ring_x()
     M = GradedModulePresentation.free(R, [Z1.zero()])
     gens = (R.mono(x=1),)
-    lim = CechAtDegree(gens, M, Z1.degree((-1,)), 8, (0,)).models[(0,)]
+    lim = CechAtDegree(CechComplex(gens, R, 8, (0,)), M, Z1.degree((-1,))).models[(0,)]
     assert lim.limit_dim == 1 and "_model" not in vars(lim)
     assert lim.basis == [{0: Fraction(1)}] and "_model" in vars(lim)
-    at_zero = CechAtDegree(gens, M, Z1.zero(), 8, (0,))
+    at_zero = CechAtDegree(CechComplex(gens, R, 8, (0,)), M, Z1.zero())
     assert [lim.limit_dim for lim in at_zero.models.values()] == [1, 1]
     assert all("_model" in vars(lim) for lim in at_zero.models.values())
 

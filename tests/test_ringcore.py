@@ -90,9 +90,9 @@ def test_ring_with_no_variables():
 
 def _brute_force_monomials(R, g):
     """Every exponent vector in the box e_i <= weight(g) / weight(x_i) whose
-    degree is g, sorted."""
-    w = R.weight_of(g)
-    box = [range(int(w // R.weight_of(d)) + 1) for d in R.var_degrees]
+    degree is g, sorted; weights are the integer ones of R.floor."""
+    w = R.floor(g.free)[0]
+    box = [range(w // R.floor(d.free)[0] + 1) for d in R.var_degrees]
     return tuple(m for m in itertools.product(*box) if R.monomial_degree(m) == g)
 
 
@@ -165,14 +165,14 @@ def test_runway_is_the_first_stage_that_can_be_nonzero(case):
 
 
 def test_monomials_under_a_rational_certificate():
-    # weights 1/3, 1/6 and 17/6 under the certificate (1/3, 5/2): the
-    # integer weight used for positivity must keep the sign of these
-    # fractions, which neither truncation nor the numerators alone do
+    # weights 1/3, 1/6 and 17/6 under the certificate (1/3, 5/2), that is
+    # 2, 1 and 17 after scaling by 6: the integer weight used for
+    # positivity must keep the sign of these fractions, which neither
+    # truncation nor the numerators alone do
     cert = (Fraction(1, 3), Fraction(5, 2))
     degs = (Z2.degree((1, 0)), Z2.degree((-7, 1)), Z2.degree((1, 1)))
     R = GradedPolynomialRing(Z2, "xyz", degs, cert)
-    assert [R.weight_of(d) for d in degs] == [
-        Fraction(1, 3), Fraction(1, 6), Fraction(17, 6)]
+    assert [R.floor(d.free)[0] for d in degs] == [2, 1, 17]
     found = 0
     for a in range(-16, 7):
         for b in range(-1, 5):
