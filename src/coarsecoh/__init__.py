@@ -12,7 +12,9 @@ The usual entry points:
   :class:`GroupEpimorphism` -- gradings and maps between them.
 - :class:`GradedPolynomialRing`, :class:`MonomialIdeal`,
   :class:`GradedModulePresentation`, :class:`HilbertTable` -- rings,
-  ideals, finitely presented graded modules, dimension tables.
+  ideals, finitely presented graded modules, dimension tables.  A
+  presentation takes each relation as its entries, a dict
+  {generator index: Poly}, and derives the relation's degree from them.
 - :func:`hom_table`, :func:`graded_ext`, :func:`colim_ext_table` --
   graded Hom/Ext and the directed limit of Ext along ideal powers.
 - :func:`local_cohomology`, :func:`cech_table`,
@@ -42,7 +44,6 @@ from .ringcore import (
     HilbertTable,
     MonomialIdeal,
     Poly,
-    RelationColumn,
 )
 from .homres import (
     GradedHomSpace,
@@ -107,7 +108,6 @@ __all__ = [
     "MonomialIdeal",
     "Poly",
     "PowerTower",
-    "RelationColumn",
     "Scenario",
     "ScenarioError",
     "TailIdeal",

@@ -50,7 +50,6 @@ from .ringcore import (
     GradedPolynomialRing,
     HilbertTable,
     MonomialIdeal,
-    RelationColumn,
 )
 
 WEIGHT_GRID_LIMIT = 9**5  # weights tried: the whole grid up to coarse free rank 5
@@ -123,11 +122,7 @@ def coarsen_module(
     psi: GroupEpimorphism,
 ) -> GradedModulePresentation:
     gens = [psi.apply(d) for d in M.gen_degrees]
-    rels = [
-        RelationColumn(psi.apply(col.degree), dict(col.entries))
-        for col in M.relations
-    ]
-    return GradedModulePresentation(coarse_ring, gens, rels)
+    return GradedModulePresentation(coarse_ring, gens, M.relation_map.columns)
 
 
 @dataclass

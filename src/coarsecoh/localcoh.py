@@ -202,7 +202,7 @@ class CechAtDegree:
 
 
 def cech_table(
-    ideal_or_gens,
+    ideal: MonomialIdeal,
     i: int,
     M: GradedModulePresentation,
     window: DegreeWindow,
@@ -210,12 +210,7 @@ def cech_table(
 ) -> HilbertTable:
     if i < 0:
         raise ValueError("negative cohomological index")
-    gens = (
-        ideal_or_gens.gens
-        if isinstance(ideal_or_gens, MonomialIdeal)
-        else tuple(tuple(m) for m in ideal_or_gens)
-    )
-    cech = CechComplex(gens, M.ring, ray_cap, (i,))
+    cech = CechComplex(ideal.gens, M.ring, ray_cap, (i,))
     values = {g: CechAtDegree(cech, M, g).cohomology_dim(i) for g in window}
     support = M.gen_degrees if i == 0 else None
     return HilbertTable(window, values, support_gens=support)
@@ -436,10 +431,12 @@ def _sequence_row_at_degree(
 
     kernel = nullspace(ins)
     kernel_matches = spans_equal(kernel, gamma_basis, mg)
-    residual_surjective = rank(res) == h1_dim
+    res_rank = rank(res)
+    residual_surjective = res_rank == h1_dim
     comp = res.mul(ins)
     composite_zero = comp.is_zero()
-    exact_at_transform = rank(ins) == d0_dim - rank(res)
+    ins_rank = mg - len(kernel)  # rank-nullity over the mg columns of ins
+    exact_at_transform = ins_rank == d0_dim - res_rank
     gamma_dim = len(gamma_basis)
     alternating = gamma_dim - mg + d0_dim - h1_dim == 0
     h1_cech = cech.cohomology_dim(1)

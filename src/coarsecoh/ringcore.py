@@ -27,6 +27,13 @@ names the first stage that can be nonzero, from the weight and the
 nonnegative coordinates alone (the ring's floor); the stages before it
 are 0 and need no read.  It is a lower bound that only skips reads: the
 stage it names may be 0 too, so it never certifies or refuses a limit.
+
+A relation is given by its entries alone, one dict {generator index:
+Poly} per column, and the presentation derives its degree.  So shifting
+a presentation, or coarsening it along psi, passes the same columns to a
+new presentation, whose generator degrees and ring give the new
+relation degrees.
+
 Relation vectors,
 multiplication columns and component coordinates are sparse vectors
 ``{index: Fraction}`` (see linalg): a product m * p of a monomial and a
@@ -38,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
@@ -331,15 +337,6 @@ class MonomialIdeal:
         )
 
 
-@dataclass
-class RelationColumn:
-    """One column of a presentation matrix: homogeneous of `degree`,
-    with polynomial entries keyed by generator index."""
-
-    degree: Degree
-    entries: dict[int, Poly]
-
-
 class ComponentSpace:
     """Degree-g component of a finitely presented module, as a quotient
     of the monomial basis of the free cover by the relation image."""
@@ -356,10 +353,11 @@ class ComponentSpace:
         self._index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
         # with no labels every relation product is empty: build none
+        rels = module.relation_map
         rel_vectors = [
-            self.product(m, col.entries)
-            for col in module.relations
-            for m in ring.monomials_of_degree(degree - col.degree)
+            self.product(m, col)
+            for d, col in zip(rels.source, rels.columns)
+            for m in ring.monomials_of_degree(degree - d)
         ] if n else []
         self.relations = RowSpan(n, rel_vectors)
         piv = set(self.relations.pivots)
@@ -403,10 +401,10 @@ class FreeMap:
     Summand j of the source is R(-source[j]) and summand i of the target
     is R(-target[i]); `columns[j]` holds the nonzero entries {i: Poly} of
     column j, the image of the j-th generator, and a zero entry given is
-    dropped.  An entry (i, j) must have degree source[j] - target[i].  A
-    presentation's relations are one FreeMap, from the relation degrees
-    to the generator degrees, so its refusals call column j relation j
-    and target summand i generator i."""
+    dropped.  An entry (i, j) must have degree source[j] - target[i]; the
+    indices i are trusted.  A presentation's relations are one FreeMap,
+    from the relation degrees it derives to the generator degrees, so its
+    refusals call column j relation j and target summand i generator i."""
 
     def __init__(self, ring, source_shifts, target_shifts, columns):
         self.source = list(source_shifts)
@@ -418,11 +416,6 @@ class FreeMap:
         for j, col in enumerate(columns):
             entries = {}
             for i, p in col.items():
-                if not 0 <= i < len(self.target):
-                    raise ValueError(
-                        "relation %d hits generator %d, which does not exist"
-                        % (j, i)
-                    )
                 if p.is_zero():
                     continue
                 got = ring.poly_degree(p)
@@ -465,9 +458,12 @@ class FreeMap:
 
 class GradedModulePresentation:
     """Finitely presented graded module: free cover generator degrees plus
-    homogeneous relation columns.  The relations are one FreeMap,
-    relation_map, from the relation degrees to the generator degrees;
-    building it checks every entry."""
+    homogeneous relation columns, each a dict {generator index: Poly}.
+    A column's degree is not given: it is the degree of its first nonzero
+    entry, in generator order, plus that generator's degree, so a column
+    with no nonzero entry is refused.  The relations are one FreeMap,
+    relation_map, from those degrees to the generator degrees; building
+    it checks every entry against its column's degree."""
 
     def __init__(self, ring: GradedPolynomialRing, gen_degrees, relations=()):
         self.ring = ring
@@ -478,15 +474,27 @@ class GradedModulePresentation:
         relations = list(relations)
         self.relation_map = FreeMap(
             ring,
-            [col.degree for col in relations],
+            [self._relation_degree(r, col) for r, col in enumerate(relations)],
             self.gen_degrees,
-            [col.entries for col in relations],
-        )
-        self.relations = tuple(
-            map(RelationColumn, self.relation_map.source, self.relation_map.columns)
+            relations,
         )
         self._components: dict[Degree, ComponentSpace] = {}
         self._mult_cache: dict = {}
+
+    def _relation_degree(self, r: int, col: dict) -> Degree:
+        """The degree of relation r, from one term of its first nonzero
+        entry; FreeMap then checks every entry against it.  An entry at a
+        missing generator is refused first, zero or not."""
+        for i in col:
+            if not 0 <= i < len(self.gen_degrees):
+                raise ValueError(
+                    "relation %d hits generator %d, which does not exist" % (r, i)
+                )
+        first = min((i for i, p in col.items() if not p.is_zero()), default=None)
+        if first is None:
+            raise ValueError("relation %d is identically zero" % r)
+        term = next(iter(col[first].terms))
+        return self.ring.monomial_degree(term) + self.gen_degrees[first]
 
     @staticmethod
     def free(ring: GradedPolynomialRing, gen_degrees) -> "GradedModulePresentation":
@@ -495,10 +503,7 @@ class GradedModulePresentation:
     @staticmethod
     def quotient_by_ideal(ideal: MonomialIdeal) -> "GradedModulePresentation":
         ring = ideal.ring
-        cols = [
-            RelationColumn(ring.monomial_degree(g), {0: Poly.monomial(g)})
-            for g in ideal.gens
-        ]
+        cols = [{0: Poly.monomial(g)} for g in ideal.gens]
         return GradedModulePresentation(ring, [ring.group.zero()], cols)
 
     def component(self, g: Degree) -> ComponentSpace:
@@ -575,10 +580,7 @@ class GradedModulePresentation:
         return GradedModulePresentation(
             self.ring,
             [x - d for x in self.gen_degrees],
-            [
-                RelationColumn(col.degree - d, dict(col.entries))
-                for col in self.relations
-            ],
+            self.relation_map.columns,
         )
 
 

@@ -19,9 +19,9 @@ are written the way reports print them: the free coordinates, then a
 semicolon and the torsion coordinates when the group has torsion, as in
 (1;1).  The psi block describes the target group (free rank and torsion
 orders) followed by the image of each source generator, free generators
-first.  Relation rows list one polynomial per module generator; the row's
-degree is inferred from its first nonzero entry, and an entry that
-disagrees is reported by relation and generator index.
+first.  Relation rows list one polynomial per module generator; the
+presentation infers the row's degree from its first nonzero entry, and
+an entry that disagrees is reported by relation and generator index.
 
 The block table ``_BLOCKS`` is the one place a block's keys, dependencies
 and rendering live: each entry names the block, the Scenario field it
@@ -54,7 +54,6 @@ from .ringcore import (
     GradedPolynomialRing,
     MonomialIdeal,
     Poly,
-    RelationColumn,
 )
 
 __all__ = ["Scenario", "parse_scenario", "serialize_scenario"]
@@ -382,23 +381,14 @@ def _build_module(s: Scenario, where, gens, relations) -> GradedModulePresentati
                 % (r, len(row), len(gen_degrees))
             )
         polys = [_poly(piece, ring) for piece in row]
-        degree = None
         for j, p in enumerate(polys):
-            if p.is_zero():
-                continue
             try:
-                pd = ring.poly_degree(p)
+                ring.poly_degree(p)
             except HomogeneityError:
                 row[j].fail("relation %d, entry %d is not homogeneous" % (r, j))
-            if degree is None:
-                degree = pd + gen_degrees[j]
-        if degree is None:
+        if all(p.is_zero() for p in polys):
             row_span.fail("relation %d is identically zero" % r)
-        columns.append(
-            RelationColumn(
-                degree, {j: p for j, p in enumerate(polys) if not p.is_zero()}
-            )
-        )
+        columns.append(dict(enumerate(polys)))
     try:
         return GradedModulePresentation(ring, gen_degrees, columns)
     except HomogeneityError as err:
@@ -453,10 +443,10 @@ def _group_texts(s: Scenario, g: DegreeGroup) -> tuple[str, str]:
 def _module_texts(s: Scenario, M: GradedModulePresentation) -> tuple[str, str]:
     rows = [
         _list_text(
-            s.ring.poly_str(col.entries.get(j, Poly.zero()))
+            s.ring.poly_str(col.get(j, Poly.zero()))
             for j in range(len(M.gen_degrees))
         )
-        for col in M.relations
+        for col in M.relation_map.columns
     ]
     return _list_text(M.gen_degrees), _list_text(rows)
 

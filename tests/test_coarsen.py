@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from coarsecoh.coarsen import (
@@ -20,6 +22,7 @@ from coarsecoh.ringcore import (
     HilbertTable,
     MonomialIdeal,
 )
+from coarsecoh.scenario import parse_scenario
 
 from helpers import (
     Z1,
@@ -101,6 +104,20 @@ def test_coarsened_module_components_are_fiber_sums():
     assert [v for _, v in coarse.rows()] == [1, 2, 2, 2]
     for h in window1(0, 3):
         assert coarse.get(h) == sum(fine.get(g) for g in fiber(phi, h, fine.window))
+
+
+def test_coarsened_relations_take_their_degrees_through_psi():
+    # the coarse ring derives each relation's degree from its entries alone,
+    # and it is psi of the fine degree: tor3's relations are not monomial
+    root = Path(__file__).resolve().parents[1]
+    s = parse_scenario((root / "perfbench/scenarios/tor3.scn").read_text())
+    Rc = coarsen_ring(s.ring, s.psi)
+    for M in (s.module, s.module2):
+        Mc = coarsen_module(M, Rc, s.psi)
+        assert Mc.relation_map.source == [
+            s.psi.apply(d) for d in M.relation_map.source
+        ]
+        assert Mc.relation_map.columns == M.relation_map.columns
 
 
 # ---------------------------------------------------------------------------

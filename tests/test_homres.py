@@ -30,7 +30,6 @@ from coarsecoh.ringcore import (
     GradedPolynomialRing,
     MonomialIdeal,
     Poly,
-    RelationColumn,
 )
 from coarsecoh.scenario import parse_scenario
 
@@ -331,7 +330,7 @@ def test_hom_and_tower_tables_build_no_free_map_and_read_no_poly_degree(monkeypa
     x, y = Poly.monomial(R.mono(x=1)), Poly.monomial(R.mono(y=1))
     M = GradedModulePresentation(
         R, [Z2.zero(), Z2.degree((1, 0))],
-        [RelationColumn(Z2.degree((1, 1)), {0: x * y, 1: -y})],
+        [{0: x * y, 1: -y}],
     )
     N = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=2)]))
     tower = PowerTower(maximal_ideal(R), 6, max_position=3)

@@ -164,9 +164,15 @@ def test_cech_radical_invariance():
     R = fine_ring_xy()
     F = GradedModulePresentation.free(R, [Z2.zero()])
     w = window2((-2, -2), (0, 0))
-    base = cech_table([R.mono(x=1), R.mono(y=1)], 2, F, w, ray_cap=10)
-    squared = cech_table([R.mono(x=2), R.mono(y=1)], 2, F, w, ray_cap=10)
-    both = cech_table([R.mono(x=2), R.mono(y=2)], 2, F, w, ray_cap=10)
+    base = cech_table(
+        MonomialIdeal(R, [R.mono(x=1), R.mono(y=1)]), 2, F, w, ray_cap=10
+    )
+    squared = cech_table(
+        MonomialIdeal(R, [R.mono(x=2), R.mono(y=1)]), 2, F, w, ray_cap=10
+    )
+    both = cech_table(
+        MonomialIdeal(R, [R.mono(x=2), R.mono(y=2)]), 2, F, w, ray_cap=10
+    )
     assert base == squared == both
 
 
@@ -174,8 +180,12 @@ def test_cech_radical_invariance_on_quotient():
     R = std_ring_xy()
     M = GradedModulePresentation.quotient_by_ideal(MonomialIdeal(R, [R.mono(x=2)]))
     w = window1(-3, 0)
-    base = cech_table([R.mono(x=1), R.mono(y=1)], 1, M, w, ray_cap=10)
-    squared = cech_table([R.mono(x=2), R.mono(y=1)], 1, M, w, ray_cap=10)
+    base = cech_table(
+        MonomialIdeal(R, [R.mono(x=1), R.mono(y=1)]), 1, M, w, ray_cap=10
+    )
+    squared = cech_table(
+        MonomialIdeal(R, [R.mono(x=2), R.mono(y=1)]), 1, M, w, ray_cap=10
+    )
     assert base == squared
     for g in range(-3, 1):
         assert base.get(Z1.degree((g,))) == oracle_h1_mod_xsq(g)
@@ -617,12 +627,15 @@ def test_cech_over_four_generators_reads_every_position(g, expected, ranks):
 def test_check_transform_ranks_each_cech_differential_once_per_degree(monkeypatch):
     R = fine_ring_xyzw()
     F = GradedModulePresentation.free(R, [R.group.zero()])
+    # every matrix ranked is counted, and kept alive so no id is reused
     ranked: dict[int, int] = {}
-    built: list[CechAtDegree] = []  # kept alive, so no matrix id is reused
+    alive: list[Mat] = []
+    built: list[CechAtDegree] = []
     real_rank, real_init = localcoh.rank, CechAtDegree.__init__
 
     def counting_rank(mat):
         ranked[id(mat)] = ranked.get(id(mat), 0) + 1
+        alive.append(mat)
         return real_rank(mat)
 
     def recording_init(self, *args):
@@ -637,6 +650,10 @@ def test_check_transform_ranks_each_cech_differential_once_per_degree(monkeypatc
     assert [cech.g for cech in built] == list(window)
     for cech in built:
         assert [ranked.get(id(cech.matrices[p])) for p in range(5)] == [1] * 5
+    # the four-term row of a degree ranks only its residual map besides the
+    # five Cech differentials: the insertion's rank comes from its kernel
+    assert set(ranked.values()) == {1}
+    assert len(ranked) == 6 * len(window)
 
 
 def test_tables_refuse_a_degree_outside_their_window():
@@ -644,7 +661,7 @@ def test_tables_refuse_a_degree_outside_their_window():
     R = ring_x()
     M = GradedModulePresentation.free(R, [Z1.zero()])
     window = window1(-2, 0)
-    h1 = cech_table((R.mono(x=1),), 1, M, window)
+    h1 = cech_table(MonomialIdeal(R, [R.mono(x=1)]), 1, M, window)
     hilbert = M.hilbert(window)
     assert [h1.get(g) for g in window] == [1, 1, 0]
     assert [hilbert.get(g) for g in window] == [0, 0, 1]
@@ -676,7 +693,7 @@ def test_cech_ray_unstabilized_under_tight_cap():
     R = ring_x()
     F = GradedModulePresentation.free(R, [Z1.zero()])
     with pytest.raises(UnstabilizedError) as err:
-        cech_table([R.mono(x=1)], 1, F, window1(-2, -2), ray_cap=3)
+        cech_table(MonomialIdeal(R, [R.mono(x=1)]), 1, F, window1(-2, -2), ray_cap=3)
     assert err.value.trajectory == [0, 0, 1, 1]
 
 

@@ -17,7 +17,6 @@ from coarsecoh.ringcore import (
     HilbertTable,
     MonomialIdeal,
     Poly,
-    RelationColumn,
     mono_lcm,
     mono_mul,
     mono_quotient,
@@ -337,10 +336,10 @@ COEFFS = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2)]
 @st.composite
 def presentations(draw):
     """A module over K[x_0..x_{n-1}] (n = 1..3), graded by Z or Z + Z/3,
-    with 1..2 generators and 1..3 homogeneous relations whose entries take
-    every monomial of their degree with a random, possibly zero,
-    coefficient; with a degree g and a homogeneous f != 0 built the same
-    way on nonzero coefficients."""
+    with 1..2 generators and up to 3 homogeneous relations whose entries
+    take every monomial of their degree with a random, possibly zero,
+    coefficient, keeping the relations with a nonzero entry; with a degree
+    g and a homogeneous f != 0 built the same way on nonzero coefficients."""
     G = DegreeGroup(1, draw(st.sampled_from([(), (3,)])))
     torsion = st.lists(st.integers(0, 2), min_size=len(G.torsion_orders),
                        max_size=len(G.torsion_orders))
@@ -364,7 +363,8 @@ def presentations(draw):
     for _ in range(draw(st.integers(1, 3))):
         d = above(draw(st.sampled_from(gens)), 2)
         entries = {j: poly_of(d - e, COEFFS) for j, e in enumerate(gens)}
-        relations.append(RelationColumn(d, entries))
+        if any(not p.is_zero() for p in entries.values()):
+            relations.append(entries)
     M = GradedModulePresentation(R, gens, relations)
     g = above(draw(st.sampled_from(gens)), 3)
     f = poly_of(above(G.zero(), 2), [c for c in COEFFS if c])
@@ -377,10 +377,11 @@ def _reference_component(M, h):
     comp = M.component(h)
     index = {lab: i for i, lab in enumerate(comp.labels)}
     rows = []
-    for col in M.relations:
-        for m in M.ring.monomials_of_degree(h - col.degree):
+    rels = M.relation_map
+    for d, col in zip(rels.source, rels.columns):
+        for m in M.ring.monomials_of_degree(h - d):
             v = [sympy.Rational(0)] * len(index)
-            for j, p in col.entries.items():
+            for j, p in col.items():
                 for t, c in p.terms.items():
                     v[index[(j, mono_mul(m, t))]] += sympy.Rational(c)
             rows.append(v)
@@ -424,10 +425,11 @@ def _reference_dim(M, h):
               for m in ring.monomials_of_degree(h - d)]
     index = {lab: i for i, lab in enumerate(labels)}
     rows = []
-    for col in M.relations:
-        for m in ring.monomials_of_degree(h - col.degree):
+    rels = M.relation_map
+    for d, col in zip(rels.source, rels.columns):
+        for m in ring.monomials_of_degree(h - d):
             v = [sympy.Rational(0)] * len(labels)
-            for j, p in col.entries.items():
+            for j, p in col.items():
                 for t, c in p.terms.items():
                     v[index[(j, mono_mul(m, t))]] += sympy.Rational(c)
             rows.append(v)
@@ -468,23 +470,47 @@ def test_multiplication_composes():
 
 
 def test_relation_homogeneity_diagnostic_names_the_entry():
+    # entry 0 makes the column's degree 1; entry 1, of degree 2, implies 2
     R = std_ring_xy()
-    bad = RelationColumn(
-        Z1.degree((2,)),
-        {0: Poly.monomial(R.mono(x=1))},  # degree 1 entry where 2 is needed
-    )
+    bad = {0: Poly.monomial(R.mono(x=1)), 1: Poly.monomial(R.mono(x=2))}
     with pytest.raises(HomogeneityError) as err:
-        GradedModulePresentation(R, [Z1.zero()], [bad])
-    assert "generator 0" in str(err.value)
+        GradedModulePresentation(R, [Z1.zero(), Z1.zero()], [bad])
+    assert "relation 0, generator 1" in str(err.value)
+    assert "has degree (2), expected (1)" in str(err.value)
 
 
 def test_relation_entry_at_a_missing_generator_is_refused_even_when_zero():
-    # the index is checked before zero entries are dropped
+    # the index is checked before the column's degree is looked for
     R = std_ring_xy()
     for entry in (Poly.monomial(R.mono(x=1)), Poly.zero()):
-        bad = RelationColumn(Z1.degree((1,)), {1: entry})
         with pytest.raises(ValueError, match="relation 0 hits generator 1, which"):
-            GradedModulePresentation(R, [Z1.zero()], [bad])
+            GradedModulePresentation(R, [Z1.zero()], [{1: entry}])
+
+
+def test_a_relation_with_no_nonzero_entry_is_refused():
+    # a column's degree comes from its first nonzero entry, so an all-zero
+    # column has none
+    R = std_ring_xy()
+    x = Poly.monomial(R.mono(x=1))
+    for zero in ({}, {1: Poly.zero()}, {0: Poly.zero(), 1: Poly.zero()}):
+        with pytest.raises(ValueError, match="relation 1 is identically zero"):
+            GradedModulePresentation(R, [Z1.zero(), Z1.zero()], [{0: x}, zero])
+
+
+def test_relation_degree_is_its_first_nonzero_entry_plus_that_generator():
+    R = fine_ring_xy()
+    x, y = Poly.monomial(R.mono(x=1)), Poly.monomial(R.mono(y=1))
+    gens = [Z2.zero(), Z2.degree((1, 0))]
+    M = GradedModulePresentation(
+        R, gens, [{0: x * y, 1: -y}, {0: Poly.zero(), 1: x}]
+    )
+    assert M.relation_map.source == [Z2.degree((1, 1)), Z2.degree((2, 0))]
+    assert M.relation_map.columns == [{0: x * y, 1: -y}, {1: x}]
+    d = Z2.degree((2, -1))
+    S = M.shift(d)
+    assert S.gen_degrees == tuple(g - d for g in gens)
+    assert S.relation_map.source == [e - d for e in M.relation_map.source]
+    assert S.relation_map.columns == M.relation_map.columns
 
 
 def test_poly_degree_mixed_raises():

@@ -43,7 +43,7 @@ def test_parse_fine_scenario():
     assert s.ring.var_names == ("x", "y")
     assert s.ideal.gens == ((0, 1), (1, 0))
     assert len(s.module.gen_degrees) == 2
-    assert len(s.module.relations) == 2
+    assert len(s.module.relation_map.columns) == 2
     assert str(s.psi.images[0]) == "(1)"
     assert len(s.gwindow) == 9
     assert len(s.hwindow) == 3
