@@ -98,6 +98,15 @@ class MonoidAlgebraElement:
         self.terms = clean
 
     @classmethod
+    def _of(cls, items) -> "MonoidAlgebraElement":
+        """The element of (exponent, coefficient) pairs with distinct
+        exponents that are already checked Fractions, as are the
+        coefficients; only zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.terms = {a: c for a, c in items if c}
+        return out
+
+    @classmethod
     def basis(cls, alpha) -> "MonoidAlgebraElement":
         return cls({Fraction(alpha): Fraction(1)})
 
@@ -115,15 +124,15 @@ class MonoidAlgebraElement:
 
     def scaled(self, c) -> "MonoidAlgebraElement":
         factor = Fraction(c)
-        return MonoidAlgebraElement(
-            {a: factor * v for a, v in self.terms.items()}
+        return MonoidAlgebraElement._of(
+            (a, factor * v) for a, v in self.terms.items()
         )
 
     def __add__(self, other: "MonoidAlgebraElement") -> "MonoidAlgebraElement":
         terms = dict(self.terms)
         for a, c in other.terms.items():
-            terms[a] = terms.get(a, Fraction(0)) + c
-        return MonoidAlgebraElement(terms)
+            terms[a] = terms[a] + c if a in terms else c
+        return MonoidAlgebraElement._of(terms.items())
 
     def __sub__(self, other: "MonoidAlgebraElement") -> "MonoidAlgebraElement":
         return self + other.scaled(-1)
@@ -133,8 +142,8 @@ class MonoidAlgebraElement:
         for a, c in self.terms.items():
             for b, d in other.terms.items():
                 s = a + b
-                terms[s] = terms.get(s, Fraction(0)) + c * d
-        return MonoidAlgebraElement(terms)
+                terms[s] = terms[s] + c * d if s in terms else c * d
+        return MonoidAlgebraElement._of(terms.items())
 
     def __pow__(self, n: int) -> "MonoidAlgebraElement":
         if n < 0:
@@ -185,16 +194,16 @@ class TailIdeal:
         return cls(0, strict=True)
 
     def contains_exponent(self, alpha) -> bool:
-        a = Fraction(alpha)
+        """Whether e(alpha) lies in the ideal, for an int or Fraction alpha."""
         if self.strict:
-            return a > self.threshold
-        return a >= self.threshold
+            return alpha > self.threshold
+        return alpha >= self.threshold
 
     def reduce(self, u: MonoidAlgebraElement) -> MonoidAlgebraElement:
         """Canonical representative of u in the quotient: drop every term
         the ideal contains."""
-        return MonoidAlgebraElement(
-            {a: c for a, c in u.terms.items() if not self.contains_exponent(a)}
+        return MonoidAlgebraElement._of(
+            (a, c) for a, c in u.terms.items() if not self.contains_exponent(a)
         )
 
     def __eq__(self, other) -> bool:

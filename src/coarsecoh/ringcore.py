@@ -34,11 +34,14 @@ a presentation, or coarsening it along psi, passes the same columns to a
 new presentation, whose generator degrees and ring give the new
 relation degrees.
 
-Relation vectors,
-multiplication columns and component coordinates are sparse vectors
-``{index: Fraction}`` (see linalg): a product m * p of a monomial and a
-polynomial is written straight into one, since its terms fall on
-distinct (generator, monomial) labels.
+Relation vectors, multiplication columns and component coordinates are
+sparse vectors ``{index: Fraction}`` (see linalg): a product m * p of a
+monomial and a polynomial is written straight into one, since its terms
+fall on distinct (generator, monomial) labels.
+
+A presentation owns its components and its multiplication cache, and
+nothing in them points back at it: dropping the presentation frees them
+all by reference counting, with no cycle left for the garbage collector.
 """
 
 from __future__ import annotations
@@ -339,10 +342,10 @@ class MonomialIdeal:
 
 class ComponentSpace:
     """Degree-g component of a finitely presented module, as a quotient
-    of the monomial basis of the free cover by the relation image."""
+    of the monomial basis of the free cover by the relation image.  It
+    reads the module only while it is built and keeps no reference to it."""
 
     def __init__(self, module: "GradedModulePresentation", degree: Degree):
-        self.module = module
         self.degree = degree
         ring = module.ring
         labels: list[tuple[int, Monomial]] = []

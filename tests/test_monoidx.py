@@ -62,6 +62,14 @@ def test_cancellation_gives_zero():
     assert (e(1) - e(1)).is_zero()
 
 
+def test_operations_keep_no_zero_coefficient():
+    # (1 - e(1)) (1 + e(1)) = 1 - e(2): the cross terms cancel and go
+    assert ((e(0) - e(1)) * (e(0) + e(1))).terms == {0: 1, 2: -1}
+    assert e(1).scaled(0).terms == {}
+    assert (e(1) + e(1).scaled(-1)).terms == {}
+    assert TailIdeal(1).reduce(e(0) + e(1)).terms == {0: 1}
+
+
 # ---------------------------------------------------------------------------
 # Tail ideals.
 # ---------------------------------------------------------------------------
