@@ -21,15 +21,15 @@ under its cap, 4 a coarsening fiber sum could not be certified finite.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import json
 import sys
-from pathlib import Path
+import time
 
 from .coarsen import check_commutation, coarsen_ring, coarsen_table
 from .errors import CoarseningRefusal, ScenarioError, UnstabilizedError
 from .homres import graded_ext, hom_table
+from .linalg import cap_problem
 from .localcoh import (
     cech_table,
     check_transform_sequence,
@@ -38,7 +38,7 @@ from .localcoh import (
     torsion_submodule,
 )
 from .monoidx import counterexample_report
-from .scenario import Scenario, cap_problem, parse_scenario
+from .scenario import Scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -403,7 +403,8 @@ def run_command(args) -> tuple[str, str, int]:
     exit code).  Raises nothing the dispatcher below does not handle."""
     scenario = None
     if getattr(args, "scenario", None) is not None:
-        scenario = parse_scenario(Path(args.scenario).read_text())
+        with open(args.scenario) as f:
+            scenario = parse_scenario(f.read())
         # a given cap flag always wins over the scenario's caps block
         if getattr(args, "ncap", None) is not None:
             scenario.n_cap = args.ncap
@@ -423,10 +424,7 @@ def run_command(args) -> tuple[str, str, int]:
         payload, tsv, code = _report(
             args.command, payload, comments, ["degree", "dim"], []
         )
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="seconds"
-    )
-    payload["_generated_at"] = stamp
+    payload["_generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     return json.dumps(payload, sort_keys=True, indent=2), tsv, code
 
 
@@ -439,8 +437,9 @@ def main(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
     if args.out:
-        Path(args.out + ".json").write_text(json_text + "\n")
-        Path(args.out + ".tsv").write_text(tsv_text)
+        for suffix, text in ((".json", json_text + "\n"), (".tsv", tsv_text)):
+            with open(args.out + suffix, "w") as f:
+                f.write(text)
     if args.json:
         print(json_text)
     else:

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 from .errors import CoarseningRefusal, UnstabilizedError
 from .grading import Degree, DegreeWindow, GroupEpimorphism
-from .homres import N_CAP, GradedHomSpace, PowerTower, tower_ext_table
-from .linalg import Mat, rank, spans_equal
+from .homres import GradedHomSpace, PowerTower, tower_ext_table
+from .linalg import N_CAP, Mat, rank, spans_equal
 from .localcoh import torsion_basis
 from .ringcore import (
     ComponentSpace,

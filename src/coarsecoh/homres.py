@@ -52,7 +52,9 @@ import itertools
 
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
-from .linalg import DirectedLimit, Mat, RowSpan, Subquotient, nullspace, rank
+from .linalg import (
+    DirectedLimit, Mat, RowSpan, Subquotient, cap_problem, nullspace, rank
+)
 from .ringcore import (
     FreeMap,
     GradedModulePresentation,
@@ -290,9 +292,6 @@ def graded_ext(
     return HilbertTable(window, values, support_gens=support)
 
 
-N_CAP = 6  # default number of tower stages
-
-
 class PowerTower:
     """The tower a = a^[1] >= a^[2] >= ... >= a^[n_cap] of bracket powers
     a^[n] = (g^n : g a minimal generator of a), with the resolutions of the
@@ -308,8 +307,8 @@ class PowerTower:
     sum_t (-1)^t lcm(g_S)^{n+1} / lcm(g_{S minus t})^n e_{S minus t}."""
 
     def __init__(self, ideal: MonomialIdeal, n_cap: int, max_position: int):
-        if n_cap < 2:
-            raise ValueError("the cap must allow at least two stages")
+        if problem := cap_problem("n_cap", n_cap):
+            raise ValueError(problem)
         self.max_position = max_position
         self.complexes = [
             taylor_complex(ideal.bracket_power(n), max_position)

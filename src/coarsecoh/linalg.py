@@ -389,6 +389,21 @@ class Subquotient:
         return v
 
 
+N_CAP = 6  # default number of tower stages
+RAY_CAP = 8  # default length of a Cech localization ray
+# The least caps with which the chains DirectedLimit reads, a PowerTower (torsion
+# is its position 0) and a localization ray, can be built; a nonzero limit takes 4
+# stages (README, design rule 2), so at these floors a limit is 0 or refused.
+CAP_FLOORS = {"n_cap": 2, "ray_cap": 1}
+
+
+def cap_problem(name: str, value: int) -> str | None:
+    """Why a cap value is refused, or None when it is allowed."""
+    if value >= CAP_FLOORS[name]:
+        return None
+    return "caps must be positive, and n_cap at least 2: got %s = %d" % (name, value)
+
+
 @dataclass
 class DirectedLimit:
     """Colimit of a finite chain  V_1 -> V_2 -> ... -> V_m  of Q-spaces.

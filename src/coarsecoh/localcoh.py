@@ -49,14 +49,15 @@ from dataclasses import dataclass, field
 from .errors import UnstabilizedError
 from .grading import Degree, DegreeWindow
 from .homres import (
-    N_CAP,
     PowerTower,
     colim_ext_table,
     ext_limit_at_degree,
     ext_stages,
     tower_table,
 )
-from .linalg import DirectedLimit, Mat, nullspace, rank, spans_equal
+from .linalg import (
+    N_CAP, RAY_CAP, DirectedLimit, Mat, cap_problem, nullspace, rank, spans_equal
+)
 from .ringcore import (
     GradedModulePresentation,
     HilbertTable,
@@ -65,9 +66,6 @@ from .ringcore import (
     Poly,
     mono_mul,
 )
-
-
-RAY_CAP = 8  # default length of a Cech localization ray
 
 
 class CechComplex:
@@ -85,6 +83,8 @@ class CechComplex:
     elements of S below a.  Every other block is zero."""
 
     def __init__(self, gens: tuple[Monomial, ...], ring, ray_cap: int, positions=None):
+        if problem := cap_problem("ray_cap", ray_cap):
+            raise ValueError(problem)
         self.gens = tuple(gens)
         self.ray_cap = ray_cap
         s = len(self.gens)

@@ -43,9 +43,9 @@ appear.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 __all__ = [
     "MonoidAlgebraElement",
@@ -411,9 +411,9 @@ def local_finiteness_table(
     rows = []
     for beta in betas:
         hits = sorted(hom.apply(MonoidAlgebraElement.basis(beta)))
-        expected = [
-            k for k in range(1, hom.level + 1) if Fraction(1, k) > beta
-        ]
+        # 1/k > beta = n/d exactly when k < d/n, that is k < ceil(d/n)
+        top = min(hom.level + 1, -(-beta.denominator // beta.numerator))
+        expected = list(range(1, top))
         rows.append(
             {
                 "exponent": str(beta),

@@ -47,8 +47,7 @@ from fractions import Fraction
 
 from .errors import HomogeneityError, ScenarioError
 from .grading import Degree, DegreeGroup, DegreeWindow, GroupEpimorphism
-from .homres import N_CAP
-from .localcoh import RAY_CAP
+from .linalg import CAP_FLOORS, N_CAP, RAY_CAP, cap_problem
 from .ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -57,22 +56,6 @@ from .ringcore import (
 )
 
 __all__ = ["Scenario", "parse_scenario", "serialize_scenario"]
-
-
-# The least caps with which a PowerTower (torsion is its position 0) and a
-# localization ray can be built; certifying a nonzero limit takes 4 stages
-# (README, design rule 2), so at these floors a limit is 0 or refused.
-CAP_FLOORS = {"n_cap": 2, "ray_cap": 1}
-
-
-def cap_problem(name: str, value: int) -> str | None:
-    """Why a cap value is refused, or None when it is allowed."""
-    if value < CAP_FLOORS[name]:
-        return "caps must be positive, and n_cap at least 2: got %s = %d" % (
-            name,
-            value,
-        )
-    return None
 
 
 @dataclass

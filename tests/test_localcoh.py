@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,14 +13,13 @@ from coarsecoh import homres, localcoh
 from coarsecoh.errors import UnstabilizedError
 from coarsecoh.grading import DegreeGroup, DegreeWindow
 from coarsecoh.homres import (
-    N_CAP,
     PowerTower,
     colim_ext_table,
     ext_limit_at_degree,
     ext_stages,
     ext_subquotient,
 )
-from coarsecoh.linalg import Mat, nullspace, rank, spans_equal
+from coarsecoh.linalg import N_CAP, Mat, cap_problem, nullspace, rank, spans_equal
 from coarsecoh.localcoh import (
     CechAtDegree,
     CechComplex,
@@ -695,6 +695,28 @@ def test_cech_ray_unstabilized_under_tight_cap():
     with pytest.raises(UnstabilizedError) as err:
         cech_table(MonomialIdeal(R, [R.mono(x=1)]), 1, F, window1(-2, -2), ray_cap=3)
     assert err.value.trajectory == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("ray_cap", [0, -1])
+def test_the_cech_route_refuses_a_ray_cap_below_the_floor(ray_cap):
+    # the library holds the rule the scenario parser and --raycap hold: a
+    # ray with no stage would read 0 on every cell, where H^3 of fine3 is 1
+    problem = re.escape(cap_problem("ray_cap", ray_cap))
+    s = parse_scenario((ROOT / "perfbench/scenarios/fine3.scn").read_text())
+    with pytest.raises(ValueError, match=problem):
+        cech_table(s.ideal, 3, s.module, s.gwindow, ray_cap)
+    with pytest.raises(ValueError, match=problem):
+        local_cohomology(s.ideal, 3, s.module, s.gwindow, "cech", ray_cap=ray_cap)
+    s = parse_scenario((ROOT / "perfbench/scenarios/fine3q.scn").read_text())
+    with pytest.raises(ValueError, match=problem):
+        check_transform_sequence(s.ideal, s.module, s.gwindow, s.n_cap, ray_cap)
+
+
+def test_a_power_tower_refuses_an_n_cap_below_the_floor():
+    R = ring_x()
+    problem = re.escape(cap_problem("n_cap", 1))
+    with pytest.raises(ValueError, match=problem):
+        PowerTower(MonomialIdeal(R, [R.mono(x=1)]), 1, max_position=1)
 
 
 def test_ext_tower_unstabilized_under_tight_cap():

@@ -172,6 +172,20 @@ def test_local_finiteness_table_matches_oracle():
     assert rows[2]["hits"] == [1, 2, 3, 4, 5, 6]
 
 
+def test_predicted_hit_set_is_the_fraction_comparison():
+    # the predicted side is computed from beta's numerator and denominator;
+    # a map with no components probes cheaply, and hits nothing
+    for level in range(1, 61):
+        probes = [Fraction(2)]
+        for k in range(1, level + 2):
+            gap = Fraction(1, 2 * k * (k + 1))
+            probes += [Fraction(1, k) - gap, Fraction(1, k), Fraction(1, k) + gap]
+        rows = local_finiteness_table(WitnessHom(level, ()), probes)
+        for beta, row in zip(probes, rows):
+            oracle = [k for k in range(1, level + 1) if Fraction(1, k) > beta]
+            assert row["expected"] == oracle, (level, beta)
+
+
 def test_component_linearity():
     hom = build_witness_hom(4)
     assert check_component_linearity(hom, e("3/2"), e("1/5"))

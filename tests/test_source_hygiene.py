@@ -16,6 +16,8 @@ module in sys.stdlib_module_names.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -161,3 +163,68 @@ def test_the_check_sees_a_third_party_import():
         "line 5: numpy.linalg",
         "line 6: hypothesis.strategies",
     ]
+
+
+def package_imports(source: str) -> list[str]:
+    """Modules of the package that a module imports, by relative import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found += [node.module] if node.module else [a.name for a in node.names]
+    return sorted(found)
+
+
+def test_the_scenario_format_imports_no_computation():
+    # the cap rule lives in linalg, beside DirectedLimit; the scenario
+    # format reads it there and needs neither the towers nor the Cech route
+    found = package_imports((PACKAGE / "scenario.py").read_text())
+    assert "linalg" in found
+    assert not {"homres", "localcoh"} & set(found)
+
+
+def test_the_check_sees_a_computation_imported_by_the_scenario_format():
+    source = (
+        "from __future__ import annotations\n"
+        "from .homres import PowerTower\n"
+        "from .linalg import N_CAP\n"
+        "from . import localcoh\n"
+        "import re\n"
+    )
+    assert package_imports(source) == ["homres", "linalg", "localcoh"]
+
+
+# Standard-library modules the command line must not load: it stamps its
+# reports with time, and reads and writes files with open.
+UNLOADED = {"datetime", "pathlib", "typing"}
+
+
+def test_importing_the_cli_loads_no_datetime_pathlib_or_typing():
+    # in a plain interpreter (python -S), after every other standard-library
+    # module the package imports, so only what the package pulls in counts
+    stdlib = set()
+    for p in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                stdlib.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                stdlib.add(node.module)
+    baseline = sorted(stdlib - UNLOADED - {"__future__"})
+    code = (
+        "import sys\n"
+        "for name in %r:\n"
+        "    __import__(name)\n"
+        "before = set(sys.modules)\n"
+        "import coarsecoh.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    ) % (baseline,)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = ast.literal_eval(run.stdout)
+    assert "coarsecoh.cli" in loaded
+    assert UNLOADED & set(loaded) == set()
