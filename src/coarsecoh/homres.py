@@ -112,7 +112,7 @@ class FreeComplex:
         if key in self._ranks:
             return self._ranks[key], None
         d_p = self.diffs[p + 1].hom(N, g)
-        span = RowSpan(d_p.nrows, d_p.cols)
+        span = d_p.span()
         self._ranks[key] = span.dim
         return span.dim, span
 
@@ -202,7 +202,7 @@ class ExtStage:
                 d_p = Mat.zero(0, self.n) if top else cx.diffs[p + 1].hom(N, g)
                 self._kernel[0] = nullspace(d_p)
         if self._boundaries is None:
-            self._boundaries = RowSpan(self.n, cx.diffs[p].hom(N, g).cols)
+            self._boundaries = cx.diffs[p].hom(N, g).span()
         sq = Subquotient(self.n, self._kernel[0], self._boundaries)
         if sq.dim != self.dim:
             raise AssertionError(

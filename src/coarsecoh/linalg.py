@@ -2,8 +2,8 @@
 
 A vector is a dict ``{index: Fraction}`` that holds its nonzero entries
 only: a missing key is a zero, and no routine ever stores a zero.  This
-is the one vector format of the package: component coordinates, matrix
-columns, kernel bases, subquotient representatives and limit
+is the one vector format that leaves this module: matrix columns read
+through ``Mat.cols``, kernel bases, subquotient representatives and limit
 coordinates all use it, and a vector's length is carried by the matrix
 or space it belongs to.  Only two entry points take dense sequences, for
 literal matrices: ``Mat(rows, ncols)`` and ``rref``, which also returns
@@ -12,7 +12,8 @@ there.
 
 A matrix acts on column vectors, and a ``Mat`` is its columns, the
 images of the basis vectors as every producer builds them, plus its row
-count, so maps with zero rows or zero columns keep their shape.
+count, so maps with zero rows or zero columns keep their shape.  Inside,
+columns are integer vectors w with a scale s, read w / s (see ``Mat``).
 
 There is one elimination kernel; it runs on primitive integer rows, is
 exact and uses no modulus.  A ``RowSpan`` keeps one row ``d e_p + tail``
@@ -62,12 +63,23 @@ def _dense(row: dict, n: int) -> list[Fraction]:
     return out
 
 
-def _ints(v: dict) -> tuple[dict, int]:
+def int_vector(v: dict) -> tuple[dict, int]:
     """(w, s): s the lcm of the denominators of v, w the new vector s v."""
     s = lcm(*[x.denominator for x in v.values()])
     if s == 1:
         return {k: x.numerator for k, x in v.items()}, 1
     return {k: x.numerator * (s // x.denominator) for k, x in v.items()}, s
+
+
+def int_combination(terms, s: int = 1) -> tuple[dict, int]:
+    """(w, t): w / t = (sum of c w_k / s_k over terms (c, (w_k, s_k))) / s."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1][0], terms[0][1][1] * s
+    t = lcm(*[sk for _, (_, sk) in terms])
+    w: dict = {}
+    for c, (wk, sk) in terms:
+        _addmul(w, c * (t // sk), wk)
+    return w, t * s
 
 
 def _fracs(w: dict, s: int) -> dict:
@@ -111,10 +123,12 @@ class Mat:
 
     ``Mat(rows, ncols)`` takes dense rows, for literal matrices; every
     other constructor and method speaks sparse vectors.  ``cols`` holds
-    one sparse column per matrix column, a vector of Q^nrows; columns are
-    not changed after the matrix is built, so they may be shared."""
+    one sparse Fraction column per matrix column, a vector of Q^nrows.
+    ``of_ints`` and ``block`` store integer columns, with their scales once
+    per matrix (none when all are 1), which a first read of ``cols`` turns
+    into Fractions.  Stored columns never change, so they may be shared."""
 
-    __slots__ = ("cols", "nrows")
+    __slots__ = ("_cols", "_scales", "nrows")
 
     def __init__(self, rows, ncols: int | None = None):
         rows = list(rows)
@@ -125,19 +139,38 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        self.cols = [_sparse([r[j] for r in rows]) for j in range(ncols)]
+        self._cols = [_sparse([r[j] for r in rows]) for j in range(ncols)]
+        self._scales = None  # Fraction columns; () or a list for integer ones
         self.nrows = len(rows)
 
     @staticmethod
-    def _of(cols: list[dict], nrows: int) -> "Mat":
+    def _of(cols: list[dict], nrows: int, scales=None) -> "Mat":
         m = object.__new__(Mat)
-        m.cols = cols
+        m._cols = cols
+        m._scales = scales if scales is None or max(scales, default=1) > 1 else ()
         m.nrows = nrows
         return m
 
+    @staticmethod
+    def of_ints(pairs, nrows: int) -> "Mat":
+        """Columns w_j / s_j from a list of pairs (w_j, s_j); w_j is shared."""
+        cols, scales = map(list, zip(*pairs)) if pairs else ([], [])
+        return Mat._of(cols, nrows, scales)
+
+    def _pairs(self):  # the columns as (w, s), stored integer ones shared
+        if self._scales is None:
+            return map(int_vector, self._cols)
+        return zip(self._cols, self._scales or [1] * len(self._cols))
+
+    @property
+    def cols(self) -> list[dict]:
+        if self._scales is not None:
+            self._cols, self._scales = [_fracs(w, s) for w, s in self._pairs()], None
+        return self._cols
+
     @property
     def ncols(self) -> int:
-        return len(self.cols)
+        return len(self._cols)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Mat":
@@ -158,8 +191,10 @@ class Mat:
     def block(row_dims, col_dims, block_fn) -> "Mat":
         """Block matrix; block_fn(i, j) gives block (i, j), shaped
         row_dims[i] x col_dims[j], or None for a zero block.  It is only
-        asked for blocks with both dimensions nonzero, row by row."""
+        asked for blocks with both dimensions nonzero, row by row.  Each
+        column is joined in integers under the lcm of its blocks' scales."""
         cols = [{} for _ in range(sum(col_dims))]
+        scales = [1] * len(cols)
         r0 = 0
         for i, rd in enumerate(row_dims):
             c0 = 0
@@ -168,28 +203,43 @@ class Mat:
                 if blk is not None:
                     if blk.nrows != rd or blk.ncols != cd:
                         raise ValueError("block (%d,%d) has the wrong shape" % (i, j))
-                    for col, bcol in zip(cols[c0 : c0 + cd], blk.cols):
-                        for b, x in bcol.items():
-                            col[r0 + b] = x
+                    for c, (w, s) in enumerate(blk._pairs(), c0):
+                        col, u = cols[c], scales[c]
+                        if u % s:  # rescale what the blocks above wrote
+                            t = lcm(s, u)
+                            col = cols[c] = {k: x * (t // u) for k, x in col.items()}
+                            u = scales[c] = t
+                        f = u // s
+                        for b, x in w.items():
+                            col[r0 + b] = x * f
                 c0 += cd
             r0 += rd
-        return Mat._of(cols, sum(row_dims))
+        return Mat._of(cols, sum(row_dims), scales)
 
     def is_zero(self) -> bool:
-        return not any(self.cols)
+        return not any(self._cols)
 
     def apply(self, v: dict) -> dict:
         _check_length(v, self.ncols)
         out: dict = {}
         for j, x in v.items():
-            _addmul(out, x, self.cols[j])
+            _addmul(out, x / self._scales[j] if self._scales else x, self._cols[j])
         return out
 
     def mul(self, other: "Mat") -> "Mat":
-        """self  o  other, as composition of column-vector maps."""
+        """self  o  other, as composition of column-vector maps (integer if both are)."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        return Mat._of([self.apply(c) for c in other.cols], self.nrows)
+        if self._scales is None or other._scales is None:
+            return Mat._of([self.apply(c) for c in other.cols], self.nrows)
+        pairs = list(self._pairs())
+        return Mat.of_ints([int_combination([(x, pairs[i]) for i, x in w.items()], s)
+                            for w, s in other._pairs()], self.nrows)
+
+    def span(self) -> "RowSpan":
+        if self._scales is None:
+            return RowSpan(self.nrows, self._cols)
+        return RowSpan(self.nrows, ints=[dict(w) for w in self._cols if w])
 
     def __eq__(self, other):
         return (
@@ -209,14 +259,15 @@ class RowSpan:
     the pivot columns of a vector, which is zero exactly for the span's
     members."""
 
-    def __init__(self, n: int, rows=()):
+    def __init__(self, n: int, rows=(), ints=None):
         self.n = n
         self._d: dict[int, int] = {}
         self._tails: dict[int, dict] = {}
-        # rows go in as integer rows, rightmost leading entry first: the span
-        # does not depend on the order, and a row that leads left of every
-        # pivot so far has no pivot row to clear
-        ints = (_ints(r)[0] for r in rows if r)
+        # rows (Fractions), or else ints (nonzero integer rows, taken over),
+        # go in as integer rows, rightmost leading entry first: the span does
+        # not depend on the order, and a row leading left of every pivot clears none
+        if ints is None:
+            ints = (int_vector(r)[0] for r in rows if r)
         for w in sorted(ints, key=min, reverse=True):
             self._reduce(w)
             if w:
@@ -262,12 +313,19 @@ class RowSpan:
     def pivots(self) -> list[int]:
         return sorted(self._tails)
 
+    def pivot_value(self, i: int) -> int:
+        """d at pivot i, else 1; e_i has residue unit_residue(i) / d."""
+        return self._d.get(i, 1)
+
+    def unit_residue(self, i: int) -> dict:
+        return {k: -x for k, x in self._tails.get(i, {i: -1}).items()}  # -tail or e_i
+
     def residue(self, v: dict) -> dict:
         """v with the pivot columns of the span cleared; v itself when it
         has none."""
         if not any(p in self._tails for p in v):
             return v
-        w, s = _ints(v)
+        w, s = int_vector(v)
         return _fracs(w, s * self._reduce(w))
 
 
@@ -315,7 +373,7 @@ def rref(rows, ncols: int):
 
 
 def rank(mat: Mat) -> int:
-    return RowSpan(mat.nrows, mat.cols).dim
+    return mat.span().dim
 
 
 def spans_equal(vecs_a, vecs_b, n: int) -> bool:
@@ -332,8 +390,8 @@ def nullspace(mat: Mat) -> list[dict]:
     span = _Coordinates(mat.nrows)
     pivots: list[int] = []
     basis = []
-    for f, c in enumerate(mat.cols):
-        coords = span.take(*_ints(c)) if c else {}
+    for f, (w, s) in enumerate(mat._pairs()):
+        coords = span.take(dict(w), s) if w else {}
         if coords is None:
             pivots.append(f)
         else:
@@ -368,7 +426,7 @@ class Subquotient:
 
     def _modulo_boundaries(self, v: dict) -> tuple[dict, int]:
         """(w, s) with w / s the vector v with the boundary pivots cleared."""
-        w, s = _ints(v)
+        w, s = int_vector(v)
         return w, s * self._boundaries._reduce(w)
 
     @property

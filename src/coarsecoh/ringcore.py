@@ -34,10 +34,10 @@ a presentation, or coarsening it along psi, passes the same columns to a
 new presentation, whose generator degrees and ring give the new
 relation degrees.
 
-Relation vectors, multiplication columns and component coordinates are
-sparse vectors ``{index: Fraction}`` (see linalg): a product m * p of a
-monomial and a polynomial is written straight into one, since its terms
-fall on distinct (generator, monomial) labels.
+A component's relation rows are each relation column, scaled to integers
+once per presentation, times monomials.  It keeps the quotient
+coordinates of each label read as an integer vector and scale (see
+linalg), and a multiplication matrix looks its columns up there.
 
 A presentation owns its components and its multiplication cache, and
 nothing in them points back at it: dropping the presentation frees them
@@ -49,17 +49,17 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import HomogeneityError
 from .grading import Degree, DegreeGroup, DegreeWindow
-from .linalg import Mat, Q0, RowSpan, frac
+from .linalg import Mat, Q0, RowSpan, frac, int_combination, int_vector
 
 Monomial = tuple  # of int exponents
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -67,14 +67,14 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
     """a / b, requiring divisibility."""
     if not mono_divides(b, a):
         raise ValueError("monomial %r does not divide %r" % (b, a))
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class Poly:
@@ -353,20 +353,19 @@ class ComponentSpace:
             for m in ring.monomials_of_degree(degree - dj):
                 labels.append((j, m))
         self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
         # with no labels every relation product is empty: build none
-        rels = module.relation_map
-        rel_vectors = [
-            self.product(m, col)
-            for d, col in zip(rels.source, rels.columns)
+        self.relations = RowSpan(n, ints=[
+            {index[(j, mono_mul(m, t))]: c for (j, t), c in col}
+            for d, col in zip(module.relation_map.source, module._int_relations)
             for m in ring.monomials_of_degree(degree - d)
-        ] if n else []
-        self.relations = RowSpan(n, rel_vectors)
+        ] if n else [])
         piv = set(self.relations.pivots)
         self.basis_positions = [i for i in range(n) if i not in piv]
         self.basis_labels = [labels[i] for i in self.basis_positions]
         self._coordinate = {i: k for k, i in enumerate(self.basis_positions)}
+        self._label_coords: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
@@ -375,16 +374,13 @@ class ComponentSpace:
     def index_of(self, label) -> int:
         return self._index[label]
 
-    def product(self, m: Monomial, entries: dict) -> dict:
-        """Ambient vector of m * sum_j entries[j] e_j, for polynomials
-        entries[j] whose products with m have this degree.  The terms of
-        a Poly are distinct monomials, so each label is hit at most once."""
-        index = self._index
-        return {
-            index[(j, mono_mul(m, t))]: c
-            for j, p in entries.items()
-            for t, c in p.terms.items()
-        }
+    def label_coordinates(self, label) -> tuple[dict, int]:
+        """(w, s), w / s the quotient coordinates of a label; w is shared."""
+        i = self._index[label]
+        if i not in self._label_coords:
+            self._label_coords[i] = {self._coordinate[k]: x
+                                     for k, x in self.relations.unit_residue(i).items()}
+        return self._label_coords[i], self.relations.pivot_value(i)
 
     def reduce(self, vec: dict) -> dict:
         """Quotient coordinates of an ambient free-cover vector."""
@@ -481,6 +477,9 @@ class GradedModulePresentation:
             self.gen_degrees,
             relations,
         )
+        self._int_relations = [list(int_vector(
+            {(j, t): c for j, p in col.items() for t, c in p.terms.items()}
+        )[0].items()) for col in self.relation_map.columns]
         self._components: dict[Degree, ComponentSpace] = {}
         self._mult_cache: dict = {}
 
@@ -571,10 +570,13 @@ class GradedModulePresentation:
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
-        src = self.component(g)
-        tgt = self.component(target)
-        cols = [tgt.reduce(tgt.product(m, {j: f})) for j, m in src.basis_labels]
-        mat = Mat.from_columns(cols, tgt.dim)
+        src, tgt = self.component(g), self.component(target)
+        terms, s = int_vector(f.terms)
+        mat = Mat.of_ints([
+            int_combination([(c, tgt.label_coordinates((j, mono_mul(m, t))))
+                             for t, c in terms.items()], s)
+            for j, m in src.basis_labels
+        ], tgt.dim)
         self._mult_cache[key] = mat
         return mat
 

@@ -531,3 +531,28 @@ def test_negative_index_is_refused_by_both_routes(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert "negative cohomological index" in err, argv
+
+
+TOR3 = (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "tor3.scn").read_text()
+TOR3_MODULE = "module { gens = [(0;0), (1;1)]; relations = [[x*y - z^2, -y], [z^3, y*z - x^2]] }"
+# each relation column times 1/2 and -3/7: the same module, with relation
+# columns that are not integer vectors
+TOR3_SCALED = TOR3.replace(
+    TOR3_MODULE,
+    "module { gens = [(0;0), (1;1)]; relations = "
+    "[[1/2*x*y - 1/2*z^2, -1/2*y], [-3/7*z^3, -3/7*y*z + 3/7*x^2]] }",
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["hilbert"], ["hom"], ["ext", "--i", "1", "--n", "2"], ["gamma"]]
+)
+def test_rescaled_relation_columns_give_the_same_tables(tmp_path, capsys, argv):
+    assert TOR3_MODULE in TOR3
+    reports = []
+    for name, text in (("tor3.scn", TOR3), ("scaled.scn", TOR3_SCALED)):
+        (tmp_path / name).write_text(text)
+        code, out, _ = run(capsys, [argv[0], str(tmp_path / name), *argv[1:], "--json"])
+        assert code == 0
+        reports.append(_stampless(out))
+    assert reports[0] == reports[1] and reports[0]["table"]

@@ -21,6 +21,7 @@ from coarsecoh.linalg import (
     Mat,
     RowSpan,
     Subquotient,
+    int_vector,
     nullspace,
     rank,
     rref,
@@ -345,6 +346,16 @@ def test_every_returned_vector_holds_nonzero_fractions(case, data):
     coords = sq.express(sparse(combination(rnd, rows, n)))
     assert fraction_vector(coords)
     assert fraction_vector(sq.lift(coords))
+    # the cols view of matrices stored in integers: one built from integer
+    # columns with scales, a block matrix, and the products of an integer
+    # and of a Fraction matrix with one
+    mat = Mat(rows, n) if rows else Mat.zero(0, n)
+    ints = Mat.of_ints([int_vector(c) for c in mat.cols], mat.nrows)
+    blocked = Mat.block([mat.nrows, mat.nrows], [n], lambda i, _: (ints, mat)[i])
+    right = Mat.of_ints([int_vector(r) for r in map(sparse, rows)], n)
+    products = [ints.mul(right), Mat.identity(n).mul(right)]
+    for m in (ints, blocked, *products):
+        assert all(map(fraction_vector, m.cols))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coarsecoh.errors import HomogeneityError
 from coarsecoh.grading import DegreeGroup
-from coarsecoh.linalg import Mat
+from coarsecoh.linalg import Mat, nullspace, rank
 from coarsecoh.ringcore import (
     GradedModulePresentation,
     GradedPolynomialRing,
@@ -334,13 +334,13 @@ COEFFS = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2)]
 
 
 @st.composite
-def presentations(draw):
+def presentations(draw, torsions=((), (3,))):
     """A module over K[x_0..x_{n-1}] (n = 1..3), graded by Z or Z + Z/3,
     with 1..2 generators and up to 3 homogeneous relations whose entries
     take every monomial of their degree with a random, possibly zero,
     coefficient, keeping the relations with a nonzero entry; with a degree
     g and a homogeneous f != 0 built the same way on nonzero coefficients."""
-    G = DegreeGroup(1, draw(st.sampled_from([(), (3,)])))
+    G = DegreeGroup(1, draw(st.sampled_from(torsions)))
     torsion = st.lists(st.integers(0, 2), min_size=len(G.torsion_orders),
                        max_size=len(G.torsion_orders))
     var_degrees = [G.degree([draw(st.integers(1, 2))], draw(torsion))
@@ -415,6 +415,70 @@ def test_components_and_multiplication_match_sympy(case):
         columns.append([v[i] for i in free])
     rows = [[col[i] for col in columns] for i in range(len(free))]
     assert M.multiplication_matrix(f, g, tgt_degree) == Mat(rows, len(columns))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(presentations(torsions=((3,),)), st.data())
+def test_multiplication_by_lookup_matches_the_fraction_path(case, data):
+    """multiplication_matrix reads integer label coordinates; the Fraction
+    path reduces the product vector m * f of each basis label instead."""
+    M, g, f = case
+    t, c = data.draw(st.sampled_from(sorted(f.terms.items())))
+    for h in (f, Poly.monomial(t, c)):
+        target = g + M.ring.poly_degree(h)
+        src, tgt = M.component(g), M.component(target)
+        mat = M.multiplication_matrix(h, g, target)
+        assert mat.ncols == src.dim and mat.nrows == tgt.dim
+        expected = [
+            tgt.reduce({tgt.index_of((j, mono_mul(m, u))): x for u, x in h.terms.items()})
+            for j, m in src.basis_labels
+        ]
+        assert mat.cols == expected
+        assert all(type(x) is Fraction and x for col in mat.cols for x in col.values())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(presentations(torsions=((3,),)), st.data())
+def test_integer_and_fraction_matrices_agree(case, data):
+    """A multiplication matrix, stored in integers, and its Fraction copy
+    agree on block, rank, nullspace, apply, mul and ==; two integer
+    matrices compose in integers."""
+    M, g, f = case
+    target = g + M.ring.poly_degree(f)
+    mat = M.multiplication_matrix(f, g, target)
+    assert mat._scales is not None
+    pairs = list(mat._pairs())
+
+    def ints():  # a new integer copy each time: reading cols turns it into Fractions
+        return Mat.of_ints(pairs, mat.nrows)
+
+    copy = Mat.from_columns([{k: Fraction(x, s) for k, x in w.items()}
+                             for w, s in pairs], mat.nrows)
+    assert rank(ints()) == rank(copy)
+    assert nullspace(ints()) == nullspace(copy)
+    rnd = data.draw(st.randoms(use_true_random=False))
+    v = {k: Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 3))
+         for k in range(mat.ncols) if rnd.random() < 0.7}
+    assert ints().apply(v) == copy.apply(v)
+    square = Mat([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2))
+                   for _ in range(mat.nrows)] for _ in range(mat.nrows)], mat.nrows)
+    assert square.mul(ints()) == square.mul(copy)
+    if mat.nrows:
+        assert ints().mul(Mat.identity(mat.ncols)) == copy
+    blocks = [[ints(), None], [copy, ints()]]
+    b_int = Mat.block([mat.nrows] * 2, [mat.ncols] * 2, lambda i, j: blocks[i][j])
+    b_frac = Mat.block([mat.nrows] * 2, [mat.ncols] * 2,
+                       lambda i, j: None if blocks[i][j] is None else copy)
+    assert b_int._scales is not None
+    assert b_int == b_frac and rank(b_int) == rank(b_frac) == 2 * rank(copy)
+    # multiplying by f twice is multiplying by f^2
+    target2 = target + M.ring.poly_degree(f)
+    product = M.multiplication_matrix(f, target, target2).mul(ints())
+    assert product._scales is not None
+    assert product == M.multiplication_matrix(f * f, g, target2)
+    assert ints() == copy and copy == ints()
+    m = ints()
+    assert m.cols == copy.cols and m._scales is None
 
 
 def _reference_dim(M, h):
