@@ -12,8 +12,8 @@ there.
 
 A matrix acts on column vectors, and a ``Mat`` is its columns, the
 images of the basis vectors as every producer builds them, plus its row
-count, so maps with zero rows or zero columns keep their shape.  Inside,
-columns are integer vectors w with a scale s, read w / s (see ``Mat``).
+count, so maps with zero rows or zero columns keep their shape.  Every
+matrix stores integer columns w with scales s, read w / s (see ``Mat``).
 
 There is one elimination kernel; it runs on primitive integer rows, is
 exact and uses no modulus.  A ``RowSpan`` keeps one row ``d e_p + tail``
@@ -122,11 +122,11 @@ class Mat:
     """Rational matrix with explicit shape, acting on column vectors.
 
     ``Mat(rows, ncols)`` takes dense rows, for literal matrices; every
-    other constructor and method speaks sparse vectors.  ``cols`` holds
-    one sparse Fraction column per matrix column, a vector of Q^nrows.
-    ``of_ints`` and ``block`` store integer columns, with their scales once
-    per matrix (none when all are 1), which a first read of ``cols`` turns
-    into Fractions.  Stored columns never change, so they may be shared."""
+    other constructor and method speaks sparse vectors.  A matrix stores
+    integer columns w_j, column j of Q^nrows being w_j / s_j, with the
+    scales s_j kept once per matrix (none when all are 1); stored columns
+    never change, so they may be shared.  ``cols`` is a view, one sparse
+    Fraction column per matrix column, built anew on each read."""
 
     __slots__ = ("_cols", "_scales", "nrows")
 
@@ -139,34 +139,28 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        self._cols = [_sparse([r[j] for r in rows]) for j in range(ncols)]
-        self._scales = None  # Fraction columns; () or a list for integer ones
-        self.nrows = len(rows)
+        self._store([int_vector(_sparse([r[j] for r in rows])) for j in range(ncols)],
+                    len(rows))
 
-    @staticmethod
-    def _of(cols: list[dict], nrows: int, scales=None) -> "Mat":
-        m = object.__new__(Mat)
-        m._cols = cols
-        m._scales = scales if scales is None or max(scales, default=1) > 1 else ()
-        m.nrows = nrows
-        return m
+    def _store(self, pairs, nrows: int) -> None:
+        cols, scales = map(list, zip(*pairs)) if pairs else ([], [])
+        self._cols = cols
+        self._scales = scales if max(scales, default=1) > 1 else ()
+        self.nrows = nrows
 
     @staticmethod
     def of_ints(pairs, nrows: int) -> "Mat":
         """Columns w_j / s_j from a list of pairs (w_j, s_j); w_j is shared."""
-        cols, scales = map(list, zip(*pairs)) if pairs else ([], [])
-        return Mat._of(cols, nrows, scales)
+        m = object.__new__(Mat)
+        m._store(pairs, nrows)
+        return m
 
-    def _pairs(self):  # the columns as (w, s), stored integer ones shared
-        if self._scales is None:
-            return map(int_vector, self._cols)
+    def _pairs(self):  # the stored columns as (w, s), shared
         return zip(self._cols, self._scales or [1] * len(self._cols))
 
     @property
     def cols(self) -> list[dict]:
-        if self._scales is not None:
-            self._cols, self._scales = [_fracs(w, s) for w, s in self._pairs()], None
-        return self._cols
+        return [_fracs(w, s) for w, s in self._pairs()]
 
     @property
     def ncols(self) -> int:
@@ -174,18 +168,18 @@ class Mat:
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Mat":
-        return Mat._of([{} for _ in range(ncols)], nrows)
+        return Mat.of_ints([({}, 1)] * ncols, nrows)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat._of([{i: Q1} for i in range(n)], n)
+        return Mat.of_ints([({i: 1}, 1) for i in range(n)], n)
 
     @staticmethod
     def from_columns(cols: list[dict], nrows: int) -> "Mat":
         """The matrix whose column j is the vector cols[j] of Q^nrows."""
         for c in cols:
             _check_length(c, nrows)
-        return Mat._of(cols, nrows)
+        return Mat.of_ints([int_vector(c) for c in cols], nrows)
 
     @staticmethod
     def block(row_dims, col_dims, block_fn) -> "Mat":
@@ -214,7 +208,7 @@ class Mat:
                             col[r0 + b] = x * f
                 c0 += cd
             r0 += rd
-        return Mat._of(cols, sum(row_dims), scales)
+        return Mat.of_ints(list(zip(cols, scales)), sum(row_dims))
 
     def is_zero(self) -> bool:
         return not any(self._cols)
@@ -227,18 +221,14 @@ class Mat:
         return out
 
     def mul(self, other: "Mat") -> "Mat":
-        """self  o  other, as composition of column-vector maps (integer if both are)."""
+        """self  o  other, as composition of column-vector maps, in integers."""
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        if self._scales is None or other._scales is None:
-            return Mat._of([self.apply(c) for c in other.cols], self.nrows)
         pairs = list(self._pairs())
         return Mat.of_ints([int_combination([(x, pairs[i]) for i, x in w.items()], s)
                             for w, s in other._pairs()], self.nrows)
 
     def span(self) -> "RowSpan":
-        if self._scales is None:
-            return RowSpan(self.nrows, self._cols)
         return RowSpan(self.nrows, ints=[dict(w) for w in self._cols if w])
 
     def __eq__(self, other):
@@ -249,7 +239,8 @@ class Mat:
         )
 
     def __repr__(self):
-        dense = [[c.get(i, Q0) for c in self.cols] for i in range(self.nrows)]
+        cols = self.cols
+        dense = [[c.get(i, Q0) for c in cols] for i in range(self.nrows)]
         return "Mat(%r, ncols=%d)" % (dense, self.ncols)
 
 
@@ -505,10 +496,9 @@ class DirectedLimit:
     certified stage and express them in the `basis`.  `limit_dim` is the
     rank v the rule has read.  The model is one ``Subquotient`` of V_m,
     the span of the composite's columns modulo nothing, built the first
-    time `basis` or `express` is read: its basis is the independent
-    columns of the composite, shared with it, since no column of a
-    ``Mat`` is changed after it is built.  A limit of dimension 0 keeps no
-    composite, and its model is the zero subspace of V_m.
+    time `basis` or `express` is read: its basis is the first independent
+    columns of the composite, read through its ``cols`` view.  A limit of
+    dimension 0 keeps no composite, and its model is the zero subspace of V_m.
 
     The chain is given by its dimensions and a function `step`: step(k)
     is the map V_{k+1} -> V_{k+2}, for k = 0..m-2.  The dimensions come

@@ -95,11 +95,31 @@ def test_zero_shaped_matrices():
 
 
 def test_column_space_basis():
-    # the first columns independent of those before them, shared with a
+    # the first columns independent of those before them, shared with the
+    # vectors the subquotient was given
     a = Mat([[1, 2, 0], [2, 4, 1]], 3)
-    reps = Subquotient(a.nrows, a.cols, ()).reps
+    cols = a.cols
+    reps = Subquotient(a.nrows, cols, ()).reps
     assert reps == [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
-    assert reps[0] is a.cols[0] and reps[1] is a.cols[2]
+    assert reps[0] is cols[0] and reps[1] is cols[2]
+
+
+def test_reading_cols_never_changes_the_matrix():
+    """cols is a view built anew on each read: editing what it returns
+    leaves the matrix as it was."""
+    rows = [[Fraction(1, 2), 1, 0], [1, 2, Fraction(2, 3)], [0, 0, 3]]
+    b = Mat([[1, Fraction(-1, 3), 0], [0, 1, 1], [2, 0, Fraction(5, 2)]], 3)
+    for m, fresh in ((Mat(rows, 3), lambda: Mat(rows, 3)),
+                     (Mat(rows, 3).mul(b), lambda: Mat(rows, 3).mul(b))):
+        first, second = m.cols, m.cols
+        assert first == second and first is not second
+        assert all(c is not d for c, d in zip(first, second))
+        first[0][2] = Fraction(7)
+        del first[1][0]
+        first[2].clear()
+        assert m == fresh() and m.cols == fresh().cols
+        assert rank(m) == rank(fresh())
+        assert m.mul(b) == fresh().mul(b) and b.mul(m) == b.mul(fresh())
 
 
 def test_spans_equal():

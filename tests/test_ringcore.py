@@ -439,46 +439,36 @@ def test_multiplication_by_lookup_matches_the_fraction_path(case, data):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(presentations(torsions=((3,),)), st.data())
-def test_integer_and_fraction_matrices_agree(case, data):
-    """A multiplication matrix, stored in integers, and its Fraction copy
-    agree on block, rank, nullspace, apply, mul and ==; two integer
-    matrices compose in integers."""
+def test_lookup_scaled_and_from_columns_matrices_agree(case, data):
+    """A multiplication matrix, stored with the scales of its label
+    lookups, and its from_columns copy agree on block, rank, nullspace,
+    apply, mul and ==; multiplying by f twice is multiplying by f^2."""
     M, g, f = case
     target = g + M.ring.poly_degree(f)
     mat = M.multiplication_matrix(f, g, target)
-    assert mat._scales is not None
-    pairs = list(mat._pairs())
-
-    def ints():  # a new integer copy each time: reading cols turns it into Fractions
-        return Mat.of_ints(pairs, mat.nrows)
-
     copy = Mat.from_columns([{k: Fraction(x, s) for k, x in w.items()}
-                             for w, s in pairs], mat.nrows)
-    assert rank(ints()) == rank(copy)
-    assert nullspace(ints()) == nullspace(copy)
+                             for w, s in mat._pairs()], mat.nrows)
+    assert rank(mat) == rank(copy)
+    assert nullspace(mat) == nullspace(copy)
     rnd = data.draw(st.randoms(use_true_random=False))
     v = {k: Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 3))
          for k in range(mat.ncols) if rnd.random() < 0.7}
-    assert ints().apply(v) == copy.apply(v)
+    assert mat.apply(v) == copy.apply(v)
     square = Mat([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2))
                    for _ in range(mat.nrows)] for _ in range(mat.nrows)], mat.nrows)
-    assert square.mul(ints()) == square.mul(copy)
+    assert square.mul(mat) == square.mul(copy)
     if mat.nrows:
-        assert ints().mul(Mat.identity(mat.ncols)) == copy
-    blocks = [[ints(), None], [copy, ints()]]
-    b_int = Mat.block([mat.nrows] * 2, [mat.ncols] * 2, lambda i, j: blocks[i][j])
-    b_frac = Mat.block([mat.nrows] * 2, [mat.ncols] * 2,
+        assert mat.mul(Mat.identity(mat.ncols)) == copy
+    blocks = [[mat, None], [copy, mat]]
+    b_lookup = Mat.block([mat.nrows] * 2, [mat.ncols] * 2, lambda i, j: blocks[i][j])
+    b_copy = Mat.block([mat.nrows] * 2, [mat.ncols] * 2,
                        lambda i, j: None if blocks[i][j] is None else copy)
-    assert b_int._scales is not None
-    assert b_int == b_frac and rank(b_int) == rank(b_frac) == 2 * rank(copy)
+    assert b_lookup == b_copy and rank(b_lookup) == rank(b_copy) == 2 * rank(copy)
     # multiplying by f twice is multiplying by f^2
     target2 = target + M.ring.poly_degree(f)
-    product = M.multiplication_matrix(f, target, target2).mul(ints())
-    assert product._scales is not None
+    product = M.multiplication_matrix(f, target, target2).mul(mat)
     assert product == M.multiplication_matrix(f * f, g, target2)
-    assert ints() == copy and copy == ints()
-    m = ints()
-    assert m.cols == copy.cols and m._scales is None
+    assert mat == copy and copy == mat
 
 
 def _reference_dim(M, h):
